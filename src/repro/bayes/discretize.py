@@ -8,7 +8,7 @@ is how chain-like applications with variable length are handled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
@@ -131,7 +131,12 @@ class Discretizer:
 
     @staticmethod
     def transform(value: float, spec: DiscretizationSpec) -> int:
-        """Map a duration to its discrete state index under ``spec``."""
+        """Map a duration to its discrete state index under ``spec``.
+
+        Always below ``spec.cardinality``: a spec fitted to all-zero samples
+        (a stage never seen running) has only its zero state, so every
+        duration maps there.
+        """
         value = float(value)
         if value < -_ZERO_TOLERANCE:
             raise ValueError("durations must be non-negative")
@@ -139,7 +144,7 @@ class Discretizer:
             return 0
         offset = 1 if spec.has_zero_state else 0
         edges = spec.edges
-        n_intervals = len(edges) - 1
+        n_intervals = len(spec.representatives) - offset  # positive states
         if n_intervals <= 0:
             return 0
         if value <= edges[0]:

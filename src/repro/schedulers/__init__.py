@@ -12,7 +12,6 @@ from repro.schedulers.base import (
     SchedulingContext,
     SchedulingDecision,
     flatten_stage_tasks,
-    interleave_by_job,
     interleave_tasks,
 )
 from repro.schedulers.snapshot import CowSnapshotTracker
@@ -36,7 +35,6 @@ __all__ = [
     "CowSnapshotTracker",
     "flatten_stage_tasks",
     "interleave_tasks",
-    "interleave_by_job",
     "FcfsScheduler",
     "FairScheduler",
     "SjfScheduler",

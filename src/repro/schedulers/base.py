@@ -8,19 +8,26 @@ cluster can currently hold.  Tasks that do not fit simply stay pending and
 are reconsidered at the next invocation, so schedulers never need to know
 the exact free capacity (though it is exposed on the context for policies
 that want it).
+
+A scheduler may cut its lists at a live context's ``free_*_slots``: the
+engine applies a live decision at once and drops everything past the free
+capacity anyway.  It must never cut them on a snapshot
+(``context.is_snapshot``): that decision is applied after a latency window,
+when more slots may be free, and entries past the snapshot's free capacity
+are still placed then.
 """
 
 from __future__ import annotations
 
 import abc
 import copy
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.dag.job import Job
 from repro.dag.stage import Stage
 from repro.dag.task import Task, TaskType
+from repro.schedulers.ready import ReadyIndex, ready_jobs_of
 from repro.schedulers.snapshot import CowSnapshotTracker
 
 __all__ = [
@@ -30,7 +37,6 @@ __all__ = [
     "Scheduler",
     "flatten_stage_tasks",
     "interleave_tasks",
-    "interleave_by_job",
 ]
 
 
@@ -97,8 +103,23 @@ class SchedulingContext:
         default=None, repr=False, compare=False
     )
     _cow_shared: Optional[Dict[str, int]] = field(default=None, repr=False, compare=False)
+    #: The engine's live ready index (set on live engine contexts only;
+    #: :meth:`snapshot` never copies it).
+    _ready: Optional[ReadyIndex] = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
+    def ready_jobs(self, task_type: TaskType) -> Sequence[Job]:
+        """Jobs with a pending ``task_type`` task in a schedulable stage.
+
+        Sorted by ``(arrival_time, job_id)``.  Live engine contexts return
+        the engine's ready index without scanning; every other context
+        (bare, snapshot, reference engine) derives the same sequence from
+        ``jobs``.  Treat the result as read-only.
+        """
+        if self._ready is not None:
+            return self._ready.jobs(task_type)
+        return ready_jobs_of(self.jobs, task_type)
+
     def schedulable_stages(self) -> List[Stage]:
         """Every stage that currently has pending tasks and satisfied deps."""
         stages: List[Stage] = []
@@ -334,22 +355,3 @@ def interleave_tasks(stages: Sequence[Stage]) -> List[Task]:
             if rank < len(queue):
                 tasks.append(queue[rank])
     return tasks
-
-
-def interleave_by_job(stages: Sequence[Stage]) -> List[Task]:
-    """Deprecated misnomer for :func:`flatten_stage_tasks`.
-
-    Despite the historical name (and docstring), this never interleaved
-    anything — it flat-concatenates stage tasks in priority order.  Kept as
-    an alias so downstream callers keep working; use
-    :func:`flatten_stage_tasks` for the same behavior or
-    :func:`interleave_tasks` for actual round-robin interleaving.
-    """
-    warnings.warn(
-        "interleave_by_job is a misnomer and is deprecated: it flat-concatenates "
-        "stage tasks (use flatten_stage_tasks) and never interleaved (use "
-        "interleave_tasks for round-robin)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return flatten_stage_tasks(stages)

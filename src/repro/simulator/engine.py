@@ -34,6 +34,14 @@ implementation keeps indexed state instead:
   dirty executors are rescanned.
 * **Jobs** — active jobs live in an insertion-ordered dict keyed by job id,
   so membership tests and completion removal are O(1).
+* **Ready index** — a :class:`~repro.schedulers.ready.ReadyIndex` keeps, per
+  task type, the active jobs with a pending task of that type in a
+  schedulable stage, sorted by arrival.  Each site that changes a job's
+  schedulable set touches the job (admission, placement, preemption,
+  stage completion, job completion, migration) and the index re-files
+  touched jobs when next read.  Live contexts expose it as
+  ``context.ready_jobs``, so FCFS ranks only what the free slots can take
+  instead of the whole backlog.
 * **Capacity** — free-slot counts are maintained incrementally by the
   :class:`~repro.simulator.cluster.Cluster`, so building a
   :class:`~repro.schedulers.base.SchedulingContext` does not recompute
@@ -66,6 +74,7 @@ from repro.schedulers.base import (
     SchedulingContext,
     SchedulingDecision,
 )
+from repro.schedulers.ready import ReadyIndex
 from repro.schedulers.snapshot import CowSnapshotTracker
 from repro.simulator.async_sched import AsyncSchedulerBackend
 from repro.simulator.autoscaler import ThresholdAutoscaler
@@ -177,6 +186,7 @@ class SimulationEngine:
         self._time = 0.0
         self._iterations = 0
         self._active_jobs: Dict[str, Job] = {}
+        self._ready = ReadyIndex(self._active_jobs)
         self._seen_job_ids: Set[str] = set()
         self._last_arrival_time = 0.0
         self._next_arrival: Optional[Job] = None
@@ -291,6 +301,23 @@ class SimulationEngine:
         if self._cow is not None:
             self._cow.mark_dirty(job)
 
+    # ------------------------------------------------------------------ #
+    # Active jobs and the ready index
+    # ------------------------------------------------------------------ #
+    # Every site that invalidates a job's schedulable-stage cache touches
+    # the job in the ready index, and the two helpers below are the only
+    # writers of the active-job set, so the index always matches what
+    # ``ready_jobs_of`` derives from the active jobs.
+    def _activate_job(self, job: Job) -> None:
+        """Make ``job`` active on this engine (arrival or migration in)."""
+        self._active_jobs[job.job_id] = job
+        self._ready.touch(job)
+
+    def _deactivate_job(self, job: Job) -> None:
+        """Drop ``job`` from this engine (completion or migration out)."""
+        self._active_jobs.pop(job.job_id, None)
+        self._ready.discard(job)
+
     def advance_cluster_to(self, time: float) -> None:
         """Accrue executor progress up to ``time`` (COW-safely).
 
@@ -330,7 +357,7 @@ class SimulationEngine:
                 # Degenerate jobs (everything skipped) complete on arrival.
                 self._record_job_completion(job)
                 continue
-            self._active_jobs[job.job_id] = job
+            self._activate_job(job)
             self.scheduler.on_job_arrival(job, now)
 
     # ------------------------------------------------------------------ #
@@ -356,6 +383,7 @@ class SimulationEngine:
         )
         if inactive:
             context.inactive_executor_ids = inactive
+        context._ready = self._ready
         if self.scheduler.preemptive:
             # The cluster's speed and role maps are static and shared, not
             # copied, so this costs two references per context.
@@ -558,6 +586,7 @@ class SimulationEngine:
             self._dirty_llm.add(llm_index)
         self.metrics.record_preemption(wasted)
         job.invalidate_schedulable_cache()
+        self._ready.touch(job)
 
     def _place_task(self, task: Task, expected_type: TaskType) -> bool:
         """Place one task via the placement policy; True iff it started."""
@@ -586,6 +615,7 @@ class SimulationEngine:
             self._dirty_llm.add(self.cluster.llm_index(placed))
         stage.mark_running()
         job.invalidate_schedulable_cache()
+        self._ready.touch(job)
         return True
 
     # ------------------------------------------------------------------ #
@@ -660,7 +690,7 @@ class SimulationEngine:
         return min(candidates)
 
     def _has_placeable_backlog(self) -> bool:
-        return any(job.schedulable_stages() for job in self._active_jobs.values())
+        return any(self._ready.jobs(task_type) for task_type in TaskType)
 
     # ------------------------------------------------------------------ #
     # Autoscaling
@@ -744,6 +774,7 @@ class SimulationEngine:
                 # the mutation locally preceded by its dirty mark.
                 self._mark_job_dirty(job)
                 job.notify_stage_finished(stage.stage_id, now)
+                self._ready.touch(job)
                 self.scheduler.on_stage_complete(job, stage, now)
                 if job.is_finished:
                     self._record_job_completion(job)
@@ -753,7 +784,7 @@ class SimulationEngine:
             raise RuntimeError(f"job {job.job_id} has no completion time")
         self.metrics.record_job_completion(job.job_id, job.application, job.jct)
         self.scheduler.on_job_complete(job, self._time)
-        self._active_jobs.pop(job.job_id, None)
+        self._deactivate_job(job)
 
     # ------------------------------------------------------------------ #
     def _check_for_deadlock(self) -> None:

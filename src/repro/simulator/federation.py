@@ -890,10 +890,9 @@ class FederatedSimulationEngine:
         # must freeze its pre-migration state now, because from here on the
         # target engine mutates it and the source tracker never sees it again.
         engine._mark_job_dirty(job)
-        del engine._active_jobs[job.job_id]
-        job.invalidate_schedulable_cache()
+        engine._deactivate_job(job)
         engine.metrics.record_migration_out()
-        target.engine._active_jobs[job.job_id] = job
+        target.engine._activate_job(job)
         target.engine.metrics.record_migration_in()
         target.engine.scheduler.on_job_arrival(job, now)
         self.metrics.record_migration(

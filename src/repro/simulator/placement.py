@@ -45,7 +45,11 @@ class PlacementPolicy(abc.ABC):
 
         Implementations must only return pools of the task's type with at
         least one free slot; the engine places on the returned pool without
-        re-checking the policy's reasoning.
+        re-checking the policy's reasoning.  They must also return a pool
+        whenever any pool of the task's type has a free slot: the engine
+        stops placing a decision once the free slots are used up, so
+        schedulers may list only as many tasks as there are free slots,
+        and a policy that declines a placeable task would leave a slot idle.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -103,6 +103,24 @@ class TestProperties:
             state = discretizer.transform(value, spec)
             assert 0 <= state < spec.cardinality
 
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=1, max_size=50),
+        st.integers(min_value=1, max_value=8),
+        st.booleans(),
+        st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=20),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_duration_maps_below_cardinality(self, samples, k, zero_state, values):
+        """Unseen durations too, including any positive one under a spec
+        fitted to all-zero samples (a stage never seen running)."""
+        spec = Discretizer(max_intervals=k, zero_state=zero_state).fit(samples)
+        for value in values:
+            assert 0 <= Discretizer.transform(value, spec) < spec.cardinality
+
+    def test_positive_duration_under_all_zero_spec(self):
+        spec = Discretizer(zero_state=True).fit([0.0, 0.0])
+        assert Discretizer.transform(3.5, spec) == 0
+
     @given(st.lists(st.floats(min_value=0.01, max_value=1e4), min_size=2, max_size=200))
     @settings(max_examples=60, deadline=None)
     def test_representatives_sorted_for_positive_samples(self, samples):

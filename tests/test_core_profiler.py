@@ -114,6 +114,41 @@ class TestEvidence:
             assert variable in evidence  # pinned to the zero state
 
 
+class TestStageNeverSeenRunning:
+    def test_posterior_for_a_job_that_runs_it(self):
+        """Regression: a stage that never executed in the profiling samples
+        gets a one-state spec, and a job that does run it used to crash
+        ``posterior_marginals`` with an IndexError."""
+        app = CodeGenerationApplication()
+        profiler = BayesianProfiler().fit([app], n_profile_jobs=10, seed=7)
+        specs = profiler.profile_for(app.name).specs
+        unseen = {v for v, spec in specs.items() if spec.cardinality == 1}
+        assert unseen
+        rng = make_rng(0)
+        job = next(
+            job
+            for job in (app.sample_job(f"j{i}", 0.0, rng) for i in range(500))
+            if any(s.profile_key in unseen and s.will_execute for s in job.stages.values())
+        )
+        clock = 0.0
+        while not any(job.stage(s).is_complete for s in job.stages if s in unseen):
+            stage = job.schedulable_stages()[0]
+            stage.mark_running()
+            for task in stage.tasks:
+                task.mark_running(clock, "e")
+                clock += task.work
+                task.mark_finished(clock)
+            job.notify_stage_finished(stage.stage_id, clock)
+
+        evidence = profiler.evidence_for(job)
+        observed = unseen & set(evidence)
+        assert observed
+        assert all(evidence[v] == 0 for v in observed)
+        marginals = profiler.posterior_marginals(app.name, evidence)
+        assert all(marginals[v].tolist() == [1.0] for v in observed)
+        assert profiler.estimate_remaining_duration(job) >= 0.0
+
+
 class TestDurationEstimation:
     def test_estimate_close_to_true_remaining_on_average(self, fitted_profiler):
         """The posterior estimate should track the true remaining work."""

@@ -9,11 +9,9 @@ from repro.schedulers.base import (
     SchedulingContext,
     SchedulingDecision,
     flatten_stage_tasks,
-    interleave_by_job,
     interleave_tasks,
 )
 from repro.schedulers.priors import ApplicationPriors
-from repro.utils.rng import make_rng
 from repro.workloads import SequenceSortingApplication, WebSearchApplication
 
 
@@ -99,13 +97,6 @@ class TestSchedulingContext:
         assert [t.job_id for t in flatten_stage_tasks(stages)] == ["a", "a", "a", "b"]
         assert [t.job_id for t in interleave_tasks(stages)] == ["a", "b", "a", "a"]
         assert interleave_tasks([]) == []
-
-    def test_interleave_by_job_is_deprecated_alias(self):
-        job_a = make_job("a")
-        stages = job_a.schedulable_stages()
-        with pytest.warns(DeprecationWarning, match="misnomer"):
-            tasks = interleave_by_job(stages)
-        assert tasks == flatten_stage_tasks(stages)
 
 
 class TestApplicationPriors:

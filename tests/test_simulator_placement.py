@@ -1,6 +1,8 @@
 """Tests for the placement layer (policies mapping tasks onto pools)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dag.task import Task, TaskType
 from repro.schedulers.fcfs import FcfsScheduler
@@ -196,3 +198,77 @@ class TestEngineIntegration:
         )
         assert len(metrics.job_completion_times) == self.SPEC.num_jobs
         assert metrics.pool_utilization["gpu-b"] >= metrics.pool_utilization["gpu-a"]
+
+
+class TestPlacementContract:
+    """Every built-in policy returns a pool whenever one of the task's type
+    has a free slot (the engine relies on this to stop placing a decision
+    once the free slots are used up)."""
+
+    POOLS = [
+        PoolSpec("cpu-a", TaskType.REGULAR, 2),
+        PoolSpec("cpu-b", TaskType.REGULAR, 3, speed_factor=1.5),
+        PoolSpec("pre", TaskType.LLM, 1, max_batch_size=2, role="prefill"),
+        PoolSpec("dec", TaskType.LLM, 2, max_batch_size=3, role="decode"),
+        PoolSpec("gpu", TaskType.LLM, 1, max_batch_size=4),
+    ]
+    POLICIES = {
+        "greedy": GreedyFirstFitPlacement,
+        "best_fit": BestFitPlacement,
+        "prefill_decode": PrefillDecodePlacement,
+        # Affinity: preferred pools that exist, that do not, and that serve
+        # the other task type; the fill levels below make existing ones full
+        # in some examples.
+        "affinity": lambda: PoolAffinityPlacement(
+            lambda task: "cpu-b" if task.task_type is TaskType.REGULAR else "pre"
+        ),
+        "affinity_unknown": lambda: PoolAffinityPlacement(lambda task: "h800"),
+        "affinity_wrong_type": lambda: PoolAffinityPlacement(
+            lambda task: "gpu" if task.task_type is TaskType.REGULAR else "cpu-a"
+        ),
+    }
+
+    @staticmethod
+    def make_task(kind):
+        if kind == "regular":
+            return regular_task()
+        task = llm_task(work=2.0)
+        if kind != "llm":
+            task.set_token_model(prompt_tokens=64, output_tokens=32, prefill_work=0.5)
+            if kind == "decoding":
+                task.progress = 0.6  # past the prefill boundary
+        return task
+
+    @given(
+        fills=st.tuples(*(st.integers(0, s.num_executors * s.max_batch_size) for s in POOLS)),
+        policy=st.sampled_from(sorted(POLICIES)),
+        kind=st.sampled_from(["regular", "llm", "prefilling", "decoding"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_returns_a_pool_whenever_one_has_a_free_slot(self, fills, policy, kind):
+        cluster = Cluster(pools=self.POOLS)
+        for pool, fill in zip(cluster.pools, fills, strict=True):
+            filler = regular_task if pool.task_type is TaskType.REGULAR else llm_task
+            for _ in range(fill):
+                assert pool.assign(filler(), 0.0) is not None
+        task = self.make_task(kind)
+        chosen = self.POLICIES[policy]().select_pool(cluster, task)
+        if cluster.free_slots(task.task_type) == 0:
+            assert chosen is None
+        else:
+            assert chosen is not None
+            assert chosen.task_type is task.task_type
+            assert chosen.assign(task, 0.0) is not None
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_full_preferred_pool_still_places(self, policy):
+        cluster = Cluster(pools=self.POOLS)
+        for name in ("cpu-b", "pre"):  # the affinity policy's preferred pools
+            pool = cluster.pool(name)
+            filler = regular_task if pool.task_type is TaskType.REGULAR else llm_task
+            while pool.free_slots:
+                pool.assign(filler(), 0.0)
+        for kind in ("regular", "prefilling"):
+            task = self.make_task(kind)
+            chosen = self.POLICIES[policy]().select_pool(cluster, task)
+            assert chosen is not None and chosen.name not in ("cpu-b", "pre")
