@@ -18,16 +18,24 @@ are exposed as flags: ``use_bn=False`` replaces the posterior estimates with
 historical means ("LLMSched w/o BN"), and ``use_uncertainty=False`` disables
 the exploration list entirely ("LLMSched w/o uncertainty", i.e. plain SRTF
 on Bayesian estimates).
+
+A job's estimate (its evidence, remaining duration and interval) comes from
+one profiler pass, and a job's posterior only moves when its evidence does.
+So on a live engine context the scheduler keeps each job's estimate across
+calls until ``context.job_version`` of the job changes; only the batch
+calibration is applied afresh at every call.  Snapshots and bare contexts
+carry no versions, and there every call recomputes every job.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.calibration import BatchingAwareCalibrator
-from repro.core.profiler import BayesianProfiler
+from repro.core.profiler import BayesianProfiler, RemainingEstimate
 from repro.dag.job import Job
 from repro.dag.stage import Stage
 from repro.dag.task import Task
@@ -40,6 +48,12 @@ __all__ = ["LLMSchedConfig", "LLMSchedScheduler"]
 #: Remaining-duration estimate used for jobs of applications that were never
 #: profiled; a neutral middle-of-the-road value keeps the scheduler robust.
 _UNPROFILED_REMAINING = 10.0
+_UNPROFILED = RemainingEstimate(
+    evidence={},
+    regular=_UNPROFILED_REMAINING,
+    llm=0.0,
+    interval=(_UNPROFILED_REMAINING * 0.5, _UNPROFILED_REMAINING * 1.5),
+)
 
 
 @dataclass(frozen=True)
@@ -60,8 +74,18 @@ class LLMSchedConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        require_probability(self.epsilon, "epsilon")
-        require_probability(self.sampling_ratio, "sampling_ratio")
+        # Specs arrive as JSON: a quoted "false" is truthy, and a negative
+        # seed would only fail inside numpy without naming the field.
+        for name in ("epsilon", "sampling_ratio"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            require_probability(value, name)
+        for name in ("use_bn", "use_uncertainty"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
 
 
 class LLMSchedScheduler(Scheduler):
@@ -79,41 +103,63 @@ class LLMSchedScheduler(Scheduler):
         self.config = config or LLMSchedConfig()
         self.calibrator = calibrator or BatchingAwareCalibrator()
         self._rng = make_rng(self.config.seed)
+        # job_id -> (context.job_version, estimate) from the last call.
+        self._memo: Dict[str, Tuple[int, RemainingEstimate]] = {}
 
     # ------------------------------------------------------------------ #
     # Estimation helpers
     # ------------------------------------------------------------------ #
+    def _estimate(self, job: Job) -> RemainingEstimate:
+        """A fresh profiler pass over ``job``."""
+        if not self.profiler.has_profile(job.application):
+            return _UNPROFILED
+        return self.profiler.remaining_estimate(job, use_posterior=self.config.use_bn)
+
+    def _estimates(
+        self, jobs: Sequence[Job], context: SchedulingContext
+    ) -> Dict[str, RemainingEstimate]:
+        """Every job's estimate, reused from the last call while its version holds.
+
+        A job's posterior only moves when its evidence does, and the engine
+        gives the job a new ``context.job_version`` whenever that may have
+        happened.  The memo is rebuilt from ``jobs`` on every call, so it
+        needs no hooks and never outlives a job; contexts without versions
+        (snapshots, bare contexts, the reference engine) recompute every job.
+        """
+        previous = self._memo
+        self._memo = {}
+        estimates: Dict[str, RemainingEstimate] = {}
+        for job in jobs:
+            version = context.job_version(job)
+            cached = previous.get(job.job_id)
+            if version is not None and cached is not None and cached[0] == version:
+                estimate = cached[1]
+            else:
+                estimate = self._estimate(job)
+            if version is not None:
+                self._memo[job.job_id] = (version, estimate)
+            estimates[job.job_id] = estimate
+        return estimates
+
     def estimate_remaining(self, job: Job, context: SchedulingContext) -> float:
         """Posterior (or historical) remaining duration, batch-calibrated."""
-        if not self.profiler.has_profile(job.application):
-            return _UNPROFILED_REMAINING
-        return self.profiler.estimate_remaining_duration(
-            job,
-            target_batch_size=context.average_llm_batch_size,
-            calibrator=self.calibrator,
-            use_posterior=self.config.use_bn,
-        )
-
-    def _remaining_interval(self, job: Job) -> Tuple[float, float]:
-        if not self.profiler.has_profile(job.application):
-            return (_UNPROFILED_REMAINING * 0.5, _UNPROFILED_REMAINING * 1.5)
-        return self.profiler.estimate_remaining_interval(job, use_posterior=self.config.use_bn)
-
-    def _uncertainty_reduction(self, job: Job, stage: Stage) -> float:
-        if not self.profiler.has_profile(job.application):
-            return 0.0
-        return self.profiler.uncertainty_reduction(job, stage.profile_key)
+        return self._estimate(job).calibrated(context.average_llm_batch_size, self.calibrator)
 
     # ------------------------------------------------------------------ #
     # Algorithm 1
     # ------------------------------------------------------------------ #
     def schedule(self, context: SchedulingContext) -> SchedulingDecision:
         jobs = [j for j in context.jobs if not j.is_finished]
+        estimates = self._estimates(jobs, context)
         if not jobs:
             return SchedulingDecision()
 
         # Lines 1-4: SRTF-ordered stage list St.
-        remaining = {job.job_id: self.estimate_remaining(job, context) for job in jobs}
+        batch = context.average_llm_batch_size
+        remaining = {
+            job_id: estimate.calibrated(batch, self.calibrator)
+            for job_id, estimate in estimates.items()
+        }
         jobs_by_remaining = sorted(
             jobs, key=lambda j: (remaining[j.job_id], j.arrival_time, j.job_id)
         )
@@ -128,14 +174,19 @@ class LLMSchedScheduler(Scheduler):
         # Lines 5-10: uncertainty-ordered stage list Su over non-overlapping
         # job groups.  Only uncertainty-reducing stages (R > 0) are worth
         # exploring; stages with nothing to reveal stay exclusively in St.
+        intervals = {job_id: estimate.interval for job_id, estimate in estimates.items()}
         exploration_stages: List[Tuple[Job, Stage]] = []
         if self.config.use_uncertainty and self.config.epsilon > 0.0:
-            groups = self._non_overlapping_groups(jobs)
-            for group in groups:
+            for group in self._non_overlapping_groups(jobs, intervals):
                 group_stages: List[Tuple[float, float, str, Job, Stage]] = []
                 for job in group:
+                    estimate = estimates[job.job_id]
+                    if estimate is _UNPROFILED:
+                        continue
                     for stage in job.schedulable_stages():
-                        reduction = self._uncertainty_reduction(job, stage)
+                        reduction = self.profiler.uncertainty_reduction(
+                            job, stage.profile_key, estimate.evidence
+                        )
                         if reduction <= 0.0:
                             continue
                         group_stages.append(
@@ -145,27 +196,29 @@ class LLMSchedScheduler(Scheduler):
                 exploration_stages.extend((job, stage) for *_, job, stage in group_stages)
 
         # Lines 11-21: epsilon-greedy merge with task sampling.
-        intervals = {job.job_id: self._remaining_interval(job) for job in jobs}
         return self._merge_preferences(srtf_stages, exploration_stages, intervals)
 
     # ------------------------------------------------------------------ #
-    def _non_overlapping_groups(self, jobs: Sequence[Job]) -> List[List[Job]]:
+    @staticmethod
+    def _non_overlapping_groups(
+        jobs: Sequence[Job], intervals: Dict[str, Tuple[float, float]]
+    ) -> List[List[Job]]:
         """Group jobs whose remaining-duration intervals overlap (line 5).
 
         The groups themselves are ordered by their lower bound, so stages of
         a group of provably-shorter jobs always precede stages of longer
         ones in the exploration list.
         """
-        intervals = []
+        spans = []
         for job in jobs:
-            lower, upper = self._remaining_interval(job)
-            intervals.append((lower, max(upper, lower), job))
-        intervals.sort(key=lambda item: (item[0], item[1], item[2].job_id))
+            lower, upper = intervals[job.job_id]
+            spans.append((lower, max(upper, lower), job))
+        spans.sort(key=lambda item: (item[0], item[1], item[2].job_id))
 
         groups: List[List[Job]] = []
         current: List[Job] = []
         current_upper = -math.inf
-        for lower, upper, job in intervals:
+        for lower, upper, job in spans:
             if not current or lower <= current_upper:
                 current.append(job)
                 current_upper = max(current_upper, upper)

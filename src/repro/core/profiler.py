@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from repro.dag.dynamic import dynamic_stage_entropy
 from repro.dag.job import Job
 from repro.utils.rng import make_rng
 
-__all__ = ["ApplicationProfile", "BayesianProfiler"]
+__all__ = ["ApplicationProfile", "BayesianProfiler", "RemainingEstimate"]
 
 
 @dataclass
@@ -52,6 +52,28 @@ class ApplicationProfile:
 
     def variable_range(self, variable: str) -> float:
         return self.specs[variable].value_range
+
+
+class RemainingEstimate(NamedTuple):
+    """What :meth:`BayesianProfiler.remaining_estimate` learns about one job.
+
+    It changes only when the job's evidence does, so a caller may keep it
+    until one of the job's tasks or stages completes.
+    """
+
+    evidence: Dict[str, int]
+    #: Uncalibrated remaining work of the regular and of the LLM stages.
+    regular: float
+    llm: float
+    #: (lower, upper) bound of the remaining duration.
+    interval: Tuple[float, float]
+
+    def calibrated(self, target_batch_size: float, calibrator) -> float:
+        """Remaining duration with the LLM share calibrated to the batch size (Eq. 2)."""
+        llm = self.llm
+        if calibrator is not None:
+            llm = calibrator.calibrate(llm, target_batch_size)
+        return self.regular + llm
 
 
 class BayesianProfiler:
@@ -77,6 +99,11 @@ class BayesianProfiler:
         self._profiles: Dict[str, ApplicationProfile] = {}
         # Memoised posterior marginals keyed by (application, evidence signature).
         self._marginal_cache: Dict[Tuple[str, Tuple[Tuple[str, int], ...]], Dict[str, np.ndarray]] = {}
+        # Memoised per-variable (mean, variance), keyed like _marginal_cache
+        # (signature None: the evidence-free moments without the posterior).
+        self._moment_cache: Dict[
+            Tuple[str, Optional[Tuple[Tuple[str, int], ...]]], Dict[str, Tuple[float, float]]
+        ] = {}
         # Memoised uncertainty reductions keyed by (application, stage, evidence signature).
         self._reduction_cache: Dict[Tuple[str, str, Tuple[Tuple[str, int], ...]], float] = {}
 
@@ -327,6 +354,76 @@ class BayesianProfiler:
         representatives = np.asarray(profile.specs[variable].representatives, dtype=float)
         return float(np.dot(marginal, representatives))
 
+    def remaining_estimate(self, job: Job, use_posterior: bool = True) -> RemainingEstimate:
+        """One pass over a job: its evidence, remaining sums and interval.
+
+        The remaining duration is the mean of the posterior job-duration
+        distribution, split into its regular and LLM shares so the caller
+        can apply the Eq. 2 batch calibration to the LLM share alone.  The
+        interval bounds are mean ± one standard deviation of the posterior
+        remaining duration (per-stage variances summed, i.e. stages treated
+        as conditionally independent given the evidence); Algorithm 1 uses
+        them to group jobs into non-overlapping sets.
+
+        ``use_posterior=False`` gives the "LLMSched w/o BN" ablation: the
+        remaining sums use the historical mean duration of every unfinished
+        stage, and the interval the per-stage historical spread (a uniform
+        distribution over the discretised states).
+
+        A variable is skipped once it is observed and its job's first stage
+        with that profile key is complete (a variable with no stage in the
+        job, i.e. an unselected candidate, counts as complete).
+        """
+        profile = self.profile_for(job.application)
+        evidence = self.evidence_for(job)
+        moments = self._variable_moments(job.application, evidence, use_posterior)
+        complete: Dict[str, bool] = {}
+        for stage in job.stages.values():
+            complete.setdefault(stage.profile_key, stage.is_complete)
+
+        regular = llm = mean_total = variance_total = 0.0
+        for variable in profile.variables:
+            if variable in evidence and complete.get(variable, True):
+                continue
+            mean, variance = moments[variable]
+            expected = mean if use_posterior else profile.mean_durations[variable]
+            if variable in profile.llm_variables:
+                llm += expected
+            else:
+                regular += expected
+            mean_total += mean
+            variance_total += variance
+        spread = math.sqrt(variance_total)
+        interval = (max(0.0, mean_total - spread), mean_total + spread)
+        return RemainingEstimate(evidence, regular, llm, interval)
+
+    def _variable_moments(
+        self, application: str, evidence: Mapping[str, int], use_posterior: bool
+    ) -> Dict[str, Tuple[float, float]]:
+        """variable -> (mean, variance) of its duration, memoised.
+
+        Posterior moments are keyed like ``_marginal_cache``; the uniform
+        moments of the ablation do not depend on the evidence.
+        """
+        key = (application, self._evidence_signature(evidence) if use_posterior else None)
+        moments = self._moment_cache.get(key)
+        if moments is not None:
+            return moments
+        profile = self.profile_for(application)
+        marginals = self.posterior_marginals(application, evidence) if use_posterior else None
+        moments = {}
+        for variable in profile.variables:
+            representatives = np.asarray(profile.specs[variable].representatives, dtype=float)
+            if marginals is not None:
+                distribution = np.asarray(marginals[variable], dtype=float)
+            else:
+                distribution = np.full(representatives.size, 1.0 / representatives.size)
+            mean = float(np.dot(distribution, representatives))
+            second_moment = float(np.dot(distribution, representatives**2))
+            moments[variable] = (mean, max(0.0, second_moment - mean**2))
+        self._moment_cache[key] = moments
+        return moments
+
     def estimate_remaining_duration(
         self,
         job: Job,
@@ -334,74 +431,15 @@ class BayesianProfiler:
         calibrator=None,
         use_posterior: bool = True,
     ) -> float:
-        """Estimated remaining work of a job (paper: mean of the posterior
-        job-duration distribution, with Eq. 2 calibration of the LLM share).
-
-        ``use_posterior=False`` gives the "LLMSched w/o BN" ablation: the
-        historical mean duration of every unfinished stage is used instead of
-        the Bayesian posterior.
-        """
-        profile = self.profile_for(job.application)
-        evidence = self.evidence_for(job)
-        marginals = self.posterior_marginals(job.application, evidence) if use_posterior else None
-
-        remaining_regular = 0.0
-        remaining_llm = 0.0
-        for variable in profile.variables:
-            if variable in evidence and self._variable_is_resolved(job, variable):
-                continue
-            if use_posterior:
-                representatives = np.asarray(profile.specs[variable].representatives, dtype=float)
-                expected = float(np.dot(marginals[variable], representatives))
-            else:
-                expected = profile.mean_durations[variable]
-            if variable in profile.llm_variables:
-                remaining_llm += expected
-            else:
-                remaining_regular += expected
-
-        if calibrator is not None:
-            remaining_llm = calibrator.calibrate(remaining_llm, target_batch_size)
-        return remaining_regular + remaining_llm
-
-    def _variable_is_resolved(self, job: Job, variable: str) -> bool:
-        """True when the variable's duration is fully known for this job."""
-        for stage in job.stages.values():
-            if stage.profile_key == variable:
-                return stage.is_complete
-        # Variable has no stage in this job (unselected candidate): resolved.
-        return True
+        """Estimated remaining work of a job, with Eq. 2 calibration of the
+        LLM share (see :meth:`remaining_estimate`)."""
+        return self.remaining_estimate(job, use_posterior).calibrated(target_batch_size, calibrator)
 
     def estimate_remaining_interval(
         self, job: Job, use_posterior: bool = True
     ) -> Tuple[float, float]:
-        """(lower, upper) bound of the remaining-duration distribution.
-
-        Used by Algorithm 1 to group jobs into non-overlapping sets.  The
-        bounds are mean ± one standard deviation of the posterior remaining
-        duration (per-stage variances summed, i.e. stages treated as
-        conditionally independent given the evidence); without the posterior
-        the per-stage historical spread is used instead.
-        """
-        profile = self.profile_for(job.application)
-        evidence = self.evidence_for(job)
-        marginals = self.posterior_marginals(job.application, evidence) if use_posterior else None
-        mean_total = 0.0
-        variance_total = 0.0
-        for variable in profile.variables:
-            if variable in evidence and self._variable_is_resolved(job, variable):
-                continue
-            representatives = np.asarray(profile.specs[variable].representatives, dtype=float)
-            if use_posterior:
-                distribution = np.asarray(marginals[variable], dtype=float)
-            else:
-                distribution = np.full(representatives.size, 1.0 / representatives.size)
-            mean = float(np.dot(distribution, representatives))
-            second_moment = float(np.dot(distribution, representatives**2))
-            mean_total += mean
-            variance_total += max(0.0, second_moment - mean**2)
-        spread = math.sqrt(variance_total)
-        return max(0.0, mean_total - spread), mean_total + spread
+        """(lower, upper) bound of the remaining duration (see :meth:`remaining_estimate`)."""
+        return self.remaining_estimate(job, use_posterior).interval
 
     # ------------------------------------------------------------------ #
     # Uncertainty-reducing stages
@@ -424,17 +462,21 @@ class BayesianProfiler:
             return True
         return bool(self.correlated_variables(application, variable))
 
-    def uncertainty_reduction(self, job: Job, stage_profile_key: str) -> float:
+    def uncertainty_reduction(
+        self, job: Job, stage_profile_key: str, evidence: Optional[Mapping[str, int]] = None
+    ) -> float:
         """R(X) of scheduling the given stage of the given job (Eq. 6).
 
         Conditional mutual information between the stage and its correlated
         unscheduled stages (given the evidence of completed stages), scaled
         by the duration-range sum of those stages; for LLM stages that
         precede an unresolved dynamic stage, the dynamic stage's node+edge
-        entropy times its duration range is added.
+        entropy times its duration range is added.  ``evidence`` may pass
+        the job's current :meth:`evidence_for` result to skip recomputing it.
         """
         profile = self.profile_for(job.application)
-        evidence = self.evidence_for(job)
+        if evidence is None:
+            evidence = self.evidence_for(job)
         signature = (job.application, stage_profile_key, self._evidence_signature(evidence))
         cached = self._reduction_cache.get(signature)
         if cached is not None:

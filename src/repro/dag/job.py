@@ -80,10 +80,12 @@ class Job:
                 raise ValueError(f"unknown stage {stage_id!r} in job {self.job_id}")
         if parent_id == child_id:
             raise ValueError("a stage cannot depend on itself")
-        self._graph.add_edge(parent_id, child_id)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(parent_id, child_id)
+        # The graph is acyclic, so the edge closes a cycle exactly when the
+        # parent is already reachable from the child.  Checked before the
+        # edge is added, so a rejection leaves the graph untouched.
+        if nx.has_path(self._graph, child_id, parent_id):
             raise ValueError(f"dependency {parent_id!r} -> {child_id!r} would create a cycle")
+        self._graph.add_edge(parent_id, child_id)
         self._topo_cache = None
         self._depth_cache = None
 

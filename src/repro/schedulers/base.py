@@ -120,6 +120,19 @@ class SchedulingContext:
             return self._ready.jobs(task_type)
         return ready_jobs_of(self.jobs, task_type)
 
+    def job_version(self, job: Job) -> Optional[int]:
+        """A stamp that changes whenever ``job``'s evidence may have changed.
+
+        Live engine contexts return the engine's current stamp for the job
+        (new at every admission, placement, preemption, task or stage
+        completion and migration; values are never reused).  Every other
+        context (bare, snapshot, reference engine) returns ``None``: nothing
+        derived from the job may be reused across calls.
+        """
+        if self._ready is not None:
+            return self._ready.version(job)
+        return None
+
     def schedulable_stages(self) -> List[Stage]:
         """Every stage that currently has pending tasks and satisfied deps."""
         stages: List[Stage] = []

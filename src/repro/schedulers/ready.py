@@ -12,17 +12,30 @@ Bare contexts, snapshots and the reference engine use it, and the tests use
 it as the index's oracle.  Like the COW tracker, this module knows nothing
 about ``SchedulingContext``; the context only holds a reference to the
 engine's index.
+
+The index also stamps each active job with a *version*: a fresh value of
+one process-wide counter at every touch, and at every task completion the
+engine reports through :meth:`ReadyIndex.stamp`.  A job's version is
+unchanged exactly while none of those events hit it, so a scheduler may
+reuse anything it derived from the job's completed work (LLMSched's
+posterior estimate) until the version moves.  Values are never reused, so
+a job that leaves one engine and returns, or the same job id in another
+run, never matches an old stamp.
 """
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.dag.job import Job
 from repro.dag.task import TaskType
 
 __all__ = ["ReadyIndex", "ready_jobs_of"]
+
+#: The process-wide source of job versions (see the module docstring).
+_STAMPS = itertools.count(1)
 
 
 def _order(job: Job) -> Tuple[float, str]:
@@ -55,6 +68,7 @@ class ReadyIndex:
         self._touched: Dict[str, Job] = {}
         self._jobs: Dict[TaskType, List[Job]] = {t: [] for t in TaskType}
         self._filed: Dict[TaskType, Set[str]] = {t: set() for t in TaskType}
+        self._versions: Dict[str, int] = {}
 
     def jobs(self, task_type: TaskType) -> Sequence[Job]:
         """The indexed jobs of one type (read-only; valid until the next change)."""
@@ -67,10 +81,20 @@ class ReadyIndex:
     def touch(self, job: Job) -> None:
         """Note that ``job``'s schedulable set or activity may have changed."""
         self._touched[job.job_id] = job
+        self._versions[job.job_id] = next(_STAMPS)
+
+    def stamp(self, job: Job) -> None:
+        """Give ``job`` a new version without re-filing it (a task finished)."""
+        self._versions[job.job_id] = next(_STAMPS)
+
+    def version(self, job: Job) -> Optional[int]:
+        """``job``'s current version; ``None`` once it left (or never touched)."""
+        return self._versions.get(job.job_id)
 
     def discard(self, job: Job) -> None:
         """Drop a job that left the active set, at once (bounds memory)."""
         self._touched.pop(job.job_id, None)
+        self._versions.pop(job.job_id, None)
         self._refile(job, False)
 
     def _refile(self, job: Job, active: bool) -> None:

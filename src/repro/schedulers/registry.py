@@ -116,10 +116,11 @@ def check_scheduler_kwargs(name: str, kwargs: Mapping[str, object]) -> None:
     """Reject kwargs the named scheduler cannot accept, with the valid set.
 
     For the LLMSched family the kwargs override
-    :class:`~repro.core.llmsched.LLMSchedConfig` fields; for the baselines
-    they must match constructor parameters.  Called by the declarative
-    spec layer so a typo fails at validation time (``repro validate``),
-    not after the expensive profiler fit.
+    :class:`~repro.core.llmsched.LLMSchedConfig` fields, and their values
+    are checked by building the config; for the baselines they must match
+    constructor parameters.  Called by the declarative spec layer so a
+    typo or a bad value fails at validation time (``repro validate``), not
+    after the expensive profiler fit.
     """
     if not kwargs:
         scheduler_requirements(name)
@@ -131,6 +132,9 @@ def check_scheduler_kwargs(name: str, kwargs: Mapping[str, object]) -> None:
         from repro.core.llmsched import LLMSchedConfig
 
         valid = {f.name for f in dataclasses.fields(LLMSchedConfig)}
+        if set(kwargs) <= valid:
+            # Build the config: a bad value fails here, naming its field.
+            replace(LLMSchedConfig(), **kwargs)
     else:
         cls = _SCHEDULER_CLASSES.get(key)
         if cls is None:

@@ -41,7 +41,9 @@ implementation keeps indexed state instead:
   stage completion, job completion, migration) and the index re-files
   touched jobs when next read.  Live contexts expose it as
   ``context.ready_jobs``, so FCFS ranks only what the free slots can take
-  instead of the whole backlog.
+  instead of the whole backlog.  Every touch, and every task completion,
+  also stamps the job with a new version (``context.job_version``), so
+  LLMSched reuses a job's posterior estimate until its evidence changes.
 * **Capacity** — free-slot counts are maintained incrementally by the
   :class:`~repro.simulator.cluster.Cluster`, so building a
   :class:`~repro.schedulers.base.SchedulingContext` does not recompute
@@ -767,6 +769,9 @@ class SimulationEngine:
             job = self._active_jobs.get(task.job_id)
             if job is None:  # pragma: no cover - defensive; jobs outlive their tasks
                 continue
+            # A finished task is new evidence about its stage's duration; it
+            # changes no schedulable set, so the job is stamped, not touched.
+            self._ready.stamp(job)
             stage = job.stage(task.stage_id)
             if stage.all_tasks_finished() and stage.state is StageState.RUNNING:
                 # Already copied into live snapshots when its finishing task

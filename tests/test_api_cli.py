@@ -92,6 +92,13 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "unknown scheduler" in err and "fcfs" in err
 
+    def test_validate_rejects_bad_llmsched_kwargs(self, tmp_path, capsys):
+        bad = tmp_path / "bad_kwargs.json"
+        kwargs = {"use_bn": "false", "epsilon": 1.5, "seed": -1}
+        bad.write_text(json.dumps({"scheduler": {"name": "llmsched", "kwargs": kwargs}}))
+        assert main(["validate", str(bad)]) == 1
+        assert "epsilon must be within [0, 1]" in capsys.readouterr().err
+
     def test_validate_catches_section_conflicts(self, tmp_path, capsys):
         bad = tmp_path / "conflict.json"
         bad.write_text(

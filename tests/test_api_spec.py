@@ -58,6 +58,21 @@ class TestValidation:
         with pytest.raises(SpecError, match="does not accept kwargs.*bogus"):
             SchedulerSection("fcfs", kwargs={"bogus": 1})
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"use_bn": "false"}, "use_bn"),
+            ({"use_uncertainty": "yes"}, "use_uncertainty"),
+            ({"epsilon": 1.5}, "epsilon"),
+            ({"seed": -1}, "seed"),
+            ({"seed": "3"}, "seed"),
+        ],
+    )
+    def test_bad_llmsched_kwarg_values_fail_at_validation(self, kwargs, field):
+        # Values, not just names, are checked before the profiler fit.
+        with pytest.raises(SpecError, match=f"{field} must be"):
+            SchedulerSection("llmsched_wo_bn", kwargs=kwargs)
+
     def test_baseline_kwargs_pass_through(self):
         # srtf_preempt genuinely accepts constructor kwargs.
         section = SchedulerSection("srtf_preempt", kwargs={"checkpoint": False})

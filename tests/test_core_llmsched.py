@@ -53,6 +53,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             LLMSchedConfig(sampling_ratio=-0.1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("use_bn", "false"),
+            ("use_uncertainty", 1),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("seed", True),
+            ("epsilon", "0.5"),
+        ],
+    )
+    def test_bad_value_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            LLMSchedConfig(**{field: value})
+
 
 class TestSchedulingBehaviour:
     def test_all_schedulable_tasks_are_returned(self, profiler):

@@ -39,11 +39,18 @@ class TestConstruction:
 
     def test_cycle_rejected(self):
         job = Job("j", "app", 0.0)
-        for sid in "ab":
+        for sid in "abc":
             job.add_stage(stage("j", sid))
         job.add_dependency("a", "b")
         with pytest.raises(ValueError):
             job.add_dependency("b", "a")
+        job.add_dependency("b", "c")
+        job.add_dependency("a", "c")  # a shortcut closes no cycle
+        job.add_dependency("a", "b")  # nor does a repeated edge
+        edges = sorted(job.edges())
+        with pytest.raises(ValueError, match="'c' -> 'a' would create a cycle"):
+            job.add_dependency("c", "a")
+        assert sorted(job.edges()) == edges == [("a", "b"), ("a", "c"), ("b", "c")]
 
     def test_self_dependency_rejected(self):
         job = Job("j", "app", 0.0)

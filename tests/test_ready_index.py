@@ -119,11 +119,29 @@ class TestReadyIndex:
         for task_type in TaskType:
             assert gone not in index.jobs(task_type)
 
+    def test_versions_move_at_every_touch_and_stamp_and_never_repeat(self):
+        job = mixed_jobs(num_jobs=1)[0]
+        active = {job.job_id: job}
+        first, second = ReadyIndex(active), ReadyIndex(active)
+        assert first.version(job) is None
+        seen = []
+        for index in (first, second, first):
+            index.touch(job)
+            seen.append(index.version(job))
+            index.jobs(TaskType.LLM)
+            index.stamp(job)  # a new version, but nothing to re-file
+            assert not index._touched
+            seen.append(index.version(job))
+        assert len(set(seen)) == len(seen)
+        first.discard(job)
+        assert first.version(job) is None
+
     def test_context_without_index_derives_the_same_sequence(self):
         jobs = mixed_jobs(num_jobs=8)
         context = SchedulingContext(time=0.0, jobs=list(reversed(jobs)))
         for task_type in TaskType:
             assert list(context.ready_jobs(task_type)) == ready_jobs_of(jobs, task_type)
+        assert all(context.job_version(job) is None for job in jobs)
 
     def test_snapshots_never_carry_the_live_index(self):
         engine = SimulationEngine(mixed_jobs(), FcfsScheduler(), cluster=Cluster(SMALL))
@@ -131,7 +149,11 @@ class TestReadyIndex:
             assert engine.step()
         context = engine._build_context()
         assert context._ready is engine._ready
-        assert context.snapshot()._ready is None
+        snapshot = context.snapshot()
+        assert snapshot._ready is None
+        for job in context.jobs:
+            assert context.job_version(job) == engine._ready.version(job) is not None
+            assert snapshot.job_version(job) is None
 
 
 # --------------------------------------------------------------------------- #
