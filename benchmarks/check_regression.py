@@ -2,16 +2,17 @@
 """Benchmark regression gate: compare fresh BENCH_*.json against baselines.
 
 CI regenerates the smoke-scale benchmark results and this script fails the
-build when they regress against the committed snapshots in
-``benchmarks/baselines/``:
+build when they regress against the baselines committed as run-store
+records in ``benchmarks/baselines/store/``:
 
 * **Golden numbers** (simulated JCTs, makespans, migration counts,
   degradation ratios — anything the deterministic simulation produces) must
   match the baseline **exactly**: the simulator is seeded, so any drift is
   a real behavior change.  Intentional changes regenerate the baselines,
-  exactly like the golden traces (run the smoke benchmarks and copy the
-  fresh ``BENCH_*.json`` over ``benchmarks/baselines/``, updating
-  ``calibration.json`` with the printed machine speed).
+  exactly like the golden traces: run the smoke benchmarks, then ingest
+  the fresh files with ``python -m repro store ingest
+  benchmarks/baselines/store BENCH_*.json`` and update
+  ``benchmarks/baselines/calibration.json`` with the printed machine speed.
 * **Throughput numbers** (``*_per_sec``) may not drop below
   ``--min-throughput-ratio`` (default 0.75, i.e. a >25% drop fails) after
   normalizing for machine speed: the baseline directory carries a
@@ -26,13 +27,11 @@ build when they regress against the committed snapshots in
   engine's ready index removed; each shard count's ``events_per_sec`` is
   gated as throughput instead.
 
-Baselines resolve through the content-addressed run store when
-``benchmarks/baselines/store/`` exists (the committed records are the
-source of truth; the BENCH-shaped views are reconstructed via
-``repro.store.report``), falling back to the legacy flat
-``benchmarks/baselines/BENCH_*.json`` snapshots otherwise — so the gate
-works against either layout, and a tampered store record surfaces as
-golden drift.
+The store is the only baseline source: the BENCH-shaped views are
+reconstructed from its records via ``repro.store.report`` (``python -m
+repro store report benchmarks/baselines/store --table none --out DIR``
+writes the same views as files), so a tampered record surfaces as golden
+drift.
 
 Exit code 0 = no regression; 1 = regression (every violation is printed).
 """
@@ -81,32 +80,23 @@ CALIBRATION_LOOP = 2_000_000
 def load_baselines(
     baseline_dir: str, store_dir: Optional[str] = None
 ) -> Tuple[Dict[str, Dict], str]:
-    """Baseline payloads keyed by BENCH filename, plus which view served them.
+    """Baseline payloads keyed by BENCH filename, plus the store that served them.
 
-    The run store (``store_dir``, default ``<baseline_dir>/store``) wins when
-    it exists: the BENCH-shaped views are reconstructed from its records, so
-    the committed provenance-stamped store is the single source of golden
-    truth.  Without one, the legacy flat snapshots are read directly.
+    The BENCH-shaped views are reconstructed from the run store's records
+    (``store_dir``, default ``<baseline_dir>/store``), so the committed
+    provenance-stamped store is the single source of golden truth.
     """
     store_dir = store_dir or os.path.join(baseline_dir, "store")
-    if os.path.isdir(os.path.join(store_dir, "records")):
-        # CI invokes this script without PYTHONPATH; make repro importable.
-        src_root = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
-        )
-        if src_root not in sys.path:
-            sys.path.insert(0, src_root)
-        from repro.store.report import bench_artifacts
-        from repro.store.store import RunStore
+    # CI invokes this script without PYTHONPATH; make repro importable.
+    src_root = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+    )
+    if src_root not in sys.path:
+        sys.path.insert(0, src_root)
+    from repro.store.report import bench_artifacts
+    from repro.store.store import RunStore
 
-        return dict(bench_artifacts(RunStore(store_dir))), f"store:{store_dir}"
-
-    flat: Dict[str, Dict] = {}
-    for filename in sorted(os.listdir(baseline_dir)):
-        if filename.startswith("BENCH_") and filename.endswith(".json"):
-            with open(os.path.join(baseline_dir, filename)) as handle:
-                flat[filename] = json.load(handle)
-    return flat, f"flat:{baseline_dir}"
+    return dict(bench_artifacts(RunStore(store_dir))), f"store:{store_dir}"
 
 
 def measure_machine_speed(repeats: int = 3) -> float:
@@ -203,7 +193,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--baseline-dir",
         default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "baselines"),
-        help="directory of committed BENCH_*.json snapshots (+ calibration.json)",
+        help="directory holding calibration.json and, by default, the baseline store",
     )
     parser.add_argument(
         "--current-dir",
@@ -213,8 +203,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--baseline-store",
         default=None,
-        help="run-store directory serving the baselines "
-        "(default: <baseline-dir>/store when it exists; flat files otherwise)",
+        help="run-store directory serving the baselines (default: <baseline-dir>/store)",
     )
     parser.add_argument(
         "--min-throughput-ratio",
@@ -245,7 +234,7 @@ def main(argv=None) -> int:
 
     baselines, baseline_view = load_baselines(args.baseline_dir, args.baseline_store)
     if not baselines:
-        print(f"no BENCH_*.json baselines under {args.baseline_dir}", file=sys.stderr)
+        print(f"no BENCH baselines in {baseline_view}", file=sys.stderr)
         return 1
     print(f"baselines: {len(baselines)} file(s) via {baseline_view}")
 

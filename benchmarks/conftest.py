@@ -2,15 +2,16 @@
 
 The benchmarks regenerate every table and figure of the paper at a reduced
 scale so the whole suite completes in minutes; the paper-scale runs are
-available through each experiment module's CLI (see EXPERIMENTS.md).
+available through each experiment module's CLI, e.g.
+``python -m repro.experiments.fig7_simulation --num-jobs 100 200 300 400``.
 """
 
 import os
 
 import pytest
 
+from repro.api import ExperimentSettings
 from repro.core.llmsched import LLMSchedConfig
-from repro.experiments.runner import ExperimentSettings
 
 
 _BENCH_DIR = os.path.dirname(os.path.abspath(__file__))

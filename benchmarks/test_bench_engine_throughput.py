@@ -14,8 +14,6 @@ speedup assertion is relaxed there because tiny runs are noise-dominated.
 import os
 import time
 
-import pytest
-
 from bench_output import record_bench_section
 from repro.schedulers.fcfs import FcfsScheduler
 from repro.simulator.cluster import Cluster, ClusterConfig

@@ -18,8 +18,8 @@ dispatcher::
 Specs round-trip through JSON (``to_json`` / ``from_json``) and drive the
 ``python -m repro`` CLI (``run`` / ``grid`` / ``pareto`` / ``validate`` /
 ``list-schedulers``); committed examples live under ``examples/specs/``.
-The legacy ``repro.experiments.runner`` entry points are deprecation shims
-over this package.
+This package is the only experiment entry point; every figure driver in
+:mod:`repro.experiments` that simulates runs through it.
 """
 
 from repro.api.dispatch import compare, run

@@ -4,20 +4,17 @@
 offers: closed-loop and open-loop single clusters (synchronous or behind
 an asynchronous decision-latency backend, optionally autoscaled) and
 federated fleets.  The spec is declarative; keyword overrides let callers
-inject live objects — prebuilt priors/profilers (worker caches), custom
-placement policies, routers or async configs that the JSON schema cannot
-express — and always take precedence over the corresponding section.
-
-The legacy ``repro.experiments.runner`` entry points are thin shims over
-this module; running a spec here is bit-identical to the old paths (the
-golden-trace identity tests in ``tests/test_api_run.py`` pin that).
+inject live objects — prebuilt priors/profilers (worker caches) and
+routers the JSON schema cannot express — in place of what the spec would
+build.  The golden-trace identity tests in ``tests/test_api_run.py`` pin
+spec runs to ``tests/golden/``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Callable, Dict, Mapping, Optional, Sequence
 
 from repro.api.prep import (
     build_priors,
@@ -37,7 +34,7 @@ from repro.schedulers.registry import (
     create_scheduler,
     scheduler_requirements,
 )
-from repro.simulator.async_sched import AsyncConfig, AsyncSchedulerBackend
+from repro.simulator.async_sched import AsyncSchedulerBackend
 from repro.simulator.autoscaler import ThresholdAutoscaler
 from repro.simulator.cluster import Cluster, ClusterConfig
 from repro.simulator.engine import SimulationConfig, SimulationEngine
@@ -47,7 +44,7 @@ from repro.simulator.federation import (
     JobRouter,
     create_job_router,
 )
-from repro.simulator.placement import PlacementPolicy, create_placement_policy
+from repro.simulator.placement import create_placement_policy
 from repro.simulator.protocol import ensure_engine_protocol
 from repro.workloads.mixtures import default_applications, generate_workload
 from repro.workloads.serving import DEFAULT_SLO_TARGETS, attach_token_model
@@ -115,10 +112,7 @@ def run(
     applications: Optional[Mapping[str, ApplicationTemplate]] = None,
     priors: Optional[ApplicationPriors] = None,
     profiler: Optional[BayesianProfiler] = None,
-    placement: Optional[PlacementPolicy] = None,
-    autoscaler: Optional[ThresholdAutoscaler] = None,
     router: Optional[JobRouter] = None,
-    async_config: Optional[AsyncConfig] = None,
     store=None,
 ) -> Result:
     """Run one scenario and return its uniform :class:`Result`.
@@ -126,8 +120,8 @@ def run(
     Offline artifacts (``priors``, ``profiler``) are built from the spec's
     settings only when the scheduler actually needs them; passing prebuilt
     ones (e.g. from a sweep worker's cache) skips that work without
-    changing the simulation.  The live-object overrides supersede their
-    declarative sections (see module docstring).
+    changing the simulation.  ``router`` replaces the cluster section's
+    named router on a federated run (``num_shards > 1``).
 
     ``store`` — a :class:`repro.store.RunStore` (or a path to one) — makes
     the run self-recording: the finished :class:`Result` persists as a
@@ -136,16 +130,9 @@ def run(
     deduplicates instead of accumulating near-duplicates.
     """
     spec.validate()
-    # Live-object overrides that the selected engine would never consult are
-    # rejected (mirroring the spec-level conflict validation) — silently
-    # dropping a router or autoscaler would corrupt an experiment.
-    if spec.cluster.num_shards > 1:
-        if placement is not None or autoscaler is not None:
-            raise SpecError(
-                "placement/autoscaler overrides do not apply to federated runs "
-                "(num_shards > 1); drop them or set num_shards=1"
-            )
-    elif router is not None:
+    # A router the single-cluster engine would never consult is rejected
+    # rather than silently dropped.
+    if spec.cluster.num_shards == 1 and router is not None:
         raise SpecError(
             "a router override only applies to federated runs; set "
             "cluster.num_shards > 1 to route jobs across shards"
@@ -157,13 +144,6 @@ def run(
     if profiler is None and "profiler" in requirements:
         profiler = build_profiler(applications, spec.settings)
 
-    if async_config is None and spec.async_ is not None:
-        async_config = spec.async_.to_async_config()
-    if placement is None and spec.placement is not None:
-        placement = create_placement_policy(spec.placement.name)
-    if autoscaler is None and spec.autoscaler is not None:
-        autoscaler = ThresholdAutoscaler(spec.autoscaler)
-
     total_config = _resolve_total_config(spec, applications)
     resolved = spec
     if total_config is not None and spec.cluster.config is None:
@@ -171,11 +151,9 @@ def run(
 
     started = time.perf_counter()  # repro: REP003-exempt -- meters the Result wall-clock field, outside the simulation
     if spec.cluster.num_shards > 1:
-        metrics = _run_federated(resolved, applications, priors, profiler, router, async_config)
+        metrics = _run_federated(resolved, applications, priors, profiler, router)
     else:
-        metrics = _run_single(
-            resolved, applications, priors, profiler, placement, autoscaler, async_config
-        )
+        metrics = _run_single(resolved, applications, priors, profiler)
     wall_clock = time.perf_counter() - started  # repro: REP003-exempt -- meters the Result wall-clock field, outside the simulation
     result = Result(
         spec=resolved, metrics=metrics, seed=spec.workload.seed, wall_clock_sec=wall_clock
@@ -189,7 +167,15 @@ def run(
     return result
 
 
-def _run_single(spec, applications, priors, profiler, placement, autoscaler, async_config):
+def _async_backend_factory(spec: ScenarioSpec) -> Optional[Callable[[], AsyncSchedulerBackend]]:
+    """One fresh backend per engine (shard), or None without an async section."""
+    if spec.async_ is None:
+        return None
+    config = spec.async_.to_async_config()
+    return lambda: AsyncSchedulerBackend(config)
+
+
+def _run_single(spec, applications, priors, profiler):
     workload = spec.workload
     if spec.cluster.pools is not None:
         cluster = Cluster(pools=spec.cluster.pools)
@@ -204,24 +190,27 @@ def _run_single(spec, applications, priors, profiler, placement, autoscaler, asy
     if workload.token_mix is not None:
         token_seed = workload.token_seed if workload.token_seed is not None else workload.seed
         attach_token_model(jobs, workload.token_mix, seed=token_seed)
+    make_backend = _async_backend_factory(spec)
     engine = SimulationEngine(
         jobs,
         _make_scheduler(spec, priors, profiler),
         cluster=cluster,
         config=SimulationConfig(snapshot_policy=spec.settings.snapshot_policy),
         workload_name=workload_name,
-        placement=placement,
-        autoscaler=autoscaler,
-        async_backend=(
-            AsyncSchedulerBackend(async_config) if async_config is not None else None
+        placement=(
+            create_placement_policy(spec.placement.name) if spec.placement is not None else None
         ),
+        autoscaler=(
+            ThresholdAutoscaler(spec.autoscaler) if spec.autoscaler is not None else None
+        ),
+        async_backend=make_backend() if make_backend is not None else None,
     )
     if workload.token_mix is not None:
         engine.metrics.slo_targets = _serving_targets(spec)
     return ensure_engine_protocol(engine).run()
 
 
-def _run_federated(spec, applications, priors, profiler, router, async_config):
+def _run_federated(spec, applications, priors, profiler, router):
     section = spec.cluster
     shard_configs = split_cluster_config(section.config, section.num_shards)
     fleet = FederatedCluster(
@@ -240,11 +229,7 @@ def _run_federated(spec, applications, priors, profiler, router, async_config):
             config=SimulationConfig(snapshot_policy=spec.settings.snapshot_policy),
             workload_name=spec.workload.name,
             migration=section.migration,
-            async_backend_factory=(
-                (lambda: AsyncSchedulerBackend(async_config))
-                if async_config is not None
-                else None
-            ),
+            async_backend_factory=_async_backend_factory(spec),
         )
     )
     return engine.run()

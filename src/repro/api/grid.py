@@ -1,12 +1,13 @@
 """Grid execution: fan a base spec out over override axes, in parallel.
 
-:func:`run_grid` replaces the runner's four bespoke ``sweep_*`` functions
-with one mechanism: a base :class:`~repro.api.spec.ScenarioSpec` plus a
-mapping of dotted-path axes (``{"workload.arrival_rate": [0.5, 0.9],
-"scheduler.name": ["fcfs", "sjf"]}``) expands into the cartesian product
-of scenarios, which fan out over worker processes.  Each worker builds and
+:func:`run_grid` expresses every sweep (arrival rates, decision latencies,
+placement policies, shard counts) with one mechanism: a base
+:class:`~repro.api.spec.ScenarioSpec` plus a mapping of dotted-path axes
+(``{"workload.arrival_rate": [0.5, 0.9], "scheduler.name": ["fcfs",
+"sjf"]}``) expands into the cartesian product of scenarios, which fan out
+over worker processes.  Each worker builds and
 caches the expensive offline artifacts (priors, profiler) once per
-settings configuration, exactly like the legacy sweep machinery did.
+settings configuration.
 """
 
 from __future__ import annotations
@@ -65,10 +66,6 @@ def _worker_state(settings: ExperimentSettings) -> dict:
     if key not in _WORKER_STATE:
         _WORKER_STATE[key] = {"applications": default_applications()}
     return _WORKER_STATE[key]
-
-
-def _run_spec(spec: ScenarioSpec) -> Result:
-    return _run_spec_item((spec, None))
 
 
 def _run_spec_item(item: Tuple[ScenarioSpec, Optional[str]]) -> Result:

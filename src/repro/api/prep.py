@@ -1,14 +1,15 @@
 """Offline preparation shared by every experiment entry point.
 
-Settings, priors/profiler construction and cluster sizing used to live in
-:mod:`repro.experiments.runner`; they moved here so the declarative API
-(:mod:`repro.api`) and the legacy runner shims share one implementation
-without a circular import.  The runner re-exports every name, so existing
-imports keep working.
+Settings, priors/profiler construction and cluster sizing: everything a
+run needs before the simulation starts.  It sits below the spec tree
+(:mod:`repro.api.spec` embeds :class:`ExperimentSettings`) and the
+dispatcher, so both import it without a cycle.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Sequence
 
@@ -62,8 +63,25 @@ class ExperimentSettings:
     llmsched: LLMSchedConfig = field(default_factory=LLMSchedConfig)
 
     def __post_init__(self) -> None:
+        # Specs arrive as JSON: reject what no run can use here, naming the
+        # field, rather than inside the profiler fit or the cluster build.
+        for name, low in (
+            ("profile_jobs", 2),
+            ("prior_samples", 1),
+            ("max_batch_size", 1),
+            ("profiler_seed", 0),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+        for name in ("target_load", "latency_slope"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0.0 < self.target_load <= 2.0:
             raise ValueError("target_load must be within (0, 2]")
+        if not 0.0 <= self.latency_slope < math.inf:
+            raise ValueError(f"latency_slope must be finite and >= 0, got {self.latency_slope!r}")
         if self.snapshot_policy not in ("cow", "deepcopy"):
             raise ValueError(
                 f"snapshot_policy must be 'cow' or 'deepcopy', got {self.snapshot_policy!r}"

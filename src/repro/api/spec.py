@@ -31,12 +31,7 @@ from repro.core.llmsched import LLMSchedConfig
 from repro.utils.canonical import content_hash
 from repro.dag.task import TaskType
 from repro.schedulers.registry import check_scheduler_kwargs
-from repro.simulator.async_sched import (
-    AsyncConfig,
-    FixedLatency,
-    PerJobLinearLatency,
-    SampledLatency,
-)
+from repro.simulator.async_sched import AsyncConfig, PerJobLinearLatency, SampledLatency
 from repro.simulator.autoscaler import AutoscalerConfig
 from repro.simulator.cluster import ClusterConfig
 from repro.simulator.federation import MigrationConfig, available_job_routers
@@ -341,17 +336,6 @@ class WorkloadSection:
             spec.workload_type.value, spec.num_jobs, spec.arrival_rate, spec.seed
         )
 
-    @classmethod
-    def from_open_loop_spec(cls, spec: OpenLoopSpec) -> "WorkloadSection":
-        return cls.open_loop(
-            spec.process,
-            application_names=spec.application_names,
-            seed=spec.seed,
-            max_jobs=spec.max_jobs,
-            horizon=spec.horizon,
-            name=spec.name,
-        )
-
     # Resolution ---------------------------------------------------------- #
     def to_workload_spec(self) -> WorkloadSpec:
         if self.mode != "closed":
@@ -651,31 +635,6 @@ class AsyncSection:
         return AsyncConfig(
             latency=latency, pipelined=self.pipelined, max_in_flight=self.max_in_flight
         )
-
-    @classmethod
-    def from_async_config(cls, config: Optional[AsyncConfig]) -> Optional["AsyncSection"]:
-        """Best-effort declarative view of a live config.
-
-        Returns ``None`` for ``None`` *and* for configs carrying latency
-        models this schema cannot express (custom subclasses); callers that
-        need exact behavior pass the live config through
-        :func:`repro.api.run`'s ``async_config`` override as well.
-        """
-        if config is None:
-            return None
-        shared = {"pipelined": config.pipelined, "max_in_flight": config.max_in_flight}
-        model = config.latency
-        if isinstance(model, (int, float)):
-            return cls(kind="fixed", latency=float(model), **shared)
-        if type(model) is FixedLatency:
-            return cls(kind="fixed", latency=model.seconds, **shared)
-        if type(model) is PerJobLinearLatency:
-            return cls(kind="per_job_linear", base=model.base, per_job=model.per_job, **shared)
-        if type(model) is SampledLatency:
-            return cls(
-                kind="sampled", samples=tuple(model.samples), seed=model.seed, **shared
-            )
-        return None
 
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {"kind": self.kind}

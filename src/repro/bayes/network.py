@@ -142,9 +142,6 @@ class DiscreteBayesianNetwork:
     def get_cpd(self, node: str) -> TabularCPD:
         return self._cpds[node]
 
-    def has_cpd(self, node: str) -> bool:
-        return node in self._cpds
-
     def check_model(self) -> bool:
         """Validate that every node has a CPD consistent with the structure."""
         missing = [n for n in self.nodes if n not in self._cpds]

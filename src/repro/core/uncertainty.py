@@ -22,11 +22,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.bayes.information import binary_entropy, entropy_of_distribution
 from repro.core.profiler import BayesianProfiler
-from repro.dag.dynamic import dynamic_stage_entropy
 from repro.dag.job import Job
 from repro.dag.stage import Stage, StageType
 

@@ -7,7 +7,7 @@ from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
-from repro.dag.stage import Stage, StageState, StageType
+from repro.dag.stage import Stage, StageState
 from repro.dag.task import Task
 
 __all__ = ["Job"]
@@ -168,9 +168,6 @@ class Job:
     # ------------------------------------------------------------------ #
     # Scheduler-facing views
     # ------------------------------------------------------------------ #
-    def visible_stages(self) -> List[Stage]:
-        return [s for s in self._stages.values() if s.visible]
-
     def schedulable_stages(self) -> List[Stage]:
         """Visible stages that are ready/running and still have pending tasks.
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import copy
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.dag.task import Task, TaskState, TaskType

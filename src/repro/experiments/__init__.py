@@ -9,28 +9,8 @@ parameters are available through each module's command line, e.g.::
 
     python -m repro.experiments.fig7_simulation --num-jobs 100 200 300 400
 
-The figure drivers run through the declarative API (:mod:`repro.api`);
-the ``run_*`` / ``sweep_*`` names re-exported from
-:mod:`repro.experiments.runner` are deprecated shims kept for backwards
-compatibility.
+The figure drivers run through the declarative API (:mod:`repro.api`),
+which also owns the shared settings and offline preparation
+(:class:`~repro.api.ExperimentSettings`, ``build_priors`` /
+``build_profiler``, cluster sizing).
 """
-
-from repro.experiments.runner import (
-    ComparisonResult,
-    ExperimentSettings,
-    build_priors,
-    build_profiler,
-    run_comparison,
-    run_single,
-    size_cluster_for_workload,
-)
-
-__all__ = [
-    "ComparisonResult",
-    "ExperimentSettings",
-    "build_priors",
-    "build_profiler",
-    "run_comparison",
-    "run_single",
-    "size_cluster_for_workload",
-]

@@ -10,9 +10,9 @@ from __future__ import annotations
 import argparse
 from typing import Dict, List, Optional, Sequence
 
+from repro.api import PAPER_BASELINES, ExperimentSettings
 from repro.experiments import fig8_testbed
 from repro.experiments.report import format_table
-from repro.experiments.runner import PAPER_BASELINES, ExperimentSettings
 from repro.workloads.mixtures import WorkloadType
 
 __all__ = ["run", "main"]

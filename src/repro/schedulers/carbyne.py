@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.dag.stage import Stage
 from repro.dag.task import Task
 from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingDecision
 from repro.schedulers.priors import ApplicationPriors

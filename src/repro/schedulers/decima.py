@@ -19,7 +19,7 @@ average JCT in the simulator — see :func:`train_decima`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np

@@ -10,7 +10,7 @@ LLMSched replaces these static estimates with Bayesian posterior updates.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Mapping
 
 import numpy as np
 
@@ -71,6 +71,3 @@ class ApplicationPriors:
         """Estimated remaining work: historical mean minus observed progress."""
         observed = sum(job.observed_durations().values())
         return max(_MIN_REMAINING, self.estimate_total(job) - observed)
-
-    def as_dict(self) -> Dict[str, float]:
-        return dict(self._mean_durations)

@@ -39,7 +39,7 @@ the synchronous engine.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Union
 
 from repro.schedulers.base import SchedulingContext, SchedulingDecision
@@ -224,10 +224,6 @@ class AsyncSchedulerBackend:
         self._num_in_flight = 0
         if isinstance(self.model, SampledLatency):
             self.model.reset()
-
-    @property
-    def num_in_flight(self) -> int:
-        return self._num_in_flight
 
     def can_request(self) -> bool:
         """Whether a new decision may be requested now (pipelining depth)."""

@@ -15,7 +15,7 @@ runs remain bit-identical to the pre-autoscaler engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.dag.task import TaskType

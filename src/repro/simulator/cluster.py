@@ -39,8 +39,8 @@ class ClusterConfig:
     """Sizing of the default homogeneous two-pool serving cluster.
 
     The paper configures the executor counts per workload type so the cluster
-    runs at a moderate (~85%) average load; :mod:`repro.experiments.runner`
-    contains the sizing helper that does the same for this reproduction.
+    runs at a moderate (~85%) average load; :func:`repro.api.size_cluster`
+    does the same for this reproduction.
     Heterogeneous clusters bypass this config and pass
     :class:`~repro.simulator.pool.PoolSpec` sequences to :class:`Cluster`
     directly.

@@ -42,11 +42,9 @@ from repro.dag.job import Job
 from repro.dag.task import TaskState, TaskType
 from repro.schedulers.base import PreemptionDirective, Scheduler
 from repro.simulator.async_sched import AsyncSchedulerBackend
-from repro.simulator.autoscaler import ThresholdAutoscaler
 from repro.simulator.cluster import Cluster
 from repro.simulator.engine import SimulationConfig, SimulationEngine, validate_arrival_order
 from repro.simulator.metrics import SimulationMetrics
-from repro.simulator.placement import PlacementPolicy
 
 __all__ = [
     "JobRouter",
@@ -347,8 +345,8 @@ class FederatedShard:
         self.cluster = cluster
         self.feed = _ShardFeed()
         self.engine: Optional[SimulationEngine] = None
-        #: Cached earliest shard-local event time (completions/autoscale);
-        #: recomputed whenever the shard's state changes.
+        #: Cached earliest shard-local event time (completions, feed arrivals,
+        #: async decisions); recomputed whenever the shard's state changes.
         self.next_event: Optional[float] = None
         #: Scheduling points this shard processed (its share of fleet events).
         self.num_events: int = 0
@@ -547,11 +545,10 @@ class FederatedSimulationEngine:
     ``schedulers`` is either a zero-argument factory (one independent
     scheduler instance is built per shard — schedulers carry state, so
     shards must not share one) or an explicit sequence of instances, one
-    per shard.  ``placement_factory`` / ``autoscaler_factory`` likewise
-    build per-shard policies when given.
+    per shard.
 
     The driver mirrors :meth:`SimulationEngine.run` exactly for the shards
-    it touches — admit, dispatch, advance, complete, autoscale — and only
+    it touches — admit, dispatch, advance, complete — and only
     adds two fleet-level event sources: the global arrival stream (routed
     through the federation's :class:`JobRouter` at admission time) and the
     optional migration check.  A 1-shard fleet therefore produces the same
@@ -565,8 +562,6 @@ class FederatedSimulationEngine:
         federation: FederatedCluster,
         config: Optional[SimulationConfig] = None,
         workload_name: str = "",
-        placement_factory: Optional[Callable[[], PlacementPolicy]] = None,
-        autoscaler_factory: Optional[Callable[[], ThresholdAutoscaler]] = None,
         migration: Optional[MigrationConfig] = None,
         async_backend_factory: Optional[Callable[[], AsyncSchedulerBackend]] = None,
     ) -> None:
@@ -597,8 +592,6 @@ class FederatedSimulationEngine:
                 cluster=shard.cluster,
                 config=self.config,
                 workload_name=workload_name,
-                placement=placement_factory() if placement_factory is not None else None,
-                autoscaler=autoscaler_factory() if autoscaler_factory is not None else None,
                 async_backend=(
                     async_backend_factory() if async_backend_factory is not None else None
                 ),
@@ -672,7 +665,7 @@ class FederatedSimulationEngine:
             if engine.async_backend is not None:
                 engine._apply_due_decisions(self._time)
             engine._dispatch()
-            shard.next_event = self._shard_next_event(shard)
+            shard.next_event = engine._next_event_time()
             shard.num_events += 1
         self._due.clear()
 
@@ -685,7 +678,7 @@ class FederatedSimulationEngine:
         # Route global arrivals due now; owning shards become due.
         self._route_due(self._time)
 
-        # Completions (and autoscale checks) on shards whose clock hit.
+        # Completions on shards whose clock hit.
         for shard in shards:
             if shard.next_event is None or shard.next_event > self._time + eps:
                 continue
@@ -693,11 +686,6 @@ class FederatedSimulationEngine:
             engine._time = self._time
             engine.advance_cluster_to(self._time)
             engine._process_completions(self._time)
-            if (
-                engine.autoscaler is not None
-                and self._time + eps >= engine.autoscaler.next_check_time
-            ):
-                engine._run_autoscaler()
             self._due.add(shard.index)
 
         if (
@@ -770,24 +758,6 @@ class FederatedSimulationEngine:
     # ------------------------------------------------------------------ #
     # The shared event clock
     # ------------------------------------------------------------------ #
-    def _shard_next_event(self, shard: FederatedShard) -> Optional[float]:
-        """Earliest shard-local event, with one fleet-aware correction.
-
-        The engine's own ``_next_event_time`` only arms the autoscaler tick
-        while the *shard* has activity; in a fleet, global arrivals still
-        heading for an idle shard must keep its autoscaler alive (a
-        standalone engine gets this via its arrival lookahead).
-        """
-        engine = shard.engine
-        next_time = engine._next_event_time()
-        if (
-            next_time is None
-            and engine.autoscaler is not None
-            and self._next_global is not None
-        ):
-            next_time = engine.autoscaler.next_check_time
-        return next_time
-
     def _next_fleet_event(self) -> Optional[float]:
         candidates: List[float] = [
             shard.next_event

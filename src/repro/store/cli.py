@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List
 
 from repro.store.query import filter_records
 from repro.store.record import RunRecord
@@ -230,8 +230,3 @@ def add_store_parser(sub: argparse._SubParsersAction) -> None:
     )
     p_report.add_argument("--out", help="write regenerated artifacts into this directory")
     p_report.set_defaults(func=_cmd_report)
-
-
-def resolve_store(root: Optional[str]) -> Optional[RunStore]:
-    """``--store PATH`` -> a :class:`RunStore` (``None`` passes through)."""
-    return RunStore(root) if root else None

@@ -9,7 +9,7 @@ the committed docs in CI (no more hand-curated copies drifting apart).
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 from repro.store.query import filter_records, latest_per_key
 from repro.store.record import RunRecord
@@ -175,11 +175,6 @@ def readme_tables(store_or_records) -> Dict[str, str]:
         except ReportError:
             continue
     return tables
-
-
-def baseline_payloads(store_or_records) -> Dict[str, Dict[str, object]]:
-    """Alias of :func:`bench_artifacts` for the regression gate's store view."""
-    return bench_artifacts(store_or_records)
 
 
 def diff_payloads(

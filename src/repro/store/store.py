@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import repro
 from repro.store.record import RecordError, RunRecord, looks_like_result_payload
@@ -379,18 +379,6 @@ class RunStore:
 
         return latest_per_key(self.records(verify=verify), order=self.journal_order())
 
-    def bench_files(self) -> List[str]:
-        return sorted(
-            {r.bench_file for r in self.records() if r.bench_file is not None}
-        )
-
 
 def _jsonable(value: object) -> object:
     return value if isinstance(value, (str, int, float, bool)) or value is None else str(value)
-
-
-def _iter_records(store_or_records) -> Iterable[RunRecord]:
-    """Accept a RunStore or a plain record sequence (shared by query/report)."""
-    if isinstance(store_or_records, RunStore):
-        return store_or_records.records()
-    return store_or_records

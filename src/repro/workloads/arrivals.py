@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Sequence
 
-import numpy as np
-
 from repro.dag.application import ApplicationTemplate
 from repro.dag.job import Job
 from repro.utils.rng import make_rng

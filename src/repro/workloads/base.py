@@ -12,7 +12,6 @@ independent lognormal noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 

@@ -83,10 +83,6 @@ class CodeGenerationApplication(ApplicationTemplate):
         continue_probability = 0.15 + 0.65 * float(np.clip(difficulty, 0.0, 1.0)) ** 2
         return sample_truncated_geometric(rng, continue_probability, 0, self.MAX_ITERATIONS)
 
-    def chain_length(self, iterations: int) -> int:
-        """Executed chain length in stages (3 for zero repair iterations)."""
-        return 3 + 3 * iterations
-
     def sample_job(
         self, job_id: str, arrival_time: float, rng: np.random.Generator
     ) -> Job:

@@ -13,7 +13,7 @@ lengths 3–15, 1–8 generated stages).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 

@@ -12,8 +12,8 @@ Job arrivals follow a Poisson process with rate ``lambda`` as in the paper
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 

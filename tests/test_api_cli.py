@@ -99,6 +99,26 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 1
         assert "epsilon must be within [0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("profile_jobs", 0),
+            ("profile_jobs", "10"),
+            ("prior_samples", 0),
+            ("max_batch_size", 0),
+            ("latency_slope", -1),
+            ("profiler_seed", -1),
+            ("target_load", True),
+        ],
+    )
+    def test_validate_rejects_unusable_settings(self, field, value, tmp_path, capsys):
+        # Each of these used to pass validation and fail only inside a run
+        # (or, for target_load=true, run silently as 1.0).
+        bad = tmp_path / "bad_settings.json"
+        bad.write_text(json.dumps({"settings": {field: value}}))
+        assert main(["validate", str(bad)]) == 1
+        assert f"invalid settings section: {field} must be" in capsys.readouterr().err
+
     def test_validate_catches_section_conflicts(self, tmp_path, capsys):
         bad = tmp_path / "conflict.json"
         bad.write_text(

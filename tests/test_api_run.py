@@ -1,18 +1,15 @@
-"""Dispatch tests: ``repro.api.run`` is bit-identical to the legacy paths.
+"""Dispatch tests: ``repro.api.run`` reproduces the golden traces.
 
 The headline test replays every golden trace (all 8 registered schedulers)
 through the declarative front door and compares the per-job JCTs and the
-makespan **exactly** against ``tests/golden/`` — proving the API redesign
-changed zero simulation behavior.  The remaining tests pin the legacy-shim
-equivalences (single, open-loop, federated, sweeps), the uniform
-:class:`~repro.api.Result` schema, and the ISSUE 5 bugfix: conflicting
-``cluster_config`` + ``pools`` arguments now raise instead of silently
-preferring pools.
+makespan **exactly** against ``tests/golden/``.  The remaining tests pin
+each optional layer a spec section switches on (LLMSched variants,
+placement, async, autoscaler, federation), grids, comparisons, the
+uniform :class:`~repro.api.Result` schema, and the cluster conflict
+check: ``config`` + ``pools`` raise instead of silently preferring pools.
 """
 
 import json
-import warnings
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -34,8 +31,8 @@ from repro.simulator.autoscaler import AutoscalerConfig
 from repro.simulator.cluster import ClusterConfig
 from repro.simulator.federation import MigrationConfig
 from repro.simulator.pool import PoolSpec
-from repro.workloads.arrivals import OpenLoopSpec, PoissonProcess
-from repro.workloads.mixtures import WorkloadSpec, WorkloadType, default_applications
+from repro.workloads.arrivals import DiurnalProcess, PoissonProcess
+from repro.workloads.mixtures import default_applications
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -110,152 +107,34 @@ class TestGoldenIdentity:
         assert a.metrics.makespan == b.metrics.makespan
 
 
-class TestLegacyShimEquivalence:
-    @staticmethod
-    @contextmanager
-    def _quiet():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            yield
-
-    def test_run_single_matches_api(self, applications, tiny_prepared):
-        from repro.experiments.runner import run_single
-
-        priors, profiler = tiny_prepared
-        wspec = WorkloadSpec(WorkloadType.CHAIN, num_jobs=12, arrival_rate=1.0, seed=2)
-        with self._quiet():
-            legacy = run_single(
-                "sjf", wspec, applications=applications, settings=TINY,
-                priors=priors, profiler=profiler,
-            )
-        fresh = api.run(
+class TestLLMSchedVariants:
+    @pytest.mark.parametrize(
+        "name", ["llmsched", "llmsched_wo_bn", "llmsched_wo_uncertainty", "llmsched_wo_calibration"]
+    )
+    def test_variant_runs_end_to_end(self, name, applications, tiny_prepared):
+        _, profiler = tiny_prepared
+        result = api.run(
             ScenarioSpec(
-                scheduler=SchedulerSection("sjf"),
-                workload=WorkloadSection.from_workload_spec(wspec),
+                scheduler=SchedulerSection(name),
+                workload=WorkloadSection.closed_loop(
+                    "planning", num_jobs=12, arrival_rate=1.0, seed=3
+                ),
                 settings=TINY,
             ),
             applications=applications,
-            priors=priors,
             profiler=profiler,
         )
-        assert legacy.job_completion_times == fresh.metrics.job_completion_times
-        assert legacy.makespan == fresh.metrics.makespan
-
-    def test_open_loop_matches_api(self, applications, tiny_prepared):
-        from repro.experiments.runner import run_single_open_loop
-
-        priors, profiler = tiny_prepared
-        ospec = OpenLoopSpec(process=PoissonProcess(rate=1.0, seed=5), seed=5, max_jobs=12)
-        with self._quiet():
-            legacy = run_single_open_loop(
-                "fcfs", ospec, applications=applications, settings=TINY,
-                priors=priors, profiler=profiler,
-            )
-        fresh = api.run(
-            ScenarioSpec(
-                workload=WorkloadSection.from_open_loop_spec(ospec), settings=TINY
-            ),
-            applications=applications,
-        )
-        assert legacy.job_completion_times == fresh.metrics.job_completion_times
-
-    def test_federated_matches_api(self, applications, tiny_prepared):
-        from repro.experiments.runner import run_federated
-
-        priors, profiler = tiny_prepared
-        ospec = OpenLoopSpec(
-            process=PoissonProcess(rate=2.0, seed=5), seed=5, max_jobs=20, name="poisson"
-        )
-        config = ClusterConfig(num_regular_executors=6, num_llm_executors=2)
-        migration = MigrationConfig(interval=20.0, imbalance_threshold=0.3)
-        with self._quiet():
-            legacy = run_federated(
-                "fcfs", ospec, num_shards=2, cluster_config=config, migration=migration,
-                applications=applications, settings=TINY, priors=priors, profiler=profiler,
-            )
-        fresh = api.run(
-            ScenarioSpec(
-                workload=WorkloadSection.from_open_loop_spec(ospec),
-                cluster=ClusterSection(config=config, num_shards=2, migration=migration),
-                settings=TINY,
-            ),
-            applications=applications,
-        )
-        assert legacy.job_completion_times == fresh.metrics.job_completion_times
-        assert legacy.num_migrations == fresh.metrics.num_migrations
-        assert fresh.is_federated
-
-    def test_autoscaled_diurnal_matches_api(self, applications, tiny_prepared):
-        from repro.experiments.runner import run_autoscaled_diurnal
-        from repro.workloads.arrivals import DiurnalProcess
-
-        priors, profiler = tiny_prepared
-        ospec = OpenLoopSpec(
-            process=DiurnalProcess(mean_rate=1.0, amplitude=0.9, period=300.0, seed=4),
-            seed=4, max_jobs=25, name="diurnal",
-        )
-        pools = (
-            PoolSpec("cpu", TaskType.REGULAR, 2, min_executors=2, max_executors=16),
-            PoolSpec("gpu", TaskType.LLM, 1, max_batch_size=4, min_executors=1, max_executors=8),
-        )
-        autoscaler = AutoscalerConfig(interval=15.0, step=2)
-        with self._quiet():
-            legacy = run_autoscaled_diurnal(
-                "fcfs", ospec, pools, autoscaler_config=autoscaler,
-                applications=applications, settings=TINY, priors=priors, profiler=profiler,
-            )
-        fresh = api.run(
-            ScenarioSpec(
-                workload=WorkloadSection.from_open_loop_spec(ospec),
-                cluster=ClusterSection(pools=pools),
-                autoscaler=autoscaler,
-                settings=TINY,
-            ),
-            applications=applications,
-        )
-        assert legacy.job_completion_times == fresh.metrics.job_completion_times
-        assert legacy.scale_events == fresh.metrics.scale_events
-        assert fresh.metrics.scale_events  # the diurnal peak actually resized pools
-
-    def test_legacy_entry_points_warn(self):
-        from repro.experiments.runner import run_single
-
-        wspec = WorkloadSpec(WorkloadType.MIXED, num_jobs=5, arrival_rate=1.0, seed=1)
-        with pytest.warns(DeprecationWarning, match="run_single is deprecated"):
-            run_single("fcfs", wspec, settings=TINY)
+        assert result.metrics.scheduler_name == name
+        assert len(result.metrics.job_completion_times) == 12
 
 
 class TestConflictBugfix:
-    """ISSUE 5 satellite: cluster_config + pools used to silently prefer pools."""
+    """A cluster section with both a config and pools used to prefer pools."""
 
     POOLS = (
         PoolSpec("cpu", TaskType.REGULAR, 4),
         PoolSpec("gpu", TaskType.LLM, 2, max_batch_size=4),
     )
-
-    def test_run_single_raises_on_conflicting_cluster_args(self):
-        from repro.experiments.runner import run_single
-
-        wspec = WorkloadSpec(WorkloadType.MIXED, num_jobs=5, arrival_rate=1.0, seed=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError, match="not both"):
-                run_single(
-                    "fcfs", wspec, settings=TINY,
-                    cluster_config=ClusterConfig(), pools=self.POOLS,
-                )
-
-    def test_run_single_open_loop_raises_on_conflicting_cluster_args(self):
-        from repro.experiments.runner import run_single_open_loop
-
-        ospec = OpenLoopSpec(process=PoissonProcess(rate=1.0, seed=1), seed=1, max_jobs=5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError, match="not both"):
-                run_single_open_loop(
-                    "fcfs", ospec, settings=TINY,
-                    cluster_config=ClusterConfig(), pools=self.POOLS,
-                )
 
     def test_spec_validation_mirrors_the_check(self):
         with pytest.raises(ValueError, match="not both"):
@@ -340,22 +219,46 @@ class TestGridAndResult:
             comparison.metrics["sjf"].job_completion_times
         )
 
+    def test_comparison_normalized_to_and_improvement_over(self, applications, tiny_prepared):
+        priors, _ = tiny_prepared
+        scenario = ScenarioSpec(
+            workload=WorkloadSection.closed_loop("mixed", num_jobs=18, arrival_rate=1.2, seed=4),
+            settings=TINY,
+        )
+        comparison = api.compare(
+            scenario, ["fcfs", "sjf"], applications=applications, priors=priors
+        )
+        assert set(comparison.average_jcts()) == {"fcfs", "sjf"}
+        normalized = comparison.normalized_to("fcfs")
+        assert normalized["fcfs"] == pytest.approx(1.0)
+        assert normalized["sjf"] == pytest.approx(
+            comparison.metrics["sjf"].average_jct / comparison.metrics["fcfs"].average_jct
+        )
+        improvement = comparison.improvement_over("fcfs", target="sjf")
+        assert improvement == pytest.approx(1.0 - normalized["sjf"])
+
     def test_inapplicable_overrides_rejected(self):
         from repro.simulator.federation import HashRouter
-        from repro.simulator.autoscaler import ThresholdAutoscaler
 
         single = ScenarioSpec(
             workload=WorkloadSection.closed_loop(num_jobs=5), settings=TINY
         )
         with pytest.raises(ValueError, match="router override only applies"):
             api.run(single, router=HashRouter())
-        federated = ScenarioSpec(
-            workload=WorkloadSection.open_loop(PoissonProcess(rate=1.0), max_jobs=5),
-            cluster=ClusterSection(config=ClusterConfig(), num_shards=2),
-            settings=TINY,
+
+    def test_open_loop_run_sizes_cluster_from_process_rate(self, applications):
+        result = api.run(
+            ScenarioSpec(
+                workload=WorkloadSection.open_loop(
+                    PoissonProcess(rate=1.0, seed=5), seed=5, max_jobs=15
+                ),
+                settings=TINY,
+            ),
+            applications=applications,
         )
-        with pytest.raises(ValueError, match="do not apply to federated"):
-            api.run(federated, autoscaler=ThresholdAutoscaler())
+        assert result.metrics.workload_name == "open_loop"
+        assert len(result.metrics.job_completion_times) == 15
+        assert result.spec.cluster.config is not None  # auto-sized, recorded
 
     def test_open_loop_sizing_needs_rate(self):
         spec = ScenarioSpec(
@@ -380,6 +283,65 @@ class TestGridAndResult:
             priors=priors,
         )
         assert len(result.metrics.job_completion_times) == 8
+
+    def test_autoscaler_section_resizes_pools(self, applications):
+        pools = (
+            PoolSpec("cpu", TaskType.REGULAR, 2, min_executors=2, max_executors=16),
+            PoolSpec("gpu", TaskType.LLM, 1, max_batch_size=4, min_executors=1, max_executors=8),
+        )
+        result = api.run(
+            ScenarioSpec(
+                workload=WorkloadSection.open_loop(
+                    DiurnalProcess(mean_rate=1.0, amplitude=0.9, period=300.0, seed=4),
+                    seed=4, max_jobs=25, name="diurnal",
+                ),
+                cluster=ClusterSection(pools=pools),
+                autoscaler=AutoscalerConfig(interval=15.0, step=2),
+                settings=TINY,
+            ),
+            applications=applications,
+        )
+        assert result.metrics.workload_name == "diurnal"
+        assert len(result.metrics.job_completion_times) == 25
+        assert result.metrics.scale_events  # the diurnal peak resized the pools
+
+    def test_federated_run_reports_shards_and_router(self, applications):
+        result = api.run(
+            ScenarioSpec(
+                workload=WorkloadSection.open_loop(
+                    PoissonProcess(rate=2.0, seed=5), seed=5, max_jobs=30, name="poisson"
+                ),
+                cluster=ClusterSection(
+                    config=ClusterConfig(num_regular_executors=6, num_llm_executors=2),
+                    num_shards=2,
+                    migration=MigrationConfig(interval=20.0, imbalance_threshold=0.3),
+                ),
+                settings=TINY,
+            ),
+            applications=applications,
+        )
+        assert result.is_federated
+        assert set(result.metrics.shards) == {"shard-0", "shard-1"}
+        assert result.metrics.router_name == "least_loaded"
+        assert len(result.metrics.job_completion_times) == 30
+
+    def test_shard_count_grid_replays_one_stream(self):
+        base = ScenarioSpec(
+            workload=WorkloadSection.open_loop(
+                PoissonProcess(rate=3.0, seed=9), seed=9, max_jobs=24, name="poisson"
+            ),
+            cluster=ClusterSection(
+                config=ClusterConfig(num_regular_executors=8, num_llm_executors=4),
+                num_shards=2,
+            ),
+            settings=TINY,
+        )
+        rows = api.run_grid(base, {"cluster.num_shards": [1, 2]}, processes=1)
+        (_, single), (_, fleet) = rows
+        assert not single.is_federated and fleet.is_federated
+        assert len(fleet.metrics.shards) == 2
+        jobs = set(single.metrics.job_completion_times)
+        assert len(jobs) == 24 and set(fleet.metrics.job_completion_times) == jobs
 
     def test_async_section_resolves(self, applications):
         result = api.run(

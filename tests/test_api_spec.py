@@ -28,7 +28,7 @@ from repro.api import (
     with_overrides,
 )
 from repro.dag.task import TaskType
-from repro.simulator.async_sched import AsyncConfig, PerJobLinearLatency, SampledLatency
+from repro.simulator.async_sched import PerJobLinearLatency, SampledLatency
 from repro.simulator.cluster import ClusterConfig
 from repro.simulator.pool import PoolSpec
 from repro.workloads.arrivals import (
@@ -278,29 +278,16 @@ class TestSchemaMigration:
         spec.validate()
 
 
-class TestAsyncSectionBridge:
-    def test_from_async_config_roundtrip_fixed(self):
-        section = AsyncSection.from_async_config(AsyncConfig(latency=2.5, pipelined=True))
-        assert section.kind == "fixed" and section.latency == 2.5 and section.pipelined
-        config = section.to_async_config()
-        assert config.latency == 2.5 and config.pipelined
-
-    def test_from_async_config_models(self):
-        linear = AsyncSection.from_async_config(
-            AsyncConfig(latency=PerJobLinearLatency(base=0.5, per_job=0.2))
-        )
-        assert linear.kind == "per_job_linear" and linear.base == 0.5
-        sampled = AsyncSection.from_async_config(
-            AsyncConfig(latency=SampledLatency([1.0, 2.0], seed=3))
-        )
-        assert sampled.kind == "sampled" and sampled.samples == (1.0, 2.0)
-
-    def test_from_async_config_unrepresentable_is_none(self):
-        class Weird(PerJobLinearLatency):
-            pass
-
-        assert AsyncSection.from_async_config(AsyncConfig(latency=Weird())) is None
-        assert AsyncSection.from_async_config(None) is None
+class TestAsyncSectionResolution:
+    def test_to_async_config_builds_each_latency_model(self):
+        fixed = AsyncSection(latency=2.5, pipelined=True, max_in_flight=3).to_async_config()
+        assert fixed.latency == 2.5 and fixed.pipelined and fixed.max_in_flight == 3
+        linear = AsyncSection(kind="per_job_linear", base=0.5, per_job=0.2).to_async_config()
+        assert type(linear.latency) is PerJobLinearLatency
+        assert (linear.latency.base, linear.latency.per_job) == (0.5, 0.2)
+        sampled = AsyncSection(kind="sampled", samples=(1.0, 2.0), seed=3).to_async_config()
+        assert type(sampled.latency) is SampledLatency
+        assert list(sampled.latency.samples) == [1.0, 2.0] and sampled.latency.seed == 3
 
 
 class TestSnapshotPolicy:

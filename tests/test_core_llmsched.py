@@ -5,7 +5,6 @@ import pytest
 from repro.core.llmsched import LLMSchedConfig, LLMSchedScheduler
 from repro.core.profiler import BayesianProfiler
 from repro.schedulers.base import SchedulingContext
-from repro.schedulers.fcfs import FcfsScheduler
 from repro.schedulers.registry import create_scheduler
 from repro.simulator.cluster import Cluster, ClusterConfig
 from repro.simulator.engine import SimulationEngine

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import ExperimentSettings
 from repro.core.llmsched import LLMSchedConfig
 from repro.experiments import (
     fig1_characterization,
@@ -10,7 +11,6 @@ from repro.experiments import (
     fig10_ablation,
 )
 from repro.experiments.report import format_series, format_table
-from repro.experiments.runner import ExperimentSettings
 from repro.workloads.mixtures import WorkloadType
 
 TINY = ExperimentSettings(profile_jobs=30, prior_samples=15, llmsched=LLMSchedConfig(seed=0))

@@ -6,7 +6,6 @@ import pytest
 
 from repro.dag.job import Job
 from repro.dag.stage import Stage, StageSpec, StageType
-from repro.dag.task import Task, TaskType
 from repro.schedulers.base import SchedulingContext
 from repro.schedulers.registry import (
     available_schedulers,

@@ -9,7 +9,7 @@ import pytest
 from repro.core.calibration import BatchingAwareCalibrator
 from repro.core.llmsched import LLMSchedConfig, LLMSchedScheduler
 from repro.core.profiler import BayesianProfiler
-from repro.dag.task import TaskState, TaskType
+from repro.dag.task import TaskState
 from repro.schedulers.base import (
     PreemptionDirective,
     SchedulingContext,

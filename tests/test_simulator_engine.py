@@ -8,7 +8,6 @@ from repro.schedulers.base import Scheduler, SchedulingDecision
 from repro.schedulers.fcfs import FcfsScheduler
 from repro.simulator.cluster import Cluster, ClusterConfig
 from repro.simulator.engine import SimulationConfig, SimulationEngine
-from repro.utils.rng import make_rng
 from repro.workloads.mixtures import WorkloadSpec, WorkloadType, generate_workload
 
 

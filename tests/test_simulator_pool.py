@@ -3,7 +3,6 @@
 import pytest
 
 from repro.dag.task import Task, TaskType
-from repro.simulator.executor import LLMExecutor
 from repro.simulator.pool import ExecutorPool, PoolSpec
 
 

@@ -1,11 +1,10 @@
-"""Report regeneration: the ISSUE 10 acceptance bar.
+"""Report regeneration and the regression gate's baseline store.
 
 ``repro store report`` must reproduce the README scheduler/pareto tables
 and every BENCH-shaped artifact **byte-for-byte** from store contents
-alone — and the committed ``benchmarks/baselines/store/`` must stay in
-lockstep with the legacy flat snapshots it replaced (the regression gate
-reads golden values through the store view, with the flat files kept as a
-covered fallback)."""
+alone.  The committed ``benchmarks/baselines/store/`` is the only baseline
+source: the regression gate reads golden values through its store view,
+and the positive controls below compare against files rendered from it."""
 
 import importlib.util
 import json
@@ -18,7 +17,6 @@ import pytest
 from repro.store import RunStore
 from repro.store.report import (
     ReportError,
-    baseline_payloads,
     bench_artifact,
     bench_artifacts,
     diff_payloads,
@@ -43,6 +41,21 @@ def _load_check_regression():
 
 
 @pytest.fixture(scope="module")
+def rendered_baselines(tmp_path_factory):
+    """The committed baseline store rendered to BENCH files, as the docs say:
+    ``python -m repro store report benchmarks/baselines/store --table none
+    --out DIR``."""
+    from repro.api.cli import main
+
+    out_dir = tmp_path_factory.mktemp("rendered")
+    rc = main(
+        ["store", "report", str(BASELINE_DIR / "store"), "--table", "none", "--out", str(out_dir)]
+    )
+    assert rc == 0
+    return out_dir
+
+
+@pytest.fixture(scope="module")
 def full_store(tmp_path_factory):
     """Every repo-root BENCH artifact, ingested once."""
     store = RunStore(tmp_path_factory.mktemp("full") / "store")
@@ -60,7 +73,6 @@ class TestBenchArtifacts:
 
     def test_bench_artifacts_enumerates_all(self, full_store):
         assert sorted(bench_artifacts(full_store)) == BENCH_FILES
-        assert baseline_payloads(full_store) == bench_artifacts(full_store)
 
     def test_unknown_bench_file(self, full_store):
         with pytest.raises(ReportError, match="no sections"):
@@ -88,17 +100,7 @@ class TestReadmeTables:
 
 
 class TestCommittedBaselineStore:
-    """The committed store is the source of truth — and stays in sync."""
-
-    def test_store_reconstructs_flat_baselines_byte_for_byte(self):
-        store = RunStore(BASELINE_DIR / "store")
-        artifacts = bench_artifacts(store)
-        flat = sorted(p.name for p in BASELINE_DIR.glob("BENCH_*.json"))
-        assert sorted(artifacts) == flat
-        for name in flat:
-            assert render_bench_artifact(artifacts[name]) == (
-                BASELINE_DIR / name
-            ).read_text(), f"{name}: committed store and flat baseline diverged"
+    """The committed store is the source of truth."""
 
     def test_committed_records_pass_integrity(self):
         store = RunStore(BASELINE_DIR / "store")
@@ -106,16 +108,16 @@ class TestCommittedBaselineStore:
 
 
 class TestRegressionGateStoreView:
-    def test_gate_passes_through_store_view(self, capsys):
+    def test_gate_passes_through_store_view(self, rendered_baselines, capsys):
         gate = _load_check_regression()
         rc = gate.main(
-            ["--current-dir", str(BASELINE_DIR), "--min-throughput-ratio", "0"]
+            ["--current-dir", str(rendered_baselines), "--min-throughput-ratio", "0"]
         )
         out = capsys.readouterr().out
         assert rc == 0
-        assert "via store:" in out
+        assert "baselines: 5 file(s) via store:" in out
 
-    def test_gate_bites_on_tampered_record(self, tmp_path, capsys):
+    def test_gate_bites_on_tampered_record(self, rendered_baselines, tmp_path, capsys):
         tampered_root = tmp_path / "store"
         shutil.copytree(BASELINE_DIR / "store", tampered_root)
         store = RunStore(tampered_root)
@@ -129,7 +131,7 @@ class TestRegressionGateStoreView:
         gate = _load_check_regression()
         rc = gate.main(
             [
-                "--current-dir", str(BASELINE_DIR),
+                "--current-dir", str(rendered_baselines),
                 "--baseline-store", str(tampered_root),
                 "--min-throughput-ratio", "0",
             ]
@@ -138,32 +140,28 @@ class TestRegressionGateStoreView:
         assert rc == 1
         assert "golden drift" in err
 
-    def test_legacy_flat_fallback(self, tmp_path, capsys):
-        legacy = tmp_path / "baselines"
-        legacy.mkdir()
-        for path in BASELINE_DIR.glob("*.json"):  # BENCH files + calibration
-            shutil.copy(path, legacy / path.name)
+    def test_load_baselines_reads_the_store(self, rendered_baselines):
+        gate = _load_check_regression()
+        payloads, view = gate.load_baselines(str(BASELINE_DIR))
+        assert view == f"store:{BASELINE_DIR / 'store'}"
+        rendered = {
+            p.name: json.loads(p.read_text())
+            for p in rendered_baselines.glob("BENCH_*.json")
+        }
+        assert sorted(rendered) == [f"BENCH_{n}.json" for n in (2, 3, 4, 5, 6)]
+        assert payloads == rendered
+
+    def test_gate_fails_without_a_baseline_store(self, rendered_baselines, tmp_path, capsys):
         gate = _load_check_regression()
         rc = gate.main(
             [
-                "--baseline-dir", str(legacy),
-                "--current-dir", str(BASELINE_DIR),
+                "--current-dir", str(rendered_baselines),
+                "--baseline-store", str(tmp_path / "no-store"),
                 "--min-throughput-ratio", "0",
             ]
         )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "via flat:" in out
-
-    def test_load_baselines_prefers_store(self):
-        gate = _load_check_regression()
-        payloads, view = gate.load_baselines(str(BASELINE_DIR))
-        assert view.startswith("store:")
-        flat = {
-            p.name: json.loads(p.read_text())
-            for p in BASELINE_DIR.glob("BENCH_*.json")
-        }
-        assert payloads == flat
+        assert rc == 1
+        assert "no BENCH baselines in store:" in capsys.readouterr().err
 
 
 class TestDiff:

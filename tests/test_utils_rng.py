@@ -1,7 +1,6 @@
 """Tests for deterministic RNG helpers."""
 
 import numpy as np
-import pytest
 
 from repro.utils.rng import RngMixin, derive_rng, make_rng
 

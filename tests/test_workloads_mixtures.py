@@ -1,6 +1,5 @@
 """Tests for workload mixtures and arrival processes."""
 
-import numpy as np
 import pytest
 
 from repro.utils.rng import make_rng
