@@ -284,6 +284,41 @@ class TestGridAndResult:
         )
         assert len(result.metrics.job_completion_times) == 8
 
+    def test_placement_policy_grid_runs_each_policy(self):
+        base = ScenarioSpec(
+            workload=WorkloadSection.closed_loop("mixed", num_jobs=8, arrival_rate=1.2, seed=6),
+            cluster=ClusterSection(
+                pools=(
+                    PoolSpec("cpu", TaskType.REGULAR, 4),
+                    PoolSpec("gpu-a", TaskType.LLM, 1, max_batch_size=4),
+                    PoolSpec("gpu-b", TaskType.LLM, 1, max_batch_size=4),
+                )
+            ),
+            settings=TINY,
+        )
+        rows = api.run_grid(base, {"placement.name": ["greedy", "best_fit"]}, processes=1)
+        assert [o["placement.name"] for o, _ in rows] == ["greedy", "best_fit"]
+        for overrides, result in rows:
+            assert result.spec.placement.name == overrides["placement.name"]
+            assert len(result.metrics.job_completion_times) == 8
+
+    def test_decision_latency_grid_zero_is_synchronous(self, applications, tiny_prepared):
+        priors, _ = tiny_prepared
+        base = ScenarioSpec(
+            workload=WorkloadSection.closed_loop("mixed", num_jobs=10, arrival_rate=1.0, seed=6),
+            settings=TINY,
+        )
+        rows = api.run_grid(base, {"async.latency": [0.0, 2.0]}, processes=1)
+        by_latency = {o["async.latency"]: r.metrics for o, r in rows}
+        assert set(by_latency) == {0.0, 2.0}
+        assert all(len(m.job_completion_times) == 10 for m in by_latency.values())
+        assert by_latency[2.0].num_async_decisions > 0
+        # Latency 0 is the synchronous engine bit for bit.
+        sync = api.run(base, applications=applications, priors=priors)
+        assert by_latency[0.0].job_completion_times == sync.metrics.job_completion_times
+        # Charged latency must not help.
+        assert by_latency[2.0].average_jct >= by_latency[0.0].average_jct
+
     def test_autoscaler_section_resizes_pools(self, applications):
         pools = (
             PoolSpec("cpu", TaskType.REGULAR, 2, min_executors=2, max_executors=16),
