@@ -429,16 +429,6 @@ class ImportMap:
             return dotted
         return f"{target}.{rest}" if rest else target
 
-    def resolve_call(self, call: ast.Call) -> Optional[str]:
-        return self.resolve(dotted_name(call.func))
-
-
-def iter_functions(tree: ast.Module) -> Iterable[ast.FunctionDef | ast.AsyncFunctionDef]:
-    """Every function/method definition in the module (any nesting depth)."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
 
 def annotation_mentions(annotation: Optional[ast.AST], names: Mapping[str, object] | Set[str]) -> bool:
     """Whether an annotation expression references any of the given names."""

@@ -45,7 +45,6 @@ from repro.simulator.federation import (
     create_job_router,
 )
 from repro.simulator.placement import create_placement_policy
-from repro.simulator.protocol import ensure_engine_protocol
 from repro.workloads.mixtures import default_applications, generate_workload
 from repro.workloads.serving import DEFAULT_SLO_TARGETS, attach_token_model
 
@@ -207,7 +206,7 @@ def _run_single(spec, applications, priors, profiler):
     )
     if workload.token_mix is not None:
         engine.metrics.slo_targets = _serving_targets(spec)
-    return ensure_engine_protocol(engine).run()
+    return engine.run()
 
 
 def _run_federated(spec, applications, priors, profiler, router):
@@ -221,18 +220,15 @@ def _run_federated(spec, applications, priors, profiler, router):
             else create_job_router(section.router, **section.router_kwargs)
         ),
     )
-    engine = ensure_engine_protocol(
-        FederatedSimulationEngine(
-            spec.workload.to_open_loop_spec().jobs(dict(applications)),
-            lambda: _make_scheduler(spec, priors, profiler),
-            fleet,
-            config=SimulationConfig(snapshot_policy=spec.settings.snapshot_policy),
-            workload_name=spec.workload.name,
-            migration=section.migration,
-            async_backend_factory=_async_backend_factory(spec),
-        )
-    )
-    return engine.run()
+    return FederatedSimulationEngine(
+        spec.workload.to_open_loop_spec().jobs(dict(applications)),
+        lambda: _make_scheduler(spec, priors, profiler),
+        fleet,
+        config=SimulationConfig(snapshot_policy=spec.settings.snapshot_policy),
+        workload_name=spec.workload.name,
+        migration=section.migration,
+        async_backend_factory=_async_backend_factory(spec),
+    ).run()
 
 
 def compare(

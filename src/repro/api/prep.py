@@ -19,9 +19,11 @@ from repro.core.llmsched import LLMSchedConfig
 from repro.core.profiler import BayesianProfiler
 from repro.dag.application import ApplicationTemplate
 from repro.schedulers.priors import ApplicationPriors
+from repro.schedulers.registry import PAPER_BASELINES
 from repro.simulator.cluster import ClusterConfig
 from repro.simulator.latency import DecodingLatencyProfile
 from repro.utils.rng import make_rng
+from repro.utils.validation import require_int
 from repro.workloads.mixtures import WorkloadSpec
 
 __all__ = [
@@ -33,9 +35,6 @@ __all__ = [
     "size_cluster_for_workload",
     "split_cluster_config",
 ]
-
-#: Baseline order used in the paper's figures (LLMSched appended last).
-PAPER_BASELINES = ["fcfs", "sjf", "fair", "argus", "decima", "carbyne"]
 
 
 @dataclass(frozen=True)
@@ -71,9 +70,7 @@ class ExperimentSettings:
             ("max_batch_size", 1),
             ("profiler_seed", 0),
         ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-                raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+            require_int(getattr(self, name), name, low)
         for name in ("target_load", "latency_slope"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):

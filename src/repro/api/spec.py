@@ -29,6 +29,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 from repro.api.prep import ExperimentSettings
 from repro.core.llmsched import LLMSchedConfig
 from repro.utils.canonical import content_hash
+from repro.utils.validation import require_int
 from repro.dag.task import TaskType
 from repro.schedulers.registry import check_scheduler_kwargs
 from repro.simulator.async_sched import AsyncConfig, PerJobLinearLatency, SampledLatency
@@ -85,6 +86,14 @@ SettingsSection = ExperimentSettings
 
 class SpecError(ValueError):
     """A scenario spec failed validation (message says how to fix it)."""
+
+
+def _require_int(value: object, name: str, low: int) -> None:
+    """:func:`~repro.utils.validation.require_int`, failing with a SpecError."""
+    try:
+        require_int(value, name, low)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
 
 
 # --------------------------------------------------------------------------- #
@@ -263,6 +272,9 @@ class WorkloadSection:
             )
         if self.token_seed is not None and self.token_mix is None:
             raise SpecError("workload token_seed has no effect without a token_mix")
+        _require_int(self.seed, "workload seed", 0)
+        if self.token_seed is not None:
+            _require_int(self.token_seed, "workload token_seed", 0)
         if self.mode == "closed":
             try:
                 WorkloadType(self.workload_type)
@@ -276,15 +288,14 @@ class WorkloadSection:
                     'a closed-loop workload draws its own Poisson arrivals; use mode="open" '
                     "to run an explicit arrival process"
                 )
-            if self.num_jobs <= 0:
-                raise SpecError("workload num_jobs must be > 0")
+            _require_int(self.num_jobs, "workload num_jobs", 1)
             if self.arrival_rate <= 0:
                 raise SpecError("workload arrival_rate must be > 0")
         else:
             if self.process is None:
                 raise SpecError('an open-loop workload needs a "process" section')
-            if self.max_jobs is not None and self.max_jobs <= 0:
-                raise SpecError("workload max_jobs must be > 0 when given")
+            if self.max_jobs is not None:
+                _require_int(self.max_jobs, "workload max_jobs", 1)
             if self.horizon is not None and self.horizon <= 0:
                 raise SpecError("workload horizon must be > 0 when given")
 
@@ -430,8 +441,7 @@ class ClusterSection:
                 "cluster section sets both `config` and `pools`: pass either a homogeneous "
                 "ClusterConfig or an explicit heterogeneous pool layout, not both"
             )
-        if self.num_shards < 1:
-            raise SpecError("cluster num_shards must be >= 1")
+        _require_int(self.num_shards, "cluster num_shards", 1)
         if self.num_shards > 1:
             if self.pools is not None:
                 raise SpecError(
@@ -608,8 +618,8 @@ class AsyncSection:
             raise SpecError("async latency samples must be >= 0")
         if self.kind == "sampled" and not self.samples:
             raise SpecError('async kind "sampled" needs a non-empty `samples` list')
-        if self.max_in_flight < 1:
-            raise SpecError("async max_in_flight must be >= 1")
+        _require_int(self.seed, "async seed", 0)
+        _require_int(self.max_in_flight, "async max_in_flight", 1)
         # Fields belonging to a *different* kind are rejected rather than
         # silently ignored: a grid overriding `async.latency` over a
         # "sampled" section would otherwise run identical cells.

@@ -95,43 +95,6 @@ class VariableElimination:
             marginals[variable] = factor.values.copy()
         return marginals
 
-    def map_assignment(
-        self,
-        variables: Sequence[str],
-        evidence: Optional[Mapping[str, int]] = None,
-    ) -> Dict[str, int]:
-        """Most probable joint assignment of ``variables`` given evidence."""
-        factor = self.query(variables, evidence)
-        flat_index = int(np.argmax(factor.values))
-        unravelled = np.unravel_index(flat_index, factor.values.shape)
-        return {var: int(state) for var, state in zip(factor.variables, unravelled, strict=True)}
-
-    def expected_value(
-        self,
-        variable: str,
-        evidence: Optional[Mapping[str, int]] = None,
-        state_values: Optional[Sequence[float]] = None,
-    ) -> float:
-        """Posterior expectation of a variable under numeric state labels.
-
-        When ``state_values`` is omitted, the network's state labels are used;
-        they must be numeric (the profiler stores interval representative
-        durations there).
-        """
-        evidence = dict(evidence or {})
-        if state_values is None:
-            state_values = [float(v) for v in self._network.state_labels(variable)]
-        values = np.asarray(state_values, dtype=float)
-        if variable in evidence:
-            return float(values[int(evidence[variable])])
-        marginal = self.query([variable], evidence).values
-        if marginal.size != values.size:
-            raise ValueError(
-                f"{variable!r}: got {values.size} state values for "
-                f"cardinality {marginal.size}"
-            )
-        return float(np.dot(marginal, values))
-
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.schedulers.base import SchedulingContext
 from repro.simulator.latency import DecodingLatencyProfile
 
 __all__ = ["BatchingAwareCalibrator"]
@@ -47,10 +46,6 @@ class BatchingAwareCalibrator:
             raise ValueError("duration must be >= 0")
         target = max(1, int(round(target_batch_size)))
         return self.latency_profile.calibrate(duration, self.profiled_batch_size, target)
-
-    def calibrate_for_context(self, duration: float, context: SchedulingContext) -> float:
-        """Calibrate against the average batch size currently running."""
-        return self.calibrate(duration, context.average_llm_batch_size)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

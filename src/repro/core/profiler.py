@@ -343,17 +343,6 @@ class BayesianProfiler:
     # ------------------------------------------------------------------ #
     # Duration estimation
     # ------------------------------------------------------------------ #
-    def expected_stage_duration(
-        self, application: str, variable: str, evidence: Mapping[str, int]
-    ) -> float:
-        """Posterior expected duration of one stage."""
-        profile = self.profile_for(application)
-        if variable not in profile.specs:
-            raise KeyError(f"unknown profile variable {variable!r} for {application!r}")
-        marginal = self.posterior_marginals(application, evidence)[variable]
-        representatives = np.asarray(profile.specs[variable].representatives, dtype=float)
-        return float(np.dot(marginal, representatives))
-
     def remaining_estimate(self, job: Job, use_posterior: bool = True) -> RemainingEstimate:
         """One pass over a job: its evidence, remaining sums and interval.
 

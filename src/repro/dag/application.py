@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -65,26 +65,6 @@ class ApplicationTemplate(abc.ABC):
         self, job_id: str, arrival_time: float, rng: np.random.Generator
     ) -> Job:
         """Sample a ground-truth job instance of this application."""
-
-    def sample_jobs(
-        self,
-        count: int,
-        rng: np.random.Generator,
-        arrival_times: Optional[Sequence[float]] = None,
-        id_prefix: Optional[str] = None,
-    ) -> List[Job]:
-        """Sample ``count`` jobs with the given (or zero) arrival times."""
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        prefix = id_prefix or self.name
-        if arrival_times is None:
-            arrival_times = [0.0] * count
-        if len(arrival_times) != count:
-            raise ValueError("arrival_times length must match count")
-        return [
-            self.sample_job(f"{prefix}-{i}", float(arrival_times[i]), rng)
-            for i in range(count)
-        ]
 
     # ------------------------------------------------------------------ #
     # Profiling interface (consumed by the Bayesian profiler)

@@ -75,13 +75,6 @@ class SchedulingContext:
     #: SLO-aware policies detect requests that finished prefill on a
     #: prefill-role executor and should migrate to a decode pool.
     executor_roles: Dict[str, str] = field(default_factory=dict)
-    #: Shard view (federated runs only): which shard of the fleet this
-    #: context describes, how many shards exist, and the fleet-wide free
-    #: capacity per task type.  Standalone runs keep the defaults, so
-    #: schedulers can branch on ``shard_count > 1`` to detect federation.
-    shard_name: str = ""
-    shard_count: int = 1
-    fleet_free_slots: Dict[TaskType, int] = field(default_factory=dict)
     #: Set on contexts produced by :meth:`snapshot`: the simulation time at
     #: which the view was frozen.  Live contexts keep ``None``.  Asynchronous
     #: backends hand snapshots to schedulers so a decision computed during a
@@ -228,9 +221,6 @@ class SchedulingContext:
                 inactive_executor_ids=set(self.inactive_executor_ids),
                 executor_speeds=dict(self.executor_speeds),
                 executor_roles=dict(self.executor_roles),
-                shard_name=self.shard_name,
-                shard_count=self.shard_count,
-                fleet_free_slots=dict(self.fleet_free_slots),
                 snapshot_time=self.time,
             )
             snapshot._cow_shared = {
@@ -247,9 +237,6 @@ class SchedulingContext:
             inactive_executor_ids=set(self.inactive_executor_ids),
             executor_speeds=dict(self.executor_speeds),
             executor_roles=dict(self.executor_roles),
-            shard_name=self.shard_name,
-            shard_count=self.shard_count,
-            fleet_free_slots=dict(self.fleet_free_slots),
             snapshot_time=self.time,
         )
 

@@ -1,12 +1,12 @@
 """Name-based scheduler construction: the single scheduler factory.
 
 Every part of the harness — the declarative :mod:`repro.api` front door,
-the legacy experiment runner shims, the golden-trace tests — builds
-schedulers through :func:`create_scheduler`.  The factory accepts the
-offline artifacts a scheduler may need (``priors`` for the duration-based
-baselines, a fitted ``profiler`` plus experiment ``settings`` for the
-LLMSched family, including its three ablation variants) so no caller has
-to special-case construction.
+the golden-trace tests — builds schedulers through
+:func:`create_scheduler`.  The factory accepts the offline artifacts a
+scheduler may need (``priors`` for the duration-based baselines, a fitted
+``profiler`` plus experiment ``settings`` for the LLMSched family,
+including its three ablation variants) so no caller has to special-case
+construction.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, FrozenSet, List, Mapping, Optional
 from repro.schedulers.argus import ArgusScheduler
 from repro.schedulers.base import Scheduler
 from repro.schedulers.carbyne import CarbyneScheduler
-from repro.schedulers.decima import DecimaPolicy, DecimaScheduler
+from repro.schedulers.decima import DecimaScheduler
 from repro.schedulers.fair import FairScheduler
 from repro.schedulers.fcfs import FcfsScheduler
 from repro.schedulers.preemptive import PreemptiveSrtfScheduler
@@ -31,6 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from repro.core.profiler import BayesianProfiler
 
 __all__ = [
+    "PAPER_BASELINES",
     "available_schedulers",
     "create_scheduler",
     "scheduler_requirements",
@@ -38,8 +39,9 @@ __all__ = [
     "LLMSCHED_VARIANTS",
 ]
 
-#: Baseline names in the order the paper's figures list them.
-_BASELINES = ["fcfs", "sjf", "fair", "argus", "decima", "carbyne"]
+#: Baseline names in the order the paper's figures list them (LLMSched
+#: is appended last where a figure shows it).
+PAPER_BASELINES = ["fcfs", "sjf", "fair", "argus", "decima", "carbyne"]
 
 #: LLMSched plus its ablation variants (Fig. 10); all need a fitted profiler.
 LLMSCHED_VARIANTS = (
@@ -81,7 +83,7 @@ def available_schedulers(
     SLO-aware serving scheduler (token-model runs only — it degenerates
     to arrival order without token-annotated requests).
     """
-    names = list(_BASELINES) + ["srtf"]
+    names = list(PAPER_BASELINES) + ["srtf"]
     if include_llmsched:
         names.append("llmsched")
     if include_preemptive:
@@ -142,7 +144,8 @@ def check_scheduler_kwargs(name: str, kwargs: Mapping[str, object]) -> None:
             return
         import inspect
 
-        # ``priors`` / ``policy`` are supplied by create_scheduler itself.
+        # ``priors`` is supplied by create_scheduler itself; a trained
+        # Decima ``policy`` has no JSON form.
         valid = {
             p
             for p in inspect.signature(cls.__init__).parameters
@@ -160,7 +163,6 @@ def create_scheduler(
     priors: Optional[ApplicationPriors] = None,
     profiler: Optional["BayesianProfiler"] = None,
     settings: Optional["ExperimentSettings"] = None,
-    decima_policy: Optional[DecimaPolicy] = None,
     **kwargs,
 ) -> Scheduler:
     """Instantiate a scheduler by name.
@@ -169,10 +171,9 @@ def create_scheduler(
     (``llmsched`` and the ``llmsched_wo_*`` ablations) requires a fitted
     ``profiler``; ``settings`` (an :class:`~repro.api.prep.ExperimentSettings`)
     supplies the Algorithm 1 config and the latency-profile slope used by the
-    batching-aware calibrator, defaulting to the paper's values.  For
-    backwards compatibility, ``create_scheduler("llmsched", **kwargs)``
-    without a profiler forwards ``kwargs`` verbatim to
-    :class:`~repro.core.llmsched.LLMSchedScheduler`.
+    batching-aware calibrator, defaulting to the paper's values.  ``kwargs``
+    go to a baseline's constructor, or override fields of the LLMSched
+    config.
     """
     key = name.lower()
     if key == "fcfs":
@@ -192,7 +193,7 @@ def create_scheduler(
     if key == "carbyne":
         return CarbyneScheduler(_require_priors(key, priors), **kwargs)
     if key == "decima":
-        return DecimaScheduler(_require_priors(key, priors), policy=decima_policy, **kwargs)
+        return DecimaScheduler(_require_priors(key, priors), **kwargs)
     if key in LLMSCHED_VARIANTS:
         return _create_llmsched(key, profiler, settings, **kwargs)
     raise ValueError(
@@ -213,8 +214,6 @@ def _create_llmsched(
     from repro.simulator.latency import DecodingLatencyProfile
 
     if profiler is None:
-        if key == "llmsched" and kwargs:
-            return LLMSchedScheduler(**kwargs)
         raise ValueError(
             f"scheduler {key!r} requires a fitted profiler "
             "(see repro.api.prep.build_profiler)"

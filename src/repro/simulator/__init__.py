@@ -51,7 +51,6 @@ from repro.simulator.async_sched import (
 )
 from repro.simulator.engine import SimulationEngine, SimulationConfig
 from repro.simulator.events import EventQueue, SimulationEvent
-from repro.simulator.protocol import SimulationEngineProtocol, ensure_engine_protocol
 from repro.simulator.federation import (
     FederatedCluster,
     FederatedSimulationEngine,
@@ -87,8 +86,6 @@ __all__ = [
     "SimulationMetrics",
     "SimulationEngine",
     "SimulationConfig",
-    "SimulationEngineProtocol",
-    "ensure_engine_protocol",
     "AsyncConfig",
     "AsyncSchedulerBackend",
     "DecisionLatencyModel",

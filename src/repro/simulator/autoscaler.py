@@ -20,6 +20,7 @@ from typing import Dict, List, Optional
 
 from repro.dag.task import TaskType
 from repro.simulator.cluster import Cluster
+from repro.utils.validation import require_int
 
 __all__ = ["AutoscalerConfig", "ScaleEvent", "ThresholdAutoscaler"]
 
@@ -50,8 +51,7 @@ class AutoscalerConfig:
             raise ValueError("scale_up_occupancy must be within (0, 1]")
         if not 0.0 <= self.scale_down_occupancy < self.scale_up_occupancy:
             raise ValueError("scale_down_occupancy must be in [0, scale_up_occupancy)")
-        if self.step < 1:
-            raise ValueError("step must be >= 1")
+        require_int(self.step, "step", 1)
 
 
 @dataclass(frozen=True)

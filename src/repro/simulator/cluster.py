@@ -30,6 +30,7 @@ from repro.dag.task import Task, TaskType
 from repro.simulator.executor import LLMExecutor, RegularExecutor
 from repro.simulator.latency import DecodingLatencyProfile
 from repro.simulator.pool import AnyExecutor, ExecutorPool, PoolSpec
+from repro.utils.validation import require_int
 
 __all__ = ["ClusterConfig", "Cluster"]
 
@@ -52,12 +53,9 @@ class ClusterConfig:
     latency_slope: float = 0.06
 
     def __post_init__(self) -> None:
-        if self.num_regular_executors < 1:
-            raise ValueError("num_regular_executors must be >= 1")
-        if self.num_llm_executors < 1:
-            raise ValueError("num_llm_executors must be >= 1")
-        if self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
+        require_int(self.num_regular_executors, "num_regular_executors", 1)
+        require_int(self.num_llm_executors, "num_llm_executors", 1)
+        require_int(self.max_batch_size, "max_batch_size", 1)
         if self.latency_slope < 0:
             raise ValueError("latency_slope must be >= 0")
 

@@ -70,17 +70,12 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 from repro.dag.job import Job
 from repro.dag.stage import StageState
 from repro.dag.task import Task, TaskState, TaskType
-from repro.schedulers.base import (
-    PreemptionDirective,
-    Scheduler,
-    SchedulingContext,
-    SchedulingDecision,
-)
+from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingDecision
 from repro.schedulers.ready import ReadyIndex
 from repro.schedulers.snapshot import CowSnapshotTracker
 from repro.simulator.async_sched import AsyncSchedulerBackend
 from repro.simulator.autoscaler import ThresholdAutoscaler
-from repro.simulator.cluster import Cluster, ClusterConfig
+from repro.simulator.cluster import Cluster
 from repro.simulator.events import EventQueue, EventType
 from repro.simulator.metrics import SimulationMetrics
 from repro.simulator.placement import GreedyFirstFitPlacement, PlacementPolicy
@@ -154,7 +149,6 @@ class SimulationEngine:
         jobs: Iterable[Job],
         scheduler: Scheduler,
         cluster: Optional[Cluster] = None,
-        cluster_config: Optional[ClusterConfig] = None,
         config: Optional[SimulationConfig] = None,
         workload_name: str = "",
         placement: Optional[PlacementPolicy] = None,
@@ -162,7 +156,7 @@ class SimulationEngine:
         async_backend: Optional[AsyncSchedulerBackend] = None,
     ) -> None:
         if cluster is None:
-            cluster = Cluster(cluster_config or ClusterConfig())
+            cluster = Cluster()
         self.cluster = cluster
         self.scheduler = scheduler
         self.config = config or SimulationConfig()
@@ -193,15 +187,6 @@ class SimulationEngine:
         self._last_arrival_time = 0.0
         self._next_arrival: Optional[Job] = None
         self._pull_arrival()
-
-        # Federation hooks (set by FederatedSimulationEngine when this
-        # engine drives one shard of a fleet): the shard's identity and a
-        # callable returning fleet-wide free slots per task type, surfaced
-        # to schedulers through the scheduling context.  Standalone runs
-        # keep the defaults and build contexts exactly as before.
-        self.shard_name: str = ""
-        self.shard_count: int = 1
-        self.fleet_free_slots: Optional[object] = None
 
         # Indexed event core (see module docstring).  For LLM executors the
         # cache holds the earliest-finishing *task*: its identity is stable
@@ -237,27 +222,20 @@ class SimulationEngine:
         workload drained, or nothing can ever happen again (which raises
         for a real deadlock).  Callers stepping manually should invoke
         :meth:`finalize` afterwards; :meth:`run` does both.
+
+        A step is the public passes in order — :meth:`schedule_pass`,
+        :meth:`sync_clock` to the next event, :meth:`completion_pass` —
+        plus a due autoscale check.  A federated fleet drives each shard
+        engine through the same passes on its shared clock.
         """
         if self._next_arrival is None and not self._active_jobs:
             return False
-        self._iterations += 1
-        if self._iterations > self.config.max_iterations:
-            raise RuntimeError("simulation exceeded max_iterations; likely a livelock")
-        if self._time > self.config.max_simulated_time:
-            raise RuntimeError("simulation exceeded max_simulated_time")
-
-        self._admit_arrivals(self._time)
-        if self.async_backend is not None:
-            self._apply_due_decisions(self._time)
-        self._dispatch()
-
-        next_time = self._next_event_time()
+        next_time = self.schedule_pass()
         if next_time is None:
             self._check_for_deadlock()
             return False
-        self._time = max(self._time, next_time)
-        self.advance_cluster_to(self._time)
-        self._process_completions(self._time)
+        self.sync_clock(next_time)
+        self.completion_pass()
         if (
             self.autoscaler is not None
             and self._time + self.config.eps >= self.autoscaler.next_check_time
@@ -265,12 +243,49 @@ class SimulationEngine:
             self._run_autoscaler()
         return True
 
-    def finalize(self) -> SimulationMetrics:
-        """Fill the run-level metrics (event count, makespan, utilisation)."""
+    def schedule_pass(self) -> Optional[float]:
+        """One scheduling pass at the current time; returns the next event time.
+
+        Enforces the iteration and simulated-time limits, admits due
+        arrivals, applies due async decisions and dispatches.  ``None``
+        means no event is pending: nothing can ever happen again.
+        """
+        self._iterations += 1
+        if self._iterations > self.config.max_iterations:
+            raise RuntimeError("simulation exceeded max_iterations; likely a livelock")
+        if self._time > self.config.max_simulated_time:
+            raise RuntimeError("simulation exceeded max_simulated_time")
+        self._admit_arrivals(self._time)
+        if self.async_backend is not None:
+            self._apply_due_decisions(self._time)
+        self._dispatch()
+        return self._next_event_time()
+
+    def sync_clock(self, time: float) -> None:
+        """Move the clock forward to ``time``, accruing executor progress."""
+        self._time = max(self._time, time)
+        self.advance_cluster_to(self._time)
+
+    def unfinished_jobs(self) -> List[Job]:
+        """Active jobs that have not finished, in admission order."""
+        return [job for job in self._active_jobs.values() if not job.is_finished]
+
+    def finalize(self, horizon: Optional[float] = None) -> SimulationMetrics:
+        """Fill the run-level metrics (event count, makespan, utilisation).
+
+        Utilisation is measured over ``horizon``, the engine's own clock by
+        default.  A fleet passes its clock, so a shard that drained early
+        does not report its busy fraction over a shorter window.
+        """
+        horizon = max(self._time if horizon is None else horizon, _EPS)
         self.metrics.num_events = self._iterations
         self.metrics.makespan = self._time
-        self.metrics.utilization = self.cluster.utilization(max(self._time, _EPS))
-        self.metrics.pool_utilization = self.cluster.pool_utilization(max(self._time, _EPS))
+        self.metrics.utilization = self.cluster.utilization(horizon)
+        self.metrics.pool_utilization = self.cluster.pool_utilization(horizon)
+        self.metrics.executor_counts = {
+            "regular": len(self.cluster.regular_executors),
+            "llm": len(self.cluster.llm_executors),
+        }
         # Token-grain serving accounting: executors are never removed from
         # the cluster lists (they retire in place), so this drains every ITL
         # sample exactly once.  No-ops (empty lists) on legacy runs.
@@ -351,6 +366,10 @@ class SimulationEngine:
         )
 
     def _admit_arrivals(self, now: float) -> None:
+        if self._next_arrival is None:
+            # A fleet shard's feed refills between passes; an exhausted
+            # stream stays exhausted.
+            self._pull_arrival()
         eps = self.config.eps
         while self._next_arrival is not None and self._next_arrival.arrival_time <= now + eps:
             job = self._next_arrival
@@ -391,11 +410,6 @@ class SimulationEngine:
             # copied, so this costs two references per context.
             context.executor_speeds = self.cluster.executor_speeds()
             context.executor_roles = self.cluster.executor_roles()
-        if self.shard_count > 1 or self.shard_name:
-            context.shard_name = self.shard_name
-            context.shard_count = self.shard_count
-            if self.fleet_free_slots is not None:
-                context.fleet_free_slots = self.fleet_free_slots()
         context._cow_tracker = self._cow
         return context
 
@@ -440,7 +454,7 @@ class SimulationEngine:
         """Apply a decision whose tasks are *live* objects (synchronous path)."""
         if decision.preemptions:
             for directive in decision.preemptions:
-                self._apply_preemption(directive)
+                self.preempt(directive.task, checkpoint=directive.checkpoint)
 
         for task in decision.regular_tasks:
             if self.cluster.free_regular_slots() == 0:
@@ -490,10 +504,7 @@ class SimulationEngine:
             if live is None or live.state is not TaskState.RUNNING:
                 self.metrics.record_stale_preemption()
                 continue
-            self._apply_preemption(
-                PreemptionDirective(task=live, checkpoint=directive.checkpoint)
-            )
-            if live.state is TaskState.PENDING:  # the engine accepted it
+            if self.preempt(live, checkpoint=directive.checkpoint):
                 budget[live.task_type] += 1
         for expected_type, tasks in (
             (TaskType.REGULAR, decision.regular_tasks),
@@ -549,46 +560,59 @@ class SimulationEngine:
                 return live
         return None
 
-    def _apply_preemption(self, directive: PreemptionDirective) -> None:
-        """Checkpoint a running task back to PENDING (skipping stale directives)."""
-        task = directive.task
+    def preemptable(self, task: Task) -> bool:
+        """Whether :meth:`preempt` would checkpoint ``task`` right now.
+
+        False for a task that is not running for an active job of this
+        engine, that runs on a draining executor (the drain would swallow
+        the freed slot, so capacity strictly shrinks), or that completes at
+        this very instant: those are let run out.  An LLM task's progress is
+        accrued to the current time first, so "completes now" means at most
+        ``eps`` of work is left.  The fleet's migration uses the same guard.
+        """
         if task.state is not TaskState.RUNNING or task.executor_id is None:
-            return  # stale: the task finished (or was never placed)
-        job = self._active_jobs.get(task.job_id)
-        if job is None:
-            return
-        executor = self.cluster.executor(task.executor_id)
+            return False  # stale: the task finished (or was never placed)
+        if task.job_id not in self._active_jobs:
+            return False
         if not self.cluster.pool_of_executor(task.executor_id).is_active(task.executor_id):
-            # Draining executor: preempting would requeue the victim without
-            # freeing an assignable slot (the drain swallows it) — capacity
-            # strictly shrinks. Let the task run out instead.
-            return
+            return False
+        executor = self.cluster.executor(task.executor_id)
         eps = self.config.eps
-        llm_index: Optional[int] = None
         if task.task_type is TaskType.REGULAR:
             completion = executor.completion_time()
-            if completion is not None and completion <= self._time + eps:
-                return  # completing at this very instant; let it finish
-        else:
-            llm_index = self.cluster.llm_index(task.executor_id)
-            # advance_to accrues progress on *every* task in the batch;
-            # their jobs must land in live snapshots pre-mutation too.
-            cow = self._cow
-            if cow is not None and cow.active:
-                for running in executor.running:
-                    batch_job = self._active_jobs.get(running.job_id)
-                    if batch_job is not None:
-                        cow.mark_dirty(batch_job)
-            executor.advance_to(self._time)
-            if task.remaining_work <= eps:
-                return  # effectively done; the completion sweep will take it
+            return completion is None or completion > self._time + eps
+        # advance_to accrues progress on *every* task in the batch; their
+        # jobs must land in live snapshots pre-mutation too.
+        cow = self._cow
+        if cow is not None and cow.active:
+            for running in executor.running:
+                batch_job = self._active_jobs.get(running.job_id)
+                if batch_job is not None:
+                    cow.mark_dirty(batch_job)
+        executor.advance_to(self._time)
+        return task.remaining_work > eps
+
+    def preempt(self, task: Task, checkpoint: bool = True) -> bool:
+        """Put a running task back to PENDING; True iff it was preempted.
+
+        ``checkpoint`` conserves the task's progress; otherwise it restarts
+        and the lost progress is metered as wasted work.  Tasks that
+        :meth:`preemptable` refuses are left running.
+        """
+        if not self.preemptable(task):
+            return False
+        job = self._active_jobs[task.job_id]
+        llm_index = (
+            self.cluster.llm_index(task.executor_id) if task.task_type is TaskType.LLM else None
+        )
         self._mark_job_dirty(job)
-        wasted = self.cluster.preempt_task(task, self._time, checkpoint=directive.checkpoint)
+        wasted = self.cluster.preempt_task(task, self._time, checkpoint=checkpoint)
         if llm_index is not None:
             self._dirty_llm.add(llm_index)
         self.metrics.record_preemption(wasted)
         job.invalidate_schedulable_cache()
         self._ready.touch(job)
+        return True
 
     def _place_task(self, task: Task, expected_type: TaskType) -> bool:
         """Place one task via the placement policy; True iff it started."""
@@ -717,7 +741,10 @@ class SimulationEngine:
             self._dirty_llm.add(len(self._llm_best))
             self._llm_best.append(None)
 
-    def _process_completions(self, now: float) -> None:
+    def completion_pass(self) -> None:
+        """Finish every task due at the current time, then the stages and
+        jobs those completions finish."""
+        now = self._time
         eps = self.config.eps
         finished_tasks: List[Task] = []
 
@@ -794,7 +821,7 @@ class SimulationEngine:
     # ------------------------------------------------------------------ #
     def _check_for_deadlock(self) -> None:
         """Raise if jobs remain but nothing can ever make progress again."""
-        stuck = [j for j in self._active_jobs.values() if not j.is_finished]
+        stuck = self.unfinished_jobs()
         if not stuck:
             return
         pending = sum(len(j.schedulable_tasks()) for j in stuck)

@@ -266,14 +266,6 @@ class LLMExecutor:
         self.running.remove(task)
         return wasted
 
-    def finished_tasks_at(self, time: float) -> List[Task]:
-        """Tasks whose work completes at (or before) ``time``."""
-        if not self.running:
-            return []
-        rate = self._rate()
-        horizon = max(0.0, time - self._last_update) * rate
-        return [t for t in self.running if t.remaining_work <= horizon + 1e-9]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"LLMExecutor({self.executor_id}, batch={self.batch_size}/"

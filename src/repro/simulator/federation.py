@@ -9,12 +9,12 @@ on top of the existing engine without forking it:
   type-affinity — mirroring the ``PlacementPolicy`` factory pattern).
 * :class:`FederatedSimulationEngine` steps one full
   :class:`~repro.simulator.engine.SimulationEngine` per shard through a
-  **shared event clock**: every fleet iteration admits/dispatches only the
-  shards whose state changed, advances the global clock to the earliest
-  event across shards + the global arrival stream, and processes the due
-  shards.  With a single shard the driver degenerates to exactly the
-  single-engine loop, so a 1-shard federation reproduces the golden traces
-  **bit for bit**.
+  **shared event clock**: every fleet iteration runs the scheduling pass of
+  only the shards whose state changed, advances the global clock to the
+  earliest event across shards + the global arrival stream, and runs the
+  completion pass of the due shards.  With a single shard the driver
+  degenerates to exactly the single-engine loop, so a 1-shard federation
+  reproduces the golden traces **bit for bit**.
 * Cross-shard **migration** reuses the PR 2 checkpoint machinery: at a
   fixed check interval, when the hottest shard's load exceeds the coldest
   shard's by more than a threshold, whole jobs are moved — every running
@@ -39,12 +39,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.dag.job import Job
-from repro.dag.task import TaskState, TaskType
-from repro.schedulers.base import PreemptionDirective, Scheduler
+from repro.dag.task import TaskType
+from repro.schedulers.base import Scheduler
 from repro.simulator.async_sched import AsyncSchedulerBackend
 from repro.simulator.cluster import Cluster
 from repro.simulator.engine import SimulationConfig, SimulationEngine, validate_arrival_order
 from repro.simulator.metrics import SimulationMetrics
+from repro.utils.validation import require_int
 
 __all__ = [
     "JobRouter",
@@ -166,11 +167,6 @@ class StaleLeastLoadedRouter(JobRouter):
         self._loads: Optional[List[float]] = None
         self._last_refresh: Optional[float] = None
 
-    @property
-    def last_refresh_time(self) -> Optional[float]:
-        """When the cached view was last refreshed (None before the first)."""
-        return self._last_refresh
-
     def reset(self) -> None:
         self._loads = None
         self._last_refresh = None
@@ -277,8 +273,7 @@ class MigrationConfig:
             raise ValueError("interval must be > 0")
         if self.imbalance_threshold <= 0:
             raise ValueError("imbalance_threshold must be > 0")
-        if self.max_migrations_per_check < 1:
-            raise ValueError("max_migrations_per_check must be >= 1")
+        require_int(self.max_migrations_per_check, "max_migrations_per_check", 1)
         if self.cost < 0:
             raise ValueError("cost must be >= 0")
 
@@ -345,11 +340,9 @@ class FederatedShard:
         self.cluster = cluster
         self.feed = _ShardFeed()
         self.engine: Optional[SimulationEngine] = None
-        #: Cached earliest shard-local event time (completions, feed arrivals,
-        #: async decisions); recomputed whenever the shard's state changes.
+        #: Cached earliest shard-local event time (completions, async
+        #: decisions); recomputed at every scheduling pass of the shard.
         self.next_event: Optional[float] = None
-        #: Scheduling points this shard processed (its share of fleet events).
-        self.num_events: int = 0
 
     # Routing read surface ------------------------------------------------ #
     def total_slots(self) -> int:
@@ -374,16 +367,11 @@ class FederatedShard:
     def num_jobs(self) -> int:
         """Jobs admitted and unfinished, plus routed-but-not-yet-admitted.
 
-        The engine's arrival lookahead holds one routed job *outside* the
-        feed, so it must be counted too — otherwise every same-instant
-        burst undercounts the shard by one and biases load-aware routing.
+        Routed jobs wait in the feed until the shard's next scheduling pass,
+        which admits them all (each was due when routed).
         """
-        routed = len(self.feed)
-        if self.engine is None:
-            return routed
-        if self.engine._next_arrival is not None:
-            routed += 1
-        return len(self.engine._active_jobs) + routed
+        active = self.engine.num_active_jobs if self.engine is not None else 0
+        return active + len(self.feed)
 
     def load(self) -> float:
         """Jobs per slot — the routing and migration imbalance signal."""
@@ -411,38 +399,8 @@ class FederatedCluster:
         ]
         self.router = router or HashRouter()
 
-    @classmethod
-    def homogeneous(
-        cls,
-        num_shards: int,
-        cluster_factory: Callable[[], Cluster],
-        router: Optional[JobRouter] = None,
-        name_prefix: str = "shard",
-    ) -> "FederatedCluster":
-        """Build ``num_shards`` identical shards from a cluster factory."""
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        return cls(
-            [(f"{name_prefix}-{i}", cluster_factory()) for i in range(num_shards)],
-            router=router,
-        )
-
     def __len__(self) -> int:
         return len(self.shards)
-
-    def shard(self, name: str) -> FederatedShard:
-        for shard in self.shards:
-            if shard.name == name:
-                return shard
-        raise KeyError(f"unknown shard {name!r}")
-
-    def free_slots_by_type(self) -> Dict[TaskType, int]:
-        """Fleet-wide free capacity per task type (the shard view exposed
-        to schedulers through the scheduling context)."""
-        return {
-            task_type: sum(s.free_slots(task_type) for s in self.shards)
-            for task_type in (TaskType.REGULAR, TaskType.LLM)
-        }
 
 
 # --------------------------------------------------------------------------- #
@@ -547,12 +505,15 @@ class FederatedSimulationEngine:
     shards must not share one) or an explicit sequence of instances, one
     per shard.
 
-    The driver mirrors :meth:`SimulationEngine.run` exactly for the shards
-    it touches — admit, dispatch, advance, complete — and only
-    adds two fleet-level event sources: the global arrival stream (routed
-    through the federation's :class:`JobRouter` at admission time) and the
-    optional migration check.  A 1-shard fleet therefore produces the same
-    trace as a standalone engine, bit for bit.
+    The driver steps every shard it touches through the shard engine's own
+    passes — :meth:`~SimulationEngine.schedule_pass`,
+    :meth:`~SimulationEngine.sync_clock` and
+    :meth:`~SimulationEngine.completion_pass`, the phases of
+    :meth:`SimulationEngine.step` — and only adds two fleet-level event
+    sources: the global arrival stream (routed through the federation's
+    :class:`JobRouter` at admission time) and the optional migration check.
+    A 1-shard fleet therefore produces the same trace as a standalone
+    engine, bit for bit.
     """
 
     def __init__(
@@ -584,9 +545,8 @@ class FederatedSimulationEngine:
             workload_name=workload_name,
             router_name=federation.router.name,
         )
-        fleet_free = federation.free_slots_by_type
         for shard, scheduler in zip(shards, instances, strict=True):
-            engine = SimulationEngine(
+            shard.engine = SimulationEngine(
                 shard.feed,
                 scheduler,
                 cluster=shard.cluster,
@@ -596,10 +556,6 @@ class FederatedSimulationEngine:
                     async_backend_factory() if async_backend_factory is not None else None
                 ),
             )
-            engine.shard_name = shard.name
-            engine.shard_count = len(shards)
-            engine.fleet_free_slots = fleet_free
-            shard.engine = engine
 
         if isinstance(jobs, Sequence):
             if not jobs:
@@ -645,9 +601,7 @@ class FederatedSimulationEngine:
         """
         eps = self.config.eps
         shards = self.federation.shards
-        if self._next_global is None and not any(
-            s.engine._next_arrival is not None or s.engine._active_jobs for s in shards
-        ):
+        if self._next_global is None and not any(shard.num_jobs() for shard in shards):
             return False
         self._iterations += 1
         if self._iterations > self.config.max_iterations:
@@ -658,15 +612,8 @@ class FederatedSimulationEngine:
         # Scheduling pass on every shard whose state changed.
         for index in sorted(self._due):
             shard = shards[index]
-            engine = shard.engine
-            engine._time = self._time
-            engine.advance_cluster_to(self._time)
-            engine._admit_arrivals(self._time)
-            if engine.async_backend is not None:
-                engine._apply_due_decisions(self._time)
-            engine._dispatch()
-            shard.next_event = engine._next_event_time()
-            shard.num_events += 1
+            shard.engine.sync_clock(self._time)
+            shard.next_event = shard.engine.schedule_pass()
         self._due.clear()
 
         next_time = self._next_fleet_event()
@@ -682,10 +629,8 @@ class FederatedSimulationEngine:
         for shard in shards:
             if shard.next_event is None or shard.next_event > self._time + eps:
                 continue
-            engine = shard.engine
-            engine._time = self._time
-            engine.advance_cluster_to(self._time)
-            engine._process_completions(self._time)
+            shard.engine.sync_clock(self._time)
+            shard.engine.completion_pass()
             self._due.add(shard.index)
 
         if (
@@ -696,27 +641,17 @@ class FederatedSimulationEngine:
         return True
 
     def finalize(self) -> FederationMetrics:
-        """Fill the fleet-level metrics (iterations, makespan, utilisation)."""
-        shards = self.federation.shards
+        """Fill the fleet-level metrics and finalize every shard engine.
+
+        Shard utilisation is measured over the *fleet* horizon: a shard that
+        drained early would otherwise report its busy fraction over a
+        shorter window, overstating the aggregate.  (With one shard the
+        horizons coincide, so the single-engine numbers are reproduced.)
+        """
         self.metrics.num_fleet_iterations = self._iterations
         self.metrics.makespan = self._time
-        # Utilization is normalized to the *fleet* horizon for every shard:
-        # a shard that drained early and froze its own clock would otherwise
-        # report its busy fraction over a shorter window, overstating the
-        # aggregate.  (With one shard the horizons coincide, so the
-        # single-engine numbers are reproduced exactly.)
-        horizon = max(self._time, _EPS)
-        for shard in shards:
-            engine = shard.engine
-            engine.metrics.num_events = shard.num_events
-            engine.metrics.makespan = engine._time
-            engine.metrics.utilization = engine.cluster.utilization(horizon)
-            engine.metrics.pool_utilization = engine.cluster.pool_utilization(horizon)
-            engine.metrics.executor_counts = {
-                "regular": len(engine.cluster.regular_executors),
-                "llm": len(engine.cluster.llm_executors),
-            }
-            self.metrics.shards[shard.name] = engine.metrics
+        for shard in self.federation.shards:
+            self.metrics.shards[shard.name] = shard.engine.finalize(horizon=self._time)
         return self.metrics
 
     # ------------------------------------------------------------------ #
@@ -748,11 +683,7 @@ class FederatedSimulationEngine:
                     f"router {self.federation.router.name!r} returned shard index "
                     f"{index} for job {job.job_id!r} (fleet has {len(shards)} shards)"
                 )
-            shard = shards[index]
-            shard.feed.push(job)
-            engine = shard.engine
-            if engine._next_arrival is None:
-                engine._pull_arrival()
+            shards[index].feed.push(job)
             self._due.add(index)
 
     # ------------------------------------------------------------------ #
@@ -802,7 +733,7 @@ class FederatedSimulationEngine:
             # Newest jobs first: they have the least schedule locality to
             # lose, and the ordering is deterministic.
             candidates = sorted(
-                (j for j in source.engine._active_jobs.values() if not j.is_finished),
+                source.engine.unfinished_jobs(),
                 key=lambda j: (j.arrival_time, j.job_id),
                 reverse=True,
             )
@@ -823,39 +754,33 @@ class FederatedSimulationEngine:
 
         Every running task is checkpoint-preempted through the source
         engine (progress conserved, preemption metered per shard).  A task
-        the engine refuses to preempt — completing at this very instant,
-        or stranded on a draining executor — keeps the job pinned to its
-        shard: moving it would orphan the running task's completion.
+        the engine's :meth:`~SimulationEngine.preemptable` guard refuses —
+        completing at this very instant, or stranded on a draining
+        executor — keeps the job pinned to its shard: moving it would
+        orphan the running task's completion.
 
         The migration tick is a fleet-level event, so the source shard's
         clock may lag ``now``; it is synced (and LLM progress accrued)
         first, otherwise the checkpoint would silently roll back the work
-        simulated since the shard's last own event.  Preemptability is
-        checked for *all* running tasks before any directive is applied —
-        checkpointing half a job and then aborting would requeue tasks
-        behind the hot shard's backlog for zero rebalancing benefit.
+        simulated since the shard's last own event.  Every running task
+        passes the guard before any is preempted — checkpointing half a job
+        and then aborting would requeue tasks behind the hot shard's backlog
+        for zero rebalancing benefit.  Preempting one task of the job never
+        changes whether another passes, so none is refused after the check.
         """
         if not target.can_serve(job):
             return False
         engine = source.engine
-        engine._time = now
-        engine.advance_cluster_to(now)
+        engine.sync_clock(now)
         running = [
             task
             for stage in job.unfinished_stages()
             for task in stage.running_tasks()
         ]
-        if not all(self._is_preemptable(engine, task, now) for task in running):
+        if not all(engine.preemptable(task) for task in running):
             return False
         for task in running:
-            engine._apply_preemption(PreemptionDirective(task=task, checkpoint=True))
-        if any(task.state is TaskState.RUNNING for task in running):
-            # The engine stays authoritative: if it still refused a
-            # directive the pre-check missed, the job stays put — but any
-            # slots already freed must be redispatched now rather than
-            # idling until the shard's next (possibly far-future) event.
-            self._due.add(source.index)
-            return False
+            engine.preempt(task)
         # The job changes hands: any live snapshot on the *source* shard
         # must freeze its pre-migration state now, because from here on the
         # target engine mutates it and the source tracker never sees it again.
@@ -878,28 +803,9 @@ class FederatedSimulationEngine:
         )
         return True
 
-    def _is_preemptable(self, engine: SimulationEngine, task, now: float) -> bool:
-        """Mirror of the guards in ``SimulationEngine._apply_preemption``:
-        a task completing at this very instant, or held by a draining /
-        retired executor, cannot be checkpointed off its shard."""
-        if task.state is not TaskState.RUNNING or task.executor_id is None:
-            return False
-        if not engine.cluster.pool_of_executor(task.executor_id).is_active(task.executor_id):
-            return False
-        eps = self.config.eps
-        if task.task_type is TaskType.REGULAR:
-            completion = engine.cluster.executor(task.executor_id).completion_time()
-            return completion is None or completion > now + eps
-        return task.remaining_work > eps
-
     # ------------------------------------------------------------------ #
     def _check_for_deadlock(self) -> None:
-        stuck = [
-            job
-            for shard in self.federation.shards
-            for job in shard.engine._active_jobs.values()
-            if not job.is_finished
-        ]
+        stuck = [job for shard in self.federation.shards for job in shard.engine.unfinished_jobs()]
         if not stuck:
             return
         pending = sum(len(j.schedulable_tasks()) for j in stuck)

@@ -82,11 +82,6 @@ class DecodingLatencyProfile:
             raise ValueError("duration must be >= 0")
         return duration * self.latency(target_batch) / self.latency(observed_batch)
 
-    @classmethod
-    def from_measurements(cls, measurements: Mapping[int, float]) -> "DecodingLatencyProfile":
-        """Build a profile from measured per-token latencies (seconds)."""
-        return cls(table=measurements)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self._table is not None:
             return f"DecodingLatencyProfile(table={self._table})"

@@ -31,6 +31,7 @@ from typing import Callable, List, Optional, Set, Union
 from repro.dag.task import Task, TaskType
 from repro.simulator.executor import LLMExecutor, RegularExecutor
 from repro.simulator.latency import DecodingLatencyProfile
+from repro.utils.validation import require_int
 
 __all__ = ["PoolSpec", "ExecutorPool"]
 
@@ -86,10 +87,8 @@ class PoolSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("pool name must be non-empty")
-        if self.num_executors < 1:
-            raise ValueError("num_executors must be >= 1")
-        if self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
+        require_int(self.num_executors, "num_executors", 1)
+        require_int(self.max_batch_size, "max_batch_size", 1)
         if self.role is not None and self.role not in ("prefill", "decode"):
             raise ValueError(f"role must be 'prefill' or 'decode', got {self.role!r}")
         if self.role is not None and self.task_type is not TaskType.LLM:
@@ -100,10 +99,9 @@ class PoolSpec:
             raise ValueError("latency_slope must be >= 0")
         if self.speed_factor <= 0:
             raise ValueError("speed_factor must be > 0")
-        if self.min_executors < 0:
-            raise ValueError("min_executors must be >= 0")
-        if self.max_executors is not None and self.max_executors < self.min_executors:
-            raise ValueError("max_executors must be >= min_executors")
+        require_int(self.min_executors, "min_executors", 0)
+        if self.max_executors is not None:
+            require_int(self.max_executors, "max_executors", self.min_executors)
 
     @property
     def prefix(self) -> str:

@@ -31,7 +31,7 @@ from repro.dag.job import Job
 from repro.dag.stage import StageState
 from repro.dag.task import Task, TaskType
 from repro.schedulers.base import Scheduler, SchedulingContext
-from repro.simulator.cluster import Cluster, ClusterConfig
+from repro.simulator.cluster import Cluster
 from repro.simulator.engine import SimulationConfig
 from repro.simulator.metrics import SimulationMetrics
 
@@ -48,14 +48,13 @@ class ReferenceSimulationEngine:
         jobs: Sequence[Job],
         scheduler: Scheduler,
         cluster: Optional[Cluster] = None,
-        cluster_config: Optional[ClusterConfig] = None,
         config: Optional[SimulationConfig] = None,
         workload_name: str = "",
     ) -> None:
         if not jobs:
             raise ValueError("cannot simulate an empty job list")
         if cluster is None:
-            cluster = Cluster(cluster_config or ClusterConfig())
+            cluster = Cluster()
         self.cluster = cluster
         self.scheduler = scheduler
         self.config = config or SimulationConfig()

@@ -165,18 +165,6 @@ def readme_pareto_table(store_or_records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def readme_tables(store_or_records) -> Dict[str, str]:
-    """Both README tables (best-effort: absent sections are skipped)."""
-    records = _latest(store_or_records)
-    tables: Dict[str, str] = {}
-    for name, renderer in (("async", readme_async_table), ("pareto", readme_pareto_table)):
-        try:
-            tables[name] = renderer(records)
-        except ReportError:
-            continue
-    return tables
-
-
 def diff_payloads(
     old: Mapping[str, object], new: Mapping[str, object], *, prefix: str = ""
 ) -> List[str]:

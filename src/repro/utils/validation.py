@@ -2,12 +2,26 @@
 
 from __future__ import annotations
 
+import numbers
+
 __all__ = [
+    "require_int",
     "require_positive",
     "require_non_negative",
     "require_probability",
     "require_in_range",
 ]
+
+
+def require_int(value: object, name: str, low: int) -> int:
+    """Return ``value`` if an int (not a bool) >= ``low``, otherwise raise ``ValueError``.
+
+    Specs arrive as JSON, where ``2.5`` and ``true`` parse fine; a count or
+    seed must fail here, naming its field, not deep inside a run.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+    return value
 
 
 def require_positive(value: float, name: str) -> float:

@@ -33,7 +33,7 @@ from typing import Dict, Iterator, Optional, Sequence
 from repro.dag.application import ApplicationTemplate
 from repro.dag.job import Job
 from repro.utils.rng import make_rng
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_int, require_positive
 
 __all__ = [
     "ArrivalProcess",
@@ -104,6 +104,7 @@ class PoissonProcess(ArrivalProcess):
 
     def __post_init__(self) -> None:
         require_positive(self.rate, "rate")
+        require_int(self.seed, "seed", 0)
 
     def times(self) -> Iterator[float]:
         rng = make_rng(self.seed)
@@ -135,6 +136,7 @@ class BurstyProcess(ArrivalProcess):
         require_positive(self.burst_rate, "burst_rate")
         require_positive(self.mean_normal_duration, "mean_normal_duration")
         require_positive(self.mean_burst_duration, "mean_burst_duration")
+        require_int(self.seed, "seed", 0)
 
     def times(self) -> Iterator[float]:
         rng = make_rng(self.seed)
@@ -172,6 +174,7 @@ class DiurnalProcess(ArrivalProcess):
         if not 0.0 <= self.amplitude <= 1.0:
             raise ValueError("amplitude must be within [0, 1]")
         require_positive(self.period, "period")
+        require_int(self.seed, "seed", 0)
 
     def rate_at(self, time: float) -> float:
         return self.mean_rate * (1.0 + self.amplitude * math.sin(2.0 * math.pi * time / self.period))

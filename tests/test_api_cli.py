@@ -119,6 +119,13 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 1
         assert f"invalid settings section: {field} must be" in capsys.readouterr().err
 
+    def test_validate_rejects_fractional_counts(self, tmp_path, capsys):
+        bad = tmp_path / "half_executor.json"
+        config = {"num_regular_executors": 2.5, "num_llm_executors": 1}
+        bad.write_text(json.dumps({"cluster": {"config": config}}))
+        assert main(["validate", str(bad)]) == 1
+        assert "num_regular_executors must be an int >= 1, got 2.5" in capsys.readouterr().err
+
     def test_validate_catches_section_conflicts(self, tmp_path, capsys):
         bad = tmp_path / "conflict.json"
         bad.write_text(

@@ -7,7 +7,9 @@ shapes (sized / config / pools / federated), placement, async latency
 models, autoscaler and settings.
 """
 
+import copy
 import json
+import re
 
 import pytest
 from hypothesis import given, settings as hyp_settings
@@ -45,7 +47,73 @@ from repro.workloads.serving import available_token_mixes
 # --------------------------------------------------------------------------- #
 # Validation: actionable errors
 # --------------------------------------------------------------------------- #
+#: Valid spec documents the integer-field cases below break one field of.
+_CLOSED_DOC = {
+    "workload": {
+        "mode": "closed", "num_jobs": 5, "seed": 1, "token_mix": "chat", "token_seed": 2
+    },
+    "cluster": {"config": {"num_regular_executors": 2, "num_llm_executors": 1, "max_batch_size": 4}},
+    "async": {"kind": "sampled", "samples": [0.5], "seed": 1, "max_in_flight": 2},
+    "autoscaler": {"step": 1},
+}
+_POOLS_DOC = {
+    "cluster": {
+        "pools": [
+            {"name": "cpu", "task_type": "regular", "num_executors": 2},
+            {"name": "gpu", "task_type": "llm", "num_executors": 1, "max_batch_size": 4},
+        ]
+    }
+}
+_FLEET_DOC = {
+    "workload": {
+        "mode": "open",
+        "process": {"kind": "poisson", "rate": 1.0, "seed": 1},
+        "max_jobs": 5,
+        "seed": 1,
+    },
+    "cluster": {
+        "config": {"num_regular_executors": 2, "num_llm_executors": 2},
+        "num_shards": 2,
+        "migration": {"max_migrations_per_check": 2},
+    },
+}
+#: (document, dotted path into it, value a JSON spec may carry there)
+_INT_FIELD_CASES = [
+    (_CLOSED_DOC, "cluster.config.num_regular_executors", 2.5),
+    (_CLOSED_DOC, "cluster.config.num_regular_executors", True),
+    (_CLOSED_DOC, "cluster.config.max_batch_size", 2.5),
+    (_POOLS_DOC, "cluster.pools.0.num_executors", 2.5),
+    (_FLEET_DOC, "cluster.num_shards", 2.0),
+    (_FLEET_DOC, "cluster.migration.max_migrations_per_check", 1.5),
+    (_CLOSED_DOC, "workload.num_jobs", 5.5),
+    (_FLEET_DOC, "workload.max_jobs", 5.5),
+    (_CLOSED_DOC, "workload.seed", 1.5),
+    (_CLOSED_DOC, "workload.token_seed", 2.5),
+    (_FLEET_DOC, "workload.process.seed", 1.5),
+    (_CLOSED_DOC, "async.seed", 1.5),
+    (_CLOSED_DOC, "async.max_in_flight", 1.5),
+    (_CLOSED_DOC, "autoscaler.step", 1.5),
+]
+
+
 class TestValidation:
+    @pytest.mark.parametrize(
+        "doc, path, value", _INT_FIELD_CASES, ids=[f"{p}={v!r}" for _, p, v in _INT_FIELD_CASES]
+    )
+    def test_integer_fields_reject_floats_and_bools(self, doc, path, value):
+        # Each of these used to pass validation, then either crash the run
+        # with a TypeError or run with a value the spec did not say.
+        data = copy.deepcopy(doc)
+        ScenarioSpec.from_dict(data)  # the untouched document is valid
+        *parents, field = path.split(".")
+        node = data
+        for part in parents:
+            node = node[int(part)] if part.isdigit() else node[part]
+        node[field] = value
+        message = rf"{field} must be an int >= \d+, got {re.escape(repr(value))}"
+        with pytest.raises(SpecError, match=message):
+            ScenarioSpec.from_dict(data)
+
     def test_unknown_scheduler_lists_available(self):
         with pytest.raises(SpecError, match="unknown scheduler 'nope'.*available.*fcfs"):
             SchedulerSection("nope")

@@ -96,32 +96,6 @@ class TestDerivedQueries:
         assert marginals["grass_wet"] == pytest.approx([0.0, 1.0])
         assert marginals["rain"].sum() == pytest.approx(1.0)
 
-    def test_map_assignment(self):
-        engine = VariableElimination(build_sprinkler_network())
-        assignment = engine.map_assignment(["rain"], {"grass_wet": 1})
-        assert assignment == {"rain": 0}
-
-    def test_expected_value_uses_state_labels(self):
-        net = DiscreteBayesianNetwork()
-        net.add_node("x", 3, state_labels=[1.0, 5.0, 10.0])
-        net.set_cpd(TabularCPD.from_marginal("x", [0.2, 0.5, 0.3]))
-        engine = VariableElimination(net)
-        assert engine.expected_value("x") == pytest.approx(0.2 * 1 + 0.5 * 5 + 0.3 * 10)
-
-    def test_expected_value_with_evidence_is_label(self):
-        net = DiscreteBayesianNetwork()
-        net.add_node("x", 2, state_labels=[2.0, 8.0])
-        net.set_cpd(TabularCPD.from_marginal("x", [0.5, 0.5]))
-        engine = VariableElimination(net)
-        assert engine.expected_value("x", evidence={"x": 1}) == pytest.approx(8.0)
-
-    def test_expected_value_explicit_values(self):
-        net = DiscreteBayesianNetwork()
-        net.add_node("x", 2)
-        net.set_cpd(TabularCPD.from_marginal("x", [0.25, 0.75]))
-        engine = VariableElimination(net)
-        assert engine.expected_value("x", state_values=[0.0, 4.0]) == pytest.approx(3.0)
-
 
 class TestLargerNetwork:
     def test_chain_of_five_posterior_consistency(self):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.calibration import BatchingAwareCalibrator
-from repro.schedulers.base import SchedulingContext
 from repro.simulator.latency import DecodingLatencyProfile
 
 
@@ -27,25 +26,6 @@ class TestBatchingAwareCalibrator:
         assert calibrator.calibrate(10.0, 2.4) == pytest.approx(
             calibrator.calibrate(10.0, 2)
         )
-
-    def test_context_helper_uses_average_batch(self):
-        calibrator = BatchingAwareCalibrator(DecodingLatencyProfile(slope=0.1))
-        context = SchedulingContext(time=0.0, jobs=[], llm_batch_sizes=[4, 8])
-        assert calibrator.calibrate_for_context(10.0, context) == pytest.approx(
-            calibrator.calibrate(10.0, 6)
-        )
-
-    def test_context_helper_ignores_idle_executors(self):
-        # Underloaded cluster: one executor runs a batch of 4, three sit
-        # idle.  The calibrated duration must reflect the busy batch (4),
-        # not a zero-deflated fleet average (old behavior: batch 1).
-        calibrator = BatchingAwareCalibrator(DecodingLatencyProfile(slope=0.1))
-        context = SchedulingContext(time=0.0, jobs=[], llm_batch_sizes=[4, 0, 0, 0])
-        assert calibrator.calibrate_for_context(10.0, context) == pytest.approx(
-            calibrator.calibrate(10.0, 4)
-        )
-        idle = SchedulingContext(time=0.0, jobs=[], llm_batch_sizes=[0, 0])
-        assert calibrator.calibrate_for_context(10.0, idle) == pytest.approx(10.0)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -204,12 +204,6 @@ class TestDurationEstimation:
         estimate = fitted_profiler.estimate_remaining_duration(job)
         assert lower <= estimate <= upper
 
-    def test_expected_stage_duration(self, fitted_profiler):
-        value = fitted_profiler.expected_stage_duration("sequence_sorting", "ss_split", {})
-        assert value > 0
-        with pytest.raises(KeyError):
-            fitted_profiler.expected_stage_duration("sequence_sorting", "nope", {})
-
 
 class TestUncertaintyReduction:
     def test_correlated_variables_nonempty_for_root_stage(self, fitted_profiler):

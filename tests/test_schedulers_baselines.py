@@ -178,6 +178,11 @@ class TestRegistry:
         with pytest.raises(ValueError):
             create_scheduler("sjf")
 
+    def test_llmsched_without_profiler_names_the_fix(self):
+        # Config kwargs do not stand in for the fitted profiler.
+        with pytest.raises(ValueError, match="requires a fitted profiler"):
+            create_scheduler("llmsched", epsilon=0.2)
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             create_scheduler("mystery")

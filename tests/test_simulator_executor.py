@@ -135,10 +135,3 @@ class TestLLMExecutorBatching:
         executor.advance_to(6.0)
         assert executor.busy_time == pytest.approx(1.0)
 
-    def test_finished_tasks_at_horizon(self):
-        executor = LLMExecutor("l0", 4)
-        a, b = llm_task(1.0), llm_task(5.0)
-        executor.add_task(a, 0.0)
-        executor.add_task(b, 0.0)
-        done = executor.finished_tasks_at(1.1)
-        assert a in done and b not in done

@@ -232,11 +232,6 @@ class TestFleetConstruction:
         with pytest.raises(ValueError, match="at least one shard"):
             FederatedCluster([])
 
-    def test_homogeneous_builder(self):
-        fleet = FederatedCluster.homogeneous(3, lambda: Cluster(CLUSTER))
-        assert [s.name for s in fleet.shards] == ["shard-0", "shard-1", "shard-2"]
-        assert len({id(s.cluster) for s in fleet.shards}) == 3
-
     def test_shared_scheduler_instance_rejected(self):
         shared = FcfsScheduler()
         fleet = two_shard_fleet()
@@ -254,26 +249,6 @@ class TestFleetConstruction:
         fleet = two_shard_fleet()
         with pytest.raises(ValueError, match="duplicate job id"):
             FederatedSimulationEngine(iter(dup), FcfsScheduler, fleet).run()
-
-    def test_context_exposes_shard_view(self):
-        seen = []
-
-        class Spy(FcfsScheduler):
-            def schedule(self, context):
-                seen.append(
-                    (context.shard_name, context.shard_count, dict(context.fleet_free_slots))
-                )
-                return super().schedule(context)
-
-        fleet = two_shard_fleet()
-        FederatedSimulationEngine(stream(max_jobs=10), Spy, fleet).run()
-        assert seen
-        names = {name for name, _, _ in seen}
-        assert names <= {"s0", "s1"}
-        assert all(count == 2 for _, count, _ in seen)
-        assert all(
-            set(free) == {TaskType.REGULAR, TaskType.LLM} for _, _, free in seen
-        )
 
 
 # --------------------------------------------------------------------------- #

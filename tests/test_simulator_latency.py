@@ -52,10 +52,6 @@ class TestTableProfile:
         with pytest.raises(ValueError):
             DecodingLatencyProfile(table={})
 
-    def test_from_measurements(self):
-        profile = DecodingLatencyProfile.from_measurements({1: 0.025, 8: 0.04})
-        assert profile.latency(8) == pytest.approx(1.6)
-
 
 class TestCalibration:
     def test_same_batch_is_identity(self):

@@ -204,7 +204,7 @@ class TestEnginePreemption:
         assert placed is not None
         cluster.pool("cpu").scale_down(1)  # busy executor drains
         assert not cluster.pool("cpu").is_active(placed)
-        engine._apply_preemption(PreemptionDirective(task=task))
+        assert engine.preempt(task) is False
         assert task.state is TaskState.RUNNING  # skipped, still running
         assert engine.metrics.num_preemptions == 0
 

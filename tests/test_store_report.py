@@ -22,7 +22,6 @@ from repro.store.report import (
     diff_payloads,
     readme_async_table,
     readme_pareto_table,
-    readme_tables,
     render_bench_artifact,
 )
 
@@ -88,15 +87,10 @@ class TestReadmeTables:
         table = readme_pareto_table(full_store)
         assert table in (REPO_ROOT / "README.md").read_text()
 
-    def test_readme_tables_collects_both(self, full_store):
-        tables = readme_tables(full_store)
-        assert set(tables) == {"async", "pareto"}
-
     def test_missing_section_raises(self, tmp_path):
         empty = RunStore(tmp_path / "empty")
         with pytest.raises(ReportError, match="async_latency_degradation"):
             readme_async_table(empty)
-        assert readme_tables(empty) == {}
 
 
 class TestCommittedBaselineStore:

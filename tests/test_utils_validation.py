@@ -1,13 +1,26 @@
 """Tests for validation helpers."""
 
+import numpy as np
 import pytest
 
 from repro.utils.validation import (
     require_in_range,
+    require_int,
     require_non_negative,
     require_positive,
     require_probability,
 )
+
+
+class TestRequireInt:
+    @pytest.mark.parametrize("value", [0, 7, np.int64(3)])
+    def test_accepts_integers_at_or_above_low(self, value):
+        assert require_int(value, "n", 0) == value
+
+    @pytest.mark.parametrize("value", [-1, 2.0, 2.5, True, "3", None])
+    def test_rejects_what_is_not_an_int_at_or_above_low(self, value):
+        with pytest.raises(ValueError, match=r"n must be an int >= 0"):
+            require_int(value, "n", 0)
 
 
 class TestRequirePositive:

@@ -68,13 +68,6 @@ class TestCommonApplicationContract:
         app = app_cls()
         assert app.estimate_mean_duration(make_rng(2), n_samples=10) > 0
 
-    def test_sample_jobs_batch(self, app_cls):
-        app = app_cls()
-        jobs = app.sample_jobs(5, make_rng(3), arrival_times=[0, 1, 2, 3, 4])
-        assert len(jobs) == 5
-        assert [j.arrival_time for j in jobs] == [0, 1, 2, 3, 4]
-        assert len({j.job_id for j in jobs}) == 5
-
 
 def complete_job_serially(job):
     """Complete every schedulable stage in topological order; return makespan."""

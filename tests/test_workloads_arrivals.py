@@ -74,6 +74,20 @@ class TestProcesses:
         with pytest.raises(ValueError):
             TraceReplayProcess(trace=(-1.0,))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda seed: PoissonProcess(rate=1.0, seed=seed),
+            lambda seed: BurstyProcess(base_rate=1.0, burst_rate=8.0, seed=seed),
+            lambda seed: DiurnalProcess(mean_rate=1.0, seed=seed),
+        ],
+        ids=["poisson", "bursty", "diurnal"],
+    )
+    def test_seed_must_be_a_non_negative_int(self, make):
+        for seed in (1.5, True, -1):
+            with pytest.raises(ValueError, match="seed must be an int >= 0"):
+                make(seed)
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             PoissonProcess(rate=0.0)
