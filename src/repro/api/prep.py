@@ -8,8 +8,6 @@ dispatcher, so both import it without a cycle.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Sequence
 
@@ -23,7 +21,7 @@ from repro.schedulers.registry import PAPER_BASELINES
 from repro.simulator.cluster import ClusterConfig
 from repro.simulator.latency import DecodingLatencyProfile
 from repro.utils.rng import make_rng
-from repro.utils.validation import require_int
+from repro.utils.validation import require_int, require_real
 from repro.workloads.mixtures import WorkloadSpec
 
 __all__ = [
@@ -71,14 +69,9 @@ class ExperimentSettings:
             ("profiler_seed", 0),
         ):
             require_int(getattr(self, name), name, low)
-        for name in ("target_load", "latency_slope"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if not 0.0 < self.target_load <= 2.0:
+        if not 0.0 < require_real(self.target_load, "target_load", 0.0) <= 2.0:
             raise ValueError("target_load must be within (0, 2]")
-        if not 0.0 <= self.latency_slope < math.inf:
-            raise ValueError(f"latency_slope must be finite and >= 0, got {self.latency_slope!r}")
+        require_real(self.latency_slope, "latency_slope", 0.0)
         if self.snapshot_policy not in ("cow", "deepcopy"):
             raise ValueError(
                 f"snapshot_policy must be 'cow' or 'deepcopy', got {self.snapshot_policy!r}"

@@ -30,7 +30,6 @@ carry no versions, and there every call recomputes every job.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -41,7 +40,7 @@ from repro.dag.stage import Stage
 from repro.dag.task import Task
 from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingDecision
 from repro.utils.rng import make_rng
-from repro.utils.validation import require_probability
+from repro.utils.validation import require_bool, require_int, require_probability, require_real
 
 __all__ = ["LLMSchedConfig", "LLMSchedScheduler"]
 
@@ -77,15 +76,10 @@ class LLMSchedConfig:
         # Specs arrive as JSON: a quoted "false" is truthy, and a negative
         # seed would only fail inside numpy without naming the field.
         for name in ("epsilon", "sampling_ratio"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            require_probability(value, name)
+            require_probability(require_real(getattr(self, name), name, 0.0), name)
         for name in ("use_bn", "use_uncertainty"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
+            require_bool(getattr(self, name), name)
+        require_int(self.seed, "seed", 0)
 
 
 class LLMSchedScheduler(Scheduler):

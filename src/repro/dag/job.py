@@ -56,6 +56,8 @@ class Job:
         # Schedulable-stage cache: invalidated by advance() and by the
         # simulator whenever it places tasks (see invalidate_schedulable_cache).
         self._sched_cache: Optional[List[Stage]] = None
+        # Stage id -> insertion index, built on first use (see stage_position).
+        self._positions: Optional[Dict[str, int]] = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -122,6 +124,17 @@ class Job:
 
     def stage(self, stage_id: str) -> Stage:
         return self._stages[stage_id]
+
+    def stage_position(self, stage_id: str) -> int:
+        """Index of ``stage_id`` in the insertion order of :attr:`stages`.
+
+        The stage set is frozen at :meth:`finalize`, so the table is built
+        once, at the first call, and shared with later snapshot clones.
+        """
+        if self._positions is None:
+            self._require_finalized()
+            self._positions = {sid: i for i, sid in enumerate(self._stages)}
+        return self._positions[stage_id]
 
     def parents(self, stage_id: str) -> List[str]:
         return sorted(self._graph.predecessors(stage_id))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import abc
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.dag.job import Job
 from repro.dag.stage import Stage
@@ -99,6 +99,12 @@ class SchedulingContext:
     #: The engine's live ready index (set on live engine contexts only;
     #: :meth:`snapshot` never copies it).
     _ready: Optional[ReadyIndex] = field(default=None, repr=False, compare=False)
+    #: The engine's running set (live contexts of preemptive schedulers
+    #: only); their snapshots keep its ``(job_id, stage_id, index)`` keys.
+    _running: Optional[List[Task]] = field(default=None, repr=False, compare=False)
+    _running_keys: Optional[List[Tuple[str, str, int]]] = field(
+        default=None, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------ #
     def ready_jobs(self, task_type: TaskType) -> Sequence[Job]:
@@ -137,7 +143,23 @@ class SchedulingContext:
         return [t for s in self.schedulable_stages() for t in s.pending_tasks()]
 
     def running_tasks(self) -> List[Task]:
-        """Tasks currently placed on executors (preemption candidates)."""
+        """Tasks currently placed on executors (preemption candidates).
+
+        In job-walk order, which preemption budgets are spent in: jobs as in
+        ``jobs``, stages by ``Job.stage_position``, tasks by index.  Live
+        engine contexts of preemptive schedulers copy the list the engine
+        collected from its executors, and their snapshots resolve its keys
+        in their own jobs, so they return frozen tasks.  Other contexts
+        (bare, non-preemptive, reference engine) walk every job's stages.
+        """
+        if self._running is not None:
+            return list(self._running)
+        if self._running_keys is not None:
+            jobs = self._jobs_index()
+            return [
+                jobs[job_id].stage(stage_id).tasks[index]
+                for job_id, stage_id, index in self._running_keys
+            ]
         tasks: List[Task] = []
         for job in self.jobs:
             # Running tasks only exist in non-complete stages, and
@@ -146,13 +168,16 @@ class SchedulingContext:
                 tasks.extend(stage.running_tasks())
         return tasks
 
-    def job_of(self, task: Task) -> Job:
+    def _jobs_index(self) -> Dict[str, Job]:
         index = self._jobs_by_id
         if index is None:
             index = {job.job_id: job for job in self.jobs}
             self._jobs_by_id = index
+        return index
+
+    def job_of(self, task: Task) -> Job:
         try:
-            return index[task.job_id]
+            return self._jobs_index()[task.job_id]
         except KeyError:
             raise KeyError(f"task {task.key()} belongs to no active job") from None
 
@@ -196,9 +221,10 @@ class SchedulingContext:
 
         Either way a scheduler deciding against the snapshot sees the
         cluster exactly as it was at ``time`` no matter what the live
-        simulation does in the meantime.  Tasks inside a decision computed
-        from a snapshot may be copies; whoever applies the decision must
-        map them back onto the live jobs by key (see
+        simulation does in the meantime; a live running set is kept as task
+        keys and resolved in the snapshot's own jobs.  Tasks inside a
+        decision computed from a snapshot may be copies; whoever applies
+        the decision must map them back onto the live jobs by key (see
         ``SimulationEngine._resolve_live_task`` — under COW the mapping is
         usually the identity, but the engine never relies on that).
 
@@ -211,26 +237,10 @@ class SchedulingContext:
                 "cannot snapshot a snapshot: this context was already frozen "
                 f"at t={self.snapshot_time}; take snapshots from the live context"
             )
-        if self._cow_tracker is not None:
-            snapshot = SchedulingContext(
-                time=self.time,
-                jobs=list(self.jobs),
-                free_regular_slots=self.free_regular_slots,
-                free_llm_slots=self.free_llm_slots,
-                llm_batch_sizes=list(self.llm_batch_sizes),
-                inactive_executor_ids=set(self.inactive_executor_ids),
-                executor_speeds=dict(self.executor_speeds),
-                executor_roles=dict(self.executor_roles),
-                snapshot_time=self.time,
-            )
-            snapshot._cow_shared = {
-                job.job_id: index for index, job in enumerate(snapshot.jobs)
-            }
-            self._cow_tracker.register(snapshot)
-            return snapshot
-        return SchedulingContext(
+        tracker = self._cow_tracker
+        snapshot = SchedulingContext(
             time=self.time,
-            jobs=copy.deepcopy(self.jobs),
+            jobs=list(self.jobs) if tracker is not None else copy.deepcopy(self.jobs),
             free_regular_slots=self.free_regular_slots,
             free_llm_slots=self.free_llm_slots,
             llm_batch_sizes=list(self.llm_batch_sizes),
@@ -239,6 +249,14 @@ class SchedulingContext:
             executor_roles=dict(self.executor_roles),
             snapshot_time=self.time,
         )
+        if self._running is not None:
+            snapshot._running_keys = [(t.job_id, t.stage_id, t.index) for t in self._running]
+        if tracker is not None:
+            snapshot._cow_shared = {
+                job.job_id: index for index, job in enumerate(snapshot.jobs)
+            }
+            tracker.register(snapshot)
+        return snapshot
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from typing import List
 from repro.dag.task import Task
 from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingDecision
 from repro.schedulers.priors import ApplicationPriors
+from repro.utils.validation import require_real
 
 __all__ = ["CarbyneScheduler"]
 
@@ -33,10 +34,10 @@ class CarbyneScheduler(Scheduler):
     name = "carbyne"
 
     def __init__(self, priors: ApplicationPriors, primary_fraction: float = 0.7) -> None:
-        if not 0.0 < primary_fraction <= 1.0:
+        self._primary_fraction = require_real(primary_fraction, "primary_fraction", 0.0)
+        if not 0.0 < self._primary_fraction <= 1.0:
             raise ValueError("primary_fraction must be within (0, 1]")
         self._priors = priors
-        self._primary_fraction = primary_fraction
 
     def schedule(self, context: SchedulingContext) -> SchedulingDecision:
         jobs_by_remaining = sorted(

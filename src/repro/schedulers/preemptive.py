@@ -19,6 +19,7 @@ from repro.dag.task import Task, TaskType
 from repro.schedulers.base import PreemptionDirective, SchedulingContext, SchedulingDecision
 from repro.schedulers.priors import ApplicationPriors
 from repro.schedulers.srtf import RemainingEstimator, SrtfScheduler
+from repro.utils.validation import require_bool, require_int, require_real
 
 __all__ = ["PreemptiveSrtfScheduler"]
 
@@ -64,16 +65,14 @@ class PreemptiveSrtfScheduler(SrtfScheduler):
         checkpoint: bool = True,
     ) -> None:
         super().__init__(priors=priors, remaining_estimator=remaining_estimator)
-        if min_advantage < 0:
-            raise ValueError("min_advantage must be >= 0")
-        if max_preemptions_per_event < 1:
-            raise ValueError("max_preemptions_per_event must be >= 1")
-        if min_victim_remaining < 0:
-            raise ValueError("min_victim_remaining must be >= 0")
-        self._min_advantage = float(min_advantage)
-        self._max_preemptions = int(max_preemptions_per_event)
-        self._min_victim_remaining = float(min_victim_remaining)
-        self._checkpoint = bool(checkpoint)
+        self._min_advantage = require_real(min_advantage, "min_advantage", 0.0)
+        self._max_preemptions = require_int(
+            max_preemptions_per_event, "max_preemptions_per_event", 1
+        )
+        self._min_victim_remaining = require_real(
+            min_victim_remaining, "min_victim_remaining", 0.0
+        )
+        self._checkpoint = require_bool(checkpoint, "checkpoint")
 
     def schedule(self, context: SchedulingContext) -> SchedulingDecision:
         decision, remaining = self._schedule_with_remaining(context)

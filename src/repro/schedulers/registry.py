@@ -134,9 +134,6 @@ def check_scheduler_kwargs(name: str, kwargs: Mapping[str, object]) -> None:
         from repro.core.llmsched import LLMSchedConfig
 
         valid = {f.name for f in dataclasses.fields(LLMSchedConfig)}
-        if set(kwargs) <= valid:
-            # Build the config: a bad value fails here, naming its field.
-            replace(LLMSchedConfig(), **kwargs)
     else:
         cls = _SCHEDULER_CLASSES.get(key)
         if cls is None:
@@ -145,17 +142,24 @@ def check_scheduler_kwargs(name: str, kwargs: Mapping[str, object]) -> None:
         import inspect
 
         # ``priors`` is supplied by create_scheduler itself; a trained
-        # Decima ``policy`` has no JSON form.
+        # Decima ``policy`` and an SRTF ``remaining_estimator`` (a
+        # function) have no JSON form.
         valid = {
             p
             for p in inspect.signature(cls.__init__).parameters
-            if p not in ("self", "priors", "policy")
+            if p not in ("self", "priors", "policy", "remaining_estimator")
         }
     unknown = sorted(set(kwargs) - valid)
     if unknown:
         raise ValueError(
             f"scheduler {name!r} does not accept kwargs {unknown}; valid: {sorted(valid)}"
         )
+    # Build what the kwargs configure: a bad value fails here, naming its
+    # field.  Empty priors stand in for the fitted ones.
+    if key in LLMSCHED_VARIANTS:
+        replace(LLMSchedConfig(), **kwargs)
+    else:
+        create_scheduler(key, priors=ApplicationPriors({}), **kwargs)
 
 
 def create_scheduler(

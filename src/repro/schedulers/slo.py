@@ -42,6 +42,7 @@ from repro.schedulers.base import (
     SchedulingContext,
     SchedulingDecision,
 )
+from repro.utils.validation import require_int, require_real
 from repro.workloads.serving import DEFAULT_SLO_TARGETS
 
 __all__ = ["SloServingScheduler"]
@@ -87,22 +88,18 @@ class SloServingScheduler(Scheduler):
         max_preemptions_per_event: int = 8,
         min_victim_remaining: float = 1e-6,
     ) -> None:
-        if latency_slope < 0:
-            raise ValueError("latency_slope must be >= 0")
-        if slack_margin < 0:
-            raise ValueError("slack_margin must be >= 0")
-        if max_preemptions_per_event < 1:
-            raise ValueError("max_preemptions_per_event must be >= 1")
-        if min_victim_remaining < 0:
-            raise ValueError("min_victim_remaining must be >= 0")
+        self._slope = require_real(latency_slope, "latency_slope", 0.0)
+        self._slack_margin = require_real(slack_margin, "slack_margin", 0.0)
+        self._max_preemptions = require_int(
+            max_preemptions_per_event, "max_preemptions_per_event", 1
+        )
+        self._min_victim_remaining = require_real(
+            min_victim_remaining, "min_victim_remaining", 0.0
+        )
         targets = slo_targets if slo_targets is not None else DEFAULT_SLO_TARGETS
         self._targets: Dict[str, Dict[str, float]] = {
             tier: dict(values) for tier, values in targets.items()
         }
-        self._slope = float(latency_slope)
-        self._slack_margin = float(slack_margin)
-        self._max_preemptions = int(max_preemptions_per_event)
-        self._min_victim_remaining = float(min_victim_remaining)
 
     # ------------------------------------------------------------------ #
     # SLO bookkeeping

@@ -44,6 +44,9 @@ implementation keeps indexed state instead:
   instead of the whole backlog.  Every touch, and every task completion,
   also stamps the job with a new version (``context.job_version``), so
   LLMSched reuses a job's posterior estimate until its evidence changes.
+* **Running set** — live contexts of preemptive schedulers get the
+  executors' tasks, sorted into the order of a walk over every active job
+  (admission number, stage position, task index), without that walk.
 * **Capacity** — free-slot counts are maintained incrementally by the
   :class:`~repro.simulator.cluster.Cluster`, so building a
   :class:`~repro.schedulers.base.SchedulingContext` does not recompute
@@ -63,6 +66,7 @@ entries in :class:`SimulationMetrics`.
 
 from __future__ import annotations
 
+import itertools
 import time as wallclock
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
@@ -182,6 +186,9 @@ class SimulationEngine:
         self._time = 0.0
         self._iterations = 0
         self._active_jobs: Dict[str, Job] = {}
+        # Admission number per active job: _active_jobs is in this order.
+        self._admitted: Dict[str, int] = {}
+        self._admissions = itertools.count()
         self._ready = ReadyIndex(self._active_jobs)
         self._seen_job_ids: Set[str] = set()
         self._last_arrival_time = 0.0
@@ -324,16 +331,33 @@ class SimulationEngine:
     # Every site that invalidates a job's schedulable-stage cache touches
     # the job in the ready index, and the two helpers below are the only
     # writers of the active-job set, so the index always matches what
-    # ``ready_jobs_of`` derives from the active jobs.
+    # ``ready_jobs_of`` derives from the active jobs, and admission numbers
+    # follow the set's order (a job migrated in goes last in both).
     def _activate_job(self, job: Job) -> None:
         """Make ``job`` active on this engine (arrival or migration in)."""
         self._active_jobs[job.job_id] = job
+        self._admitted[job.job_id] = next(self._admissions)
         self._ready.touch(job)
 
     def _deactivate_job(self, job: Job) -> None:
         """Drop ``job`` from this engine (completion or migration out)."""
         self._active_jobs.pop(job.job_id, None)
+        self._admitted.pop(job.job_id, None)
         self._ready.discard(job)
+
+    def _running_tasks(self) -> List[Task]:
+        """The executors' tasks in the order of the walk over ``context.jobs``:
+        by job admission number, stage position, then task index."""
+        running = [
+            e.current_task for e in self.cluster.regular_executors if e.current_task is not None
+        ]
+        for executor in self.cluster.llm_executors:
+            running.extend(executor.running)
+        admitted, jobs = self._admitted, self._active_jobs
+        running.sort(
+            key=lambda t: (admitted[t.job_id], jobs[t.job_id].stage_position(t.stage_id), t.index)
+        )
+        return running
 
     def advance_cluster_to(self, time: float) -> None:
         """Accrue executor progress up to ``time`` (COW-safely).
@@ -410,6 +434,7 @@ class SimulationEngine:
             # copied, so this costs two references per context.
             context.executor_speeds = self.cluster.executor_speeds()
             context.executor_roles = self.cluster.executor_roles()
+            context._running = self._running_tasks()
         context._cow_tracker = self._cow
         return context
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 
 __all__ = [
     "require_int",
+    "require_real",
+    "require_bool",
     "require_positive",
     "require_non_negative",
     "require_probability",
@@ -21,6 +24,29 @@ def require_int(value: object, name: str, low: int) -> int:
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+    return value
+
+
+def require_real(value: object, name: str, low: float) -> float:
+    """Return ``value`` as a float if a finite number (not a bool) >= ``low``.
+
+    Otherwise raise ``ValueError``: JSON's ``true`` would run as 1.0, and a
+    string would only fail at its first comparison, without naming its field.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or value < low
+    ):
+        raise ValueError(f"{name} must be a finite number >= {low}, got {value!r}")
+    return float(value)
+
+
+def require_bool(value: object, name: str) -> bool:
+    """Return ``value`` if a bool, otherwise raise ``ValueError`` (``"no"`` is truthy)."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
     return value
 
 

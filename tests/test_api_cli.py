@@ -99,6 +99,13 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 1
         assert "epsilon must be within [0, 1]" in capsys.readouterr().err
 
+    def test_validate_rejects_bad_slo_serving_kwargs(self, tmp_path, capsys):
+        bad = tmp_path / "bad_slo_kwargs.json"
+        kwargs = {"max_preemptions_per_event": 0}
+        bad.write_text(json.dumps({"scheduler": {"name": "slo_serving", "kwargs": kwargs}}))
+        assert main(["validate", str(bad)]) == 1
+        assert "max_preemptions_per_event must be an int >= 1, got 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "field, value",
         [

@@ -94,6 +94,23 @@ _INT_FIELD_CASES = [
     (_CLOSED_DOC, "async.max_in_flight", 1.5),
     (_CLOSED_DOC, "autoscaler.step", 1.5),
 ]
+#: (example spec, scheduler, kwargs with one bad value, the error it must raise)
+_PREEMPTIVE_KWARG_CASES = [
+    ("serving_slo_chat", "slo_serving", {"max_preemptions_per_event": 0},
+     "max_preemptions_per_event must be an int >= 1, got 0"),
+    ("serving_slo_chat", "slo_serving", {"max_preemptions_per_event": 2.5},
+     "max_preemptions_per_event must be an int >= 1, got 2.5"),
+    ("serving_slo_chat", "slo_serving", {"slack_margin": True},
+     "slack_margin must be a finite number >= 0.0, got True"),
+    ("serving_slo_chat", "slo_serving", {"min_victim_remaining": "soon"},
+     "min_victim_remaining must be a finite number >= 0.0, got 'soon'"),
+    ("open_loop_bursty_srtf", "srtf_preempt", {"max_preemptions_per_event": 2.5},
+     "max_preemptions_per_event must be an int >= 1, got 2.5"),
+    ("open_loop_bursty_srtf", "srtf_preempt", {"checkpoint": "no"},
+     "checkpoint must be a bool, got 'no'"),
+    ("open_loop_bursty_srtf", "srtf", {"remaining_estimator": "oracle"},
+     "does not accept kwargs ['remaining_estimator']"),
+]
 
 
 class TestValidation:
@@ -140,6 +157,24 @@ class TestValidation:
         # Values, not just names, are checked before the profiler fit.
         with pytest.raises(SpecError, match=f"{field} must be"):
             SchedulerSection("llmsched_wo_bn", kwargs=kwargs)
+
+    @pytest.mark.parametrize(
+        "example, name, kwargs, message",
+        _PREEMPTIVE_KWARG_CASES,
+        ids=[f"{n}-{k}={v!r}" for _, n, kw, _ in _PREEMPTIVE_KWARG_CASES for k, v in kw.items()],
+    )
+    def test_bad_preemptive_kwarg_values_fail_at_validation(self, example, name, kwargs, message):
+        # Each of these used to validate, then fail inside the run (0, "soon",
+        # "oracle") or run with a value the spec did not say (2.5, true, "no").
+        from pathlib import Path
+
+        path = Path(__file__).parent.parent / "examples" / "specs" / f"{example}.json"
+        doc = json.loads(path.read_text())
+        doc["scheduler"] = {"name": name}
+        ScenarioSpec.from_dict(doc)  # the scheduler without kwargs is valid
+        doc["scheduler"]["kwargs"] = kwargs
+        with pytest.raises(SpecError, match=re.escape(message)):
+            ScenarioSpec.from_dict(doc)
 
     def test_baseline_kwargs_pass_through(self):
         # srtf_preempt genuinely accepts constructor kwargs.

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.schedulers.fcfs import FcfsScheduler
+from repro.schedulers.preemptive import PreemptiveSrtfScheduler
 from repro.simulator.cluster import Cluster, ClusterConfig
 from repro.simulator.engine import SimulationConfig, SimulationEngine
 from repro.workloads.mixtures import (
@@ -32,9 +33,20 @@ from repro.workloads.mixtures import (
 APPLICATIONS = default_applications()
 CLUSTER = ClusterConfig(num_regular_executors=2, num_llm_executors=1, max_batch_size=4)
 POLICIES = ("cow", "deepcopy")
+#: FCFS contexts walk the jobs for their running set (and never read it);
+#: srtf_preempt contexts carry the engine's list and snapshot its keys.
+SCHEDULERS = ("fcfs", "srtf_preempt")
 
 
-def build_engine(seed, num_jobs, arrival_rate, snapshot_policy="cow"):
+def make_scheduler(name):
+    if name == "fcfs":
+        return FcfsScheduler()
+    return PreemptiveSrtfScheduler(
+        remaining_estimator=lambda job, context: job.true_remaining_work()
+    )
+
+
+def build_engine(seed, num_jobs, arrival_rate, snapshot_policy="cow", scheduler="fcfs"):
     spec = WorkloadSpec(
         workload_type=WorkloadType.MIXED,
         num_jobs=num_jobs,
@@ -44,7 +56,7 @@ def build_engine(seed, num_jobs, arrival_rate, snapshot_policy="cow"):
     jobs = generate_workload(spec, applications=APPLICATIONS)
     return SimulationEngine(
         jobs,
-        FcfsScheduler(),
+        make_scheduler(scheduler),
         cluster=Cluster(CLUSTER),
         config=SimulationConfig(snapshot_policy=snapshot_policy),
     )
@@ -57,6 +69,9 @@ def context_digest(context):
         "free_regular": context.free_regular_slots,
         "free_llm": context.free_llm_slots,
         "batch_sizes": list(context.llm_batch_sizes),
+        "running": [
+            (t.key(), t.state.name, t.remaining_work) for t in context.running_tasks()
+        ],
         "jobs": [],
     }
     for job in context.jobs:
@@ -81,6 +96,7 @@ def context_digest(context):
     return digest
 
 
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
 @pytest.mark.parametrize("policy", POLICIES)
 @settings(max_examples=25, deadline=None)
 @given(
@@ -91,9 +107,9 @@ def context_digest(context):
     mutation_steps=st.integers(min_value=1, max_value=40),
 )
 def test_snapshot_survives_live_mutations(
-    policy, seed, num_jobs, arrival_rate, warmup_steps, mutation_steps
+    policy, scheduler, seed, num_jobs, arrival_rate, warmup_steps, mutation_steps
 ):
-    engine = build_engine(seed, num_jobs, arrival_rate, snapshot_policy=policy)
+    engine = build_engine(seed, num_jobs, arrival_rate, snapshot_policy=policy, scheduler=scheduler)
     for _ in range(warmup_steps):
         if not engine.step():
             break
@@ -111,6 +127,7 @@ def test_snapshot_survives_live_mutations(
     assert context_digest(snapshot) == before
 
 
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
@@ -120,7 +137,7 @@ def test_snapshot_survives_live_mutations(
     mutation_steps=st.integers(min_value=1, max_value=30),
 )
 def test_cow_and_deepcopy_snapshots_observationally_identical(
-    seed, num_jobs, arrival_rate, warmup_steps, mutation_steps
+    scheduler, seed, num_jobs, arrival_rate, warmup_steps, mutation_steps
 ):
     """The tentpole equivalence property: run the *same* deterministic
     simulation under both snapshot policies, snapshot both at the same
@@ -128,8 +145,8 @@ def test_cow_and_deepcopy_snapshots_observationally_identical(
     must agree observable-field-for-observable-field at every step, and the
     two live worlds must stay bit-identical (COW bookkeeping must not
     perturb the simulation itself)."""
-    cow_engine = build_engine(seed, num_jobs, arrival_rate, snapshot_policy="cow")
-    ref_engine = build_engine(seed, num_jobs, arrival_rate, snapshot_policy="deepcopy")
+    cow_engine = build_engine(seed, num_jobs, arrival_rate, "cow", scheduler)
+    ref_engine = build_engine(seed, num_jobs, arrival_rate, "deepcopy", scheduler)
     for _ in range(warmup_steps):
         cow_alive = cow_engine.step()
         ref_alive = ref_engine.step()

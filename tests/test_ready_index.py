@@ -1,6 +1,7 @@
-"""The engine-kept ready index and the FCFS walk that reads it.
+"""The engine-kept ready index, the FCFS walk that reads it, and the live
+running set.
 
-Two oracles:
+Three oracles:
 
 * ``ready_jobs_of`` over an engine's active jobs is what its
   :class:`ReadyIndex` must hold after every step, across the feature
@@ -10,12 +11,16 @@ Two oracles:
 * The pre-index FCFS order (jobs by arrival, stages by depth) is what a
   snapshot-mode FCFS decision must list, and a live decision must be its
   prefix, cut at the context's free slots.
+* The job walk of a bare context is what a preemptive scheduler's live
+  context must list as its running set after every step (same objects,
+  same order), and what its snapshot must list, by key, from its own jobs.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dag.job import Job
 from repro.dag.task import TaskType
 from repro.schedulers.base import SchedulingContext
 from repro.schedulers.fcfs import FcfsScheduler
@@ -34,6 +39,7 @@ from repro.simulator.federation import (
 )
 from repro.simulator.placement import PoolAffinityPlacement, create_placement_policy
 from repro.simulator.pool import PoolSpec
+from repro.simulator.reference import ReferenceSimulationEngine
 from repro.utils.rng import make_rng
 from repro.workloads.arrivals import BurstyProcess, DiurnalProcess, PoissonProcess, open_loop_jobs
 from repro.workloads.mixtures import (
@@ -65,13 +71,46 @@ def assert_index_matches(engine):
         assert all(a is b for a, b in zip(indexed, expected, strict=True))
 
 
-def step_checked(engine, every=1):
-    """Step ``engine`` to the end, checking the index after every ``every`` steps.
+def walk(jobs):
+    """The running set as a bare context's job walk lists it (the oracle)."""
+    return SchedulingContext(time=0.0, jobs=list(jobs)).running_tasks()
 
-    Reading the index re-files the jobs touched since the last read, so a
-    larger ``every`` checks changes that piled up over several steps.
-    """
+
+def key_tuples(tasks):
+    return [(t.job_id, t.stage_id, t.index) for t in tasks]
+
+
+def assert_running_matches(engine):
+    """A live preemptive context lists the walk's running tasks, same objects,
+    same order; its snapshot lists the same keys, resolved in its own jobs."""
+    context = engine._build_context()
+    assert context._running is not None
+    expected = walk(context.jobs)
+    live = context.running_tasks()
+    assert live is not context._running  # a copy: callers may not corrupt it
+    assert all(a is b for a, b in zip(live, expected, strict=True))
+    snapshot = context.snapshot()
+    assert snapshot._running_keys == key_tuples(expected)
+    frozen = snapshot.running_tasks()
+    assert all(a is b for a, b in zip(frozen, walk(snapshot.jobs), strict=True))
+    return live
+
+
+def assert_engine_matches(engine):
     assert_index_matches(engine)
+    if engine.scheduler.preemptive:
+        assert_running_matches(engine)
+
+
+def step_checked(engine, every=1):
+    """Step ``engine`` to the end, checking it after every ``every`` steps.
+
+    The ready index is always checked, and a preemptive scheduler's running
+    set too.  Reading the index re-files the jobs touched since the last
+    read, so a larger ``every`` checks changes that piled up over several
+    steps.
+    """
+    assert_engine_matches(engine)
     context = engine._build_context()
     for task_type in TaskType:
         assert context.ready_jobs(task_type) is engine._ready.jobs(task_type)
@@ -79,7 +118,7 @@ def step_checked(engine, every=1):
     while engine.step():
         steps += 1
         if steps % every == 0:
-            assert_index_matches(engine)
+            assert_engine_matches(engine)
     metrics = engine.finalize()
     assert steps > 0
     assert engine.num_active_jobs == 0
@@ -159,6 +198,12 @@ class TestReadyIndex:
 # --------------------------------------------------------------------------- #
 # Oracle across the feature matrix
 # --------------------------------------------------------------------------- #
+def srtf_preempt():
+    return PreemptiveSrtfScheduler(
+        remaining_estimator=lambda job, context: job.true_remaining_work()
+    )
+
+
 def hetero_pools(roles=False):
     return [
         PoolSpec("cpu-a", TaskType.REGULAR, 2),
@@ -210,13 +255,10 @@ class TestIndexOracle:
             seed=21,
             max_jobs=80,
         )
-        scheduler = PreemptiveSrtfScheduler(
-            remaining_estimator=lambda job, context: job.true_remaining_work()
-        )
         cluster = Cluster(
             ClusterConfig(num_regular_executors=6, num_llm_executors=2, max_batch_size=4)
         )
-        metrics = step_checked(SimulationEngine(stream, scheduler, cluster=cluster))
+        metrics = step_checked(SimulationEngine(stream, srtf_preempt(), cluster=cluster))
         assert metrics.num_preemptions > 0
 
     def test_autoscaler(self):
@@ -310,6 +352,143 @@ class TestIndexOracle:
         assert len(metrics.job_completion_times) == 40
         assert metrics.num_migrations == len(moved) > 0
         assert any(moved)  # some migrated job had ready work to re-index
+
+
+# --------------------------------------------------------------------------- #
+# The live running set (the bursty srtf_preempt stream and prefill/decode
+# slo_serving run above, through step_checked)
+# --------------------------------------------------------------------------- #
+class TestRunningSet:
+    def test_stage_position_is_the_insertion_index(self):
+        for job in mixed_jobs(num_jobs=12):
+            order = list(job.stages)
+            early = job.snapshot_clone()  # cloned before the table exists
+            for stage_id in order:
+                assert job.stage_position(stage_id) == order.index(stage_id)
+            late = job.snapshot_clone()
+            assert late._positions is job._positions  # built once, shared
+            for stage_id in order:
+                assert early.stage_position(stage_id) == order.index(stage_id)
+                assert late.stage_position(stage_id) == order.index(stage_id)
+
+    def test_live_running_set_never_walks_the_jobs(self, monkeypatch):
+        engine = SimulationEngine(poisson_stream(), srtf_preempt(), cluster=Cluster(SMALL))
+        while not any(e.current_task for e in engine.cluster.regular_executors):
+            assert engine.step()
+        context = engine._build_context()
+        expected = key_tuples(walk(context.jobs))
+        snapshot = context.snapshot()
+
+        def no_walk(job):
+            raise AssertionError("running_tasks walked the jobs' stages")
+
+        monkeypatch.setattr(Job, "unfinished_stages", no_walk)
+        assert expected
+        assert key_tuples(context.running_tasks()) == expected
+        assert key_tuples(snapshot.running_tasks()) == expected
+
+    def test_only_live_preemptive_contexts_carry_the_list(self):
+        jobs = mixed_jobs(num_jobs=10)
+        fcfs = SimulationEngine(jobs, FcfsScheduler(), cluster=Cluster(SMALL))
+        for _ in range(15):
+            assert fcfs.step()
+        context = fcfs._build_context()
+        assert walk(context.jobs)  # tasks run, and the context still walks for them
+        assert context._running is None and context.snapshot()._running_keys is None
+        seen = []
+
+        class Recording(PreemptiveSrtfScheduler):
+            def schedule(self, context):
+                seen.append((context._running, key_tuples(context.running_tasks())))
+                return super().schedule(context)
+
+        reference = ReferenceSimulationEngine(
+            mixed_jobs(num_jobs=10),
+            Recording(remaining_estimator=lambda job, context: job.true_remaining_work()),
+            cluster=Cluster(SMALL),
+        )
+        reference.run()
+        assert any(running for _, running in seen)
+        assert all(listed is None for listed, _ in seen)
+
+    def test_srtf_preempt_on_autoscaled_pools_with_forced_drains(self):
+        stream = open_loop_jobs(
+            DiurnalProcess(mean_rate=1.5, amplitude=0.9, period=300.0, seed=3),
+            seed=3,
+            max_jobs=60,
+        )
+        cluster = Cluster(
+            pools=[
+                PoolSpec("cpu", TaskType.REGULAR, 4, min_executors=1, max_executors=12),
+                PoolSpec("gpu", TaskType.LLM, 2, max_batch_size=4, max_executors=6),
+            ]
+        )
+        autoscaler = ThresholdAutoscaler(
+            AutoscalerConfig(
+                interval=20.0, scale_up_occupancy=0.85, scale_down_occupancy=0.25, step=2
+            )
+        )
+        engine = SimulationEngine(stream, srtf_preempt(), cluster=cluster, autoscaler=autoscaler)
+        # The autoscaler alone never leaves a task on a draining executor, so
+        # every 25 steps a fully busy pool is made to drain one executor while
+        # it runs: the task stays in the running set, as the walk finds it.
+        drained_running = 0
+        steps = 0
+        while engine.step():
+            steps += 1
+            if steps % 25 == 0:
+                for pool in (cluster.pool("cpu"), cluster.pool("gpu")):
+                    active = [e for e in pool.executors if pool.is_active(e.executor_id)]
+                    if all(not e.is_idle for e in active):
+                        pool.scale_down(1)
+            running = assert_running_matches(engine)
+            inactive = cluster.inactive_executor_ids()
+            drained_running += sum(t.executor_id in inactive for t in running)
+            assert_index_matches(engine)
+        metrics = engine.finalize()
+        assert len(metrics.job_completion_times) == 60
+        assert metrics.scale_events and metrics.num_preemptions > 0
+        assert drained_running > 0
+
+    @pytest.mark.parametrize("snapshot_policy", ["cow", "deepcopy"])
+    def test_slo_serving_pipelined_async(self, snapshot_policy):
+        jobs = mixed_jobs(num_jobs=20, seed=7)
+        attach_token_model(jobs, "chat", seed=3)
+        backend = AsyncSchedulerBackend(AsyncConfig(latency=1.0, pipelined=True, max_in_flight=3))
+        engine = SimulationEngine(
+            jobs,
+            SloServingScheduler(),
+            cluster=Cluster(SMALL),
+            config=SimulationConfig(snapshot_policy=snapshot_policy),
+            async_backend=backend,
+        )
+        metrics = step_checked(engine)
+        assert metrics.num_async_decisions > 0
+        assert len(metrics.job_completion_times) == 20
+
+    def test_migrating_fleet_running_srtf_preempt(self):
+        class AllToZero(HashRouter):
+            def select_shard(self, shards, job):
+                return 0
+
+        fleet = FederatedCluster(
+            [("s0", Cluster(SMALL)), ("s1", Cluster(SMALL))], router=AllToZero()
+        )
+        engine = FederatedSimulationEngine(
+            list(poisson_stream(max_jobs=40)),
+            srtf_preempt,
+            fleet,
+            migration=MigrationConfig(
+                interval=5.0, imbalance_threshold=0.2, max_migrations_per_check=2
+            ),
+        )
+        while engine.step():
+            for shard in engine.shards:
+                assert_engine_matches(shard.engine)
+        metrics = engine.finalize()
+        assert len(metrics.job_completion_times) == 40
+        assert metrics.num_migrations > 0
+        assert sum(shard.engine.metrics.num_preemptions for shard in engine.shards) > 0
 
 
 # --------------------------------------------------------------------------- #

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.utils.validation import (
+    require_bool,
     require_in_range,
     require_int,
     require_non_negative,
     require_positive,
     require_probability,
+    require_real,
 )
 
 
@@ -21,6 +23,31 @@ class TestRequireInt:
     def test_rejects_what_is_not_an_int_at_or_above_low(self, value):
         with pytest.raises(ValueError, match=r"n must be an int >= 0"):
             require_int(value, "n", 0)
+
+
+class TestRequireReal:
+    @pytest.mark.parametrize("value", [0, 0.0, 2.5, np.float64(1.5), np.int64(3)])
+    def test_accepts_finite_numbers_at_or_above_low(self, value):
+        result = require_real(value, "x", 0.0)
+        assert result == value and type(result) is float
+
+    @pytest.mark.parametrize(
+        "value", [-0.1, True, False, "1.0", None, float("nan"), float("inf"), -float("inf")]
+    )
+    def test_rejects_what_is_not_a_finite_number_at_or_above_low(self, value):
+        with pytest.raises(ValueError, match=r"x must be a finite number >= 0.0"):
+            require_real(value, "x", 0.0)
+
+
+class TestRequireBool:
+    def test_accepts_bools(self):
+        assert require_bool(True, "flag") is True
+        assert require_bool(False, "flag") is False
+
+    @pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
+    def test_rejects_everything_else(self, value):
+        with pytest.raises(ValueError, match="flag must be a bool"):
+            require_bool(value, "flag")
 
 
 class TestRequirePositive:
