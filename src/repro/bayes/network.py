@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from repro.bayes.cpd import TabularCPD
 from repro.bayes.factor import DiscreteFactor
+from repro.utils.graph import DiGraph
 
 __all__ = ["DiscreteBayesianNetwork"]
 
@@ -21,7 +20,7 @@ class DiscreteBayesianNetwork:
     """
 
     def __init__(self) -> None:
-        self._graph = nx.DiGraph()
+        self._graph = DiGraph()
         self._cpds: Dict[str, TabularCPD] = {}
         self._cardinalities: Dict[str, int] = {}
         self._state_labels: Dict[str, List[object]] = {}
@@ -58,20 +57,15 @@ class DiscreteBayesianNetwork:
         for node in (parent, child):
             if node not in self._cardinalities:
                 raise ValueError(f"unknown node {node!r}")
-        if parent == child:
-            raise ValueError("self-loops are not allowed")
         self._graph.add_edge(parent, child)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(parent, child)
-            raise ValueError(f"edge {parent!r} -> {child!r} would create a cycle")
 
     @property
     def nodes(self) -> List[str]:
-        return list(self._graph.nodes)
+        return self._graph.nodes()
 
     @property
     def edges(self) -> List[Tuple[str, str]]:
-        return list(self._graph.edges)
+        return self._graph.edges()
 
     def parents(self, node: str) -> List[str]:
         return sorted(self._graph.predecessors(node))
@@ -86,13 +80,13 @@ class DiscreteBayesianNetwork:
         return list(self._state_labels[node])
 
     def topological_order(self) -> List[str]:
-        return list(nx.topological_sort(self._graph))
+        return self._graph.topological_order()
 
     def descendants(self, node: str) -> Set[str]:
-        return set(nx.descendants(self._graph, node))
+        return self._graph.descendants(node)
 
     def ancestors(self, node: str) -> Set[str]:
-        return set(nx.ancestors(self._graph, node))
+        return self._graph.ancestors(node)
 
     def has_directed_path(self, source: str, target: str) -> bool:
         """True when a directed path source → … → target exists.
@@ -103,7 +97,7 @@ class DiscreteBayesianNetwork:
         """
         if source == target:
             return False
-        return nx.has_path(self._graph, source, target)
+        return self._graph.has_path(source, target)
 
     def correlated_nodes(self, node: str) -> Set[str]:
         """All nodes reachable from ``node`` by a directed path (either way).

@@ -5,10 +5,9 @@ from __future__ import annotations
 import copy
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.dag.stage import Stage, StageState
 from repro.dag.task import Task
+from repro.utils.graph import DiGraph
 
 __all__ = ["Job"]
 
@@ -44,7 +43,7 @@ class Job:
         self.priority: str = "default"
 
         self._stages: Dict[str, Stage] = {}
-        self._graph = nx.DiGraph()
+        self._graph = DiGraph()
         # trigger stage id -> stage ids that become visible when it completes
         self._reveals: Dict[str, List[str]] = {}
         self._finalized = False
@@ -80,14 +79,12 @@ class Job:
         for stage_id in (parent_id, child_id):
             if stage_id not in self._stages:
                 raise ValueError(f"unknown stage {stage_id!r} in job {self.job_id}")
-        if parent_id == child_id:
-            raise ValueError("a stage cannot depend on itself")
-        # The graph is acyclic, so the edge closes a cycle exactly when the
-        # parent is already reachable from the child.  Checked before the
-        # edge is added, so a rejection leaves the graph untouched.
-        if nx.has_path(self._graph, child_id, parent_id):
-            raise ValueError(f"dependency {parent_id!r} -> {child_id!r} would create a cycle")
-        self._graph.add_edge(parent_id, child_id)
+        try:
+            self._graph.add_edge(parent_id, child_id)
+        except ValueError:
+            raise ValueError(
+                f"dependency {parent_id!r} -> {child_id!r} would create a cycle"
+            ) from None
         self._topo_cache = None
         self._depth_cache = None
 
@@ -143,11 +140,11 @@ class Job:
         return sorted(self._graph.successors(stage_id))
 
     def edges(self) -> List[Tuple[str, str]]:
-        return list(self._graph.edges)
+        return self._graph.edges()
 
     def topological_order(self) -> List[str]:
         if self._topo_cache is None:
-            order = list(nx.topological_sort(self._graph))
+            order = self._graph.topological_order()
             if not self._caching:
                 return order
             self._topo_cache = order
@@ -313,8 +310,8 @@ class Job:
 
         Requires a finalized job: the dependency graph and the topology /
         depth caches are frozen at :meth:`finalize` and therefore *shared*
-        with the clone (this is what makes the clone cheap — deep-copying
-        the networkx graph dominates ``copy.deepcopy(job)``).  Mutable
+        with the clone (this is what makes the clone cheaper than
+        ``copy.deepcopy(job)``, which copies them too).  Mutable
         runtime state is copied: stages (with their tasks), the pending
         reveal map, and the job finish time.  The schedulable-stage cache
         is dropped because it holds references to this job's live stages.

@@ -30,7 +30,7 @@ from repro.dag.task import Task, TaskType
 from repro.simulator.executor import LLMExecutor, RegularExecutor
 from repro.simulator.latency import DecodingLatencyProfile
 from repro.simulator.pool import AnyExecutor, ExecutorPool, PoolSpec
-from repro.utils.validation import require_int
+from repro.utils.validation import require_int, require_real
 
 __all__ = ["ClusterConfig", "Cluster"]
 
@@ -56,8 +56,7 @@ class ClusterConfig:
         require_int(self.num_regular_executors, "num_regular_executors", 1)
         require_int(self.num_llm_executors, "num_llm_executors", 1)
         require_int(self.max_batch_size, "max_batch_size", 1)
-        if self.latency_slope < 0:
-            raise ValueError("latency_slope must be >= 0")
+        require_real(self.latency_slope, "latency_slope", 0.0)
 
     def latency_profile(self) -> DecodingLatencyProfile:
         return DecodingLatencyProfile(slope=self.latency_slope)

@@ -45,7 +45,7 @@ from repro.simulator.async_sched import AsyncSchedulerBackend
 from repro.simulator.cluster import Cluster
 from repro.simulator.engine import SimulationConfig, SimulationEngine, validate_arrival_order
 from repro.simulator.metrics import SimulationMetrics
-from repro.utils.validation import require_int
+from repro.utils.validation import require_int, require_real
 
 __all__ = [
     "JobRouter",
@@ -269,13 +269,12 @@ class MigrationConfig:
     cost: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.interval <= 0:
+        if require_real(self.interval, "interval", 0.0) <= 0:
             raise ValueError("interval must be > 0")
-        if self.imbalance_threshold <= 0:
+        if require_real(self.imbalance_threshold, "imbalance_threshold", 0.0) <= 0:
             raise ValueError("imbalance_threshold must be > 0")
         require_int(self.max_migrations_per_check, "max_migrations_per_check", 1)
-        if self.cost < 0:
-            raise ValueError("cost must be >= 0")
+        require_real(self.cost, "cost", 0.0)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from typing import Callable, List, Optional, Set, Union
 from repro.dag.task import Task, TaskType
 from repro.simulator.executor import LLMExecutor, RegularExecutor
 from repro.simulator.latency import DecodingLatencyProfile
-from repro.utils.validation import require_int
+from repro.utils.validation import require_int, require_real
 
 __all__ = ["PoolSpec", "ExecutorPool"]
 
@@ -95,9 +95,8 @@ class PoolSpec:
             raise ValueError("only LLM pools can carry a prefill/decode role")
         if self.task_type is TaskType.REGULAR and self.max_batch_size != 1:
             raise ValueError("regular pools run one task per executor (max_batch_size=1)")
-        if self.latency_slope < 0:
-            raise ValueError("latency_slope must be >= 0")
-        if self.speed_factor <= 0:
+        require_real(self.latency_slope, "latency_slope", 0.0)
+        if require_real(self.speed_factor, "speed_factor", 0.0) <= 0:
             raise ValueError("speed_factor must be > 0")
         require_int(self.min_executors, "min_executors", 0)
         if self.max_executors is not None:

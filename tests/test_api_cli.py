@@ -133,6 +133,15 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 1
         assert "num_regular_executors must be an int >= 1, got 2.5" in capsys.readouterr().err
 
+    def test_validate_rejects_nan_latency_slope(self, tmp_path, capsys):
+        # Used to validate, then hang `repro run` on NaN executor speeds.
+        bad = tmp_path / "nan_slope.json"
+        config = {"latency_slope": float("nan")}
+        bad.write_text(json.dumps({"scheduler": {"name": "fcfs"}, "cluster": {"config": config}}))
+        assert "NaN" in bad.read_text()
+        assert main(["validate", str(bad)]) == 1
+        assert "latency_slope must be a finite number >= 0.0, got nan" in capsys.readouterr().err
+
     def test_validate_catches_section_conflicts(self, tmp_path, capsys):
         bad = tmp_path / "conflict.json"
         bad.write_text(

@@ -10,6 +10,7 @@ models, autoscaler and settings.
 import copy
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings as hyp_settings
@@ -94,6 +95,31 @@ _INT_FIELD_CASES = [
     (_CLOSED_DOC, "async.max_in_flight", 1.5),
     (_CLOSED_DOC, "autoscaler.step", 1.5),
 ]
+#: (example spec, dotted path into it, a non-finite or bool value JSON may carry there)
+_REAL_FIELD_CASES = [
+    ("federated_poisson", "cluster.config.latency_slope", float("nan")),
+    ("federated_poisson", "cluster.config.latency_slope", True),
+    ("autoscale_diurnal", "cluster.pools.1.speed_factor", float("nan")),
+    ("autoscale_diurnal", "cluster.pools.1.speed_factor", float("inf")),
+    ("autoscale_diurnal", "cluster.pools.1.latency_slope", float("nan")),
+    ("federated_poisson", "cluster.migration.interval", float("nan")),
+    ("federated_poisson", "cluster.migration.cost", float("inf")),
+    ("federated_poisson", "cluster.migration.imbalance_threshold", float("nan")),
+    ("federated_poisson", "cluster.migration.imbalance_threshold", True),
+]
+
+
+def _set_field(data, path, value):
+    """Overwrite the field at dotted ``path`` in ``data`` (it must exist); return its name."""
+    *parents, field = path.split(".")
+    node = data
+    for part in parents:
+        node = node[int(part)] if part.isdigit() else node[part]
+    assert field in node  # each case breaks a field the document sets
+    node[field] = value
+    return field
+
+
 #: (example spec, scheduler, kwargs with one bad value, the error it must raise)
 _PREEMPTIVE_KWARG_CASES = [
     ("serving_slo_chat", "slo_serving", {"max_preemptions_per_event": 0},
@@ -122,12 +148,24 @@ class TestValidation:
         # with a TypeError or run with a value the spec did not say.
         data = copy.deepcopy(doc)
         ScenarioSpec.from_dict(data)  # the untouched document is valid
-        *parents, field = path.split(".")
-        node = data
-        for part in parents:
-            node = node[int(part)] if part.isdigit() else node[part]
-        node[field] = value
+        field = _set_field(data, path, value)
         message = rf"{field} must be an int >= \d+, got {re.escape(repr(value))}"
+        with pytest.raises(SpecError, match=message):
+            ScenarioSpec.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "example, path, value",
+        _REAL_FIELD_CASES,
+        ids=[f"{e}-{p}={v!r}" for e, p, v in _REAL_FIELD_CASES],
+    )
+    def test_real_fields_reject_non_finite_numbers_and_bools(self, example, path, value):
+        # NaN or infinite hardware numbers used to validate and then hang the
+        # run; bools and non-finite migration knobs ran silently.
+        spec_path = Path(__file__).parent.parent / "examples" / "specs" / f"{example}.json"
+        data = json.loads(spec_path.read_text())
+        ScenarioSpec.from_dict(data)  # the untouched example is valid
+        field = _set_field(data, path, value)
+        message = rf"{field} must be a finite number >= 0\.0, got {re.escape(repr(value))}"
         with pytest.raises(SpecError, match=message):
             ScenarioSpec.from_dict(data)
 
@@ -166,8 +204,6 @@ class TestValidation:
     def test_bad_preemptive_kwarg_values_fail_at_validation(self, example, name, kwargs, message):
         # Each of these used to validate, then fail inside the run (0, "soon",
         # "oracle") or run with a value the spec did not say (2.5, true, "no").
-        from pathlib import Path
-
         path = Path(__file__).parent.parent / "examples" / "specs" / f"{example}.json"
         doc = json.loads(path.read_text())
         doc["scheduler"] = {"name": name}
@@ -369,8 +405,6 @@ class TestSchemaMigration:
     def test_committed_v1_example_loads_through_v2_reader(self):
         # examples/specs/closed_mixed_fcfs.json is deliberately kept at
         # schema v1 as the living migration regression.
-        from pathlib import Path
-
         path = (
             Path(__file__).parent.parent / "examples" / "specs" / "closed_mixed_fcfs.json"
         )
