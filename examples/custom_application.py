@@ -4,7 +4,9 @@ This example shows the full extension path a downstream user would take:
 
 1. subclass :class:`repro.dag.application.ApplicationTemplate` to describe a
    new compound application (here: a retrieval-augmented QA pipeline with an
-   LLM rewrite stage, a parallel retrieval fan-out, and an LLM answer stage),
+   LLM rewrite stage, a parallel retrieval fan-out, and an LLM answer stage):
+   ``sample_draw`` returns one job's sampled stages and dependencies as a
+   ``JobDraw``, and the base class builds jobs from it,
 2. profile it together with the bundled applications,
 3. run a workload that mixes the new application with an existing one.
 """
@@ -14,8 +16,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro import BayesianProfiler, Cluster, ClusterConfig, LLMSchedScheduler, SimulationEngine
-from repro.dag.application import ApplicationTemplate, StageDraw
-from repro.dag.job import Job
+from repro.dag.application import ApplicationTemplate, JobDraw, StageDraw
 from repro.dag.stage import StageSpec, StageType
 from repro.workloads import WebSearchApplication
 from repro.workloads.base import LatentScaledDuration, sample_lognormal
@@ -42,7 +43,7 @@ class RagPipelineApplication(ApplicationTemplate):
     def llm_profile_keys(self) -> List[str]:
         return ["rag_rewrite", "rag_answer"]
 
-    def sample_job(self, job_id: str, arrival_time: float, rng: np.random.Generator) -> Job:
+    def sample_draw(self, rng: np.random.Generator) -> JobDraw:
         # Latent question complexity drives every stage (correlated durations).
         complexity = rng.uniform(1.0, 5.0)
         verbosity = sample_lognormal(rng, 1.0, 0.35)
@@ -66,7 +67,7 @@ class RagPipelineApplication(ApplicationTemplate):
                 task_durations=[self._ANSWER.sample(rng, complexity) * verbosity],
             ),
         ]
-        return self.build_job(job_id, arrival_time, draws, self.profile_edges())
+        return JobDraw(draws, self.profile_edges())
 
 
 def main() -> None:

@@ -16,6 +16,7 @@ import numpy as np
 from repro.core.llmsched import LLMSchedConfig
 from repro.core.profiler import BayesianProfiler
 from repro.dag.application import ApplicationTemplate
+from repro.dag.stage import StageType
 from repro.schedulers.priors import ApplicationPriors
 from repro.schedulers.registry import PAPER_BASELINES
 from repro.simulator.cluster import ClusterConfig
@@ -128,17 +129,11 @@ def size_cluster(
     rng = make_rng(settings.profiler_seed + 1)
     llm_work_per_job: List[float] = []
     regular_work_per_job: List[float] = []
-    names = list(application_names)
-    for name in names:
-        app = applications[name]
-        for i in range(30):
-            job = app.sample_job(f"__size__{name}_{i}", 0.0, rng)
-            llm = sum(s.duration for s in job.stages.values() if s.is_llm)
-            regular = sum(
-                s.duration for s in job.stages.values() if not s.is_llm and not s.is_dynamic
-            )
-            llm_work_per_job.append(llm)
-            regular_work_per_job.append(regular)
+    for name in application_names:
+        for draw in applications[name].sample_draws(rng, 30):
+            work = [(s.spec.stage_type, s.duration) for s in draw.stages]
+            llm_work_per_job.append(sum(d for kind, d in work if kind is StageType.LLM))
+            regular_work_per_job.append(sum(d for kind, d in work if kind is StageType.REGULAR))
 
     mean_llm = float(np.mean(llm_work_per_job))
     mean_regular = float(np.mean(regular_work_per_job))

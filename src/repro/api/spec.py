@@ -29,7 +29,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 from repro.api.prep import ExperimentSettings
 from repro.core.llmsched import LLMSchedConfig
 from repro.utils.canonical import content_hash
-from repro.utils.validation import require_int
+from repro.utils.validation import require_int, require_real
 from repro.dag.task import TaskType
 from repro.schedulers.registry import check_scheduler_kwargs
 from repro.simulator.async_sched import AsyncConfig, PerJobLinearLatency, SampledLatency
@@ -92,6 +92,14 @@ def _require_int(value: object, name: str, low: int) -> None:
     """:func:`~repro.utils.validation.require_int`, failing with a SpecError."""
     try:
         require_int(value, name, low)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
+
+
+def _require_real(value: object, name: str, low: float) -> float:
+    """:func:`~repro.utils.validation.require_real`, failing with a SpecError."""
+    try:
+        return require_real(value, name, low)
     except ValueError as exc:
         raise SpecError(str(exc)) from None
 
@@ -289,15 +297,16 @@ class WorkloadSection:
                     "to run an explicit arrival process"
                 )
             _require_int(self.num_jobs, "workload num_jobs", 1)
-            if self.arrival_rate <= 0:
+            if _require_real(self.arrival_rate, "workload arrival_rate", 0.0) <= 0:
                 raise SpecError("workload arrival_rate must be > 0")
         else:
             if self.process is None:
                 raise SpecError('an open-loop workload needs a "process" section')
             if self.max_jobs is not None:
                 _require_int(self.max_jobs, "workload max_jobs", 1)
-            if self.horizon is not None and self.horizon <= 0:
-                raise SpecError("workload horizon must be > 0 when given")
+            if self.horizon is not None:
+                if _require_real(self.horizon, "workload horizon", 0.0) <= 0:
+                    raise SpecError("workload horizon must be > 0 when given")
 
     # Constructors -------------------------------------------------------- #
     @classmethod
@@ -456,8 +465,9 @@ class ClusterSection:
             raise SpecError(
                 "cluster `migration` is cross-shard rebalancing; it requires num_shards > 1"
             )
-        if self.nominal_rate is not None and self.nominal_rate <= 0:
-            raise SpecError("cluster nominal_rate must be > 0 when given")
+        if self.nominal_rate is not None:
+            if _require_real(self.nominal_rate, "cluster nominal_rate", 0.0) <= 0:
+                raise SpecError("cluster nominal_rate must be > 0 when given")
 
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {}
@@ -536,13 +546,9 @@ class SLOSection:
                 )
             clean: Dict[str, float] = {}
             for key, value in targets.items():
-                try:
-                    value = float(value)
-                except (TypeError, ValueError):
-                    raise SpecError(f"SLO {tier}.{key} must be a number, got {value!r}") from None
-                if value <= 0:
-                    raise SpecError(f"SLO {tier}.{key} must be > 0, got {value}")
-                clean[key] = value
+                clean[key] = _require_real(value, f"SLO {tier}.{key}", 0.0)
+                if clean[key] <= 0:
+                    raise SpecError(f"SLO {tier}.{key} must be > 0, got {clean[key]}")
             if not clean:
                 raise SpecError(f"SLO tier {tier!r} sets no targets; drop it or add ttft/tpot")
             normalized[tier] = clean
@@ -606,16 +612,17 @@ class AsyncSection:
     max_in_flight: int = 2
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", tuple(float(v) for v in self.samples))
+        samples = tuple(
+            _require_real(v, f"async samples[{i}]", 0.0) for i, v in enumerate(self.samples)
+        )
+        object.__setattr__(self, "samples", samples)
         if self.kind not in ("fixed", "per_job_linear", "sampled"):
             raise SpecError(
                 f'unknown async latency kind {self.kind!r}; available: '
                 '["fixed", "per_job_linear", "sampled"]'
             )
-        if self.latency < 0 or self.base < 0 or self.per_job < 0:
-            raise SpecError("async latencies must be >= 0")
-        if any(v < 0 for v in self.samples):
-            raise SpecError("async latency samples must be >= 0")
+        for name in ("latency", "base", "per_job"):
+            _require_real(getattr(self, name), f"async {name}", 0.0)
         if self.kind == "sampled" and not self.samples:
             raise SpecError('async kind "sampled" needs a non-empty `samples` list')
         _require_int(self.seed, "async seed", 0)

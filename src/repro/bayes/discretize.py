@@ -8,6 +8,7 @@ is how chain-like applications with variable length are handled.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -151,7 +152,7 @@ class Discretizer:
             return offset
         if value >= edges[-1]:
             return offset + n_intervals - 1
-        index = int(np.searchsorted(np.asarray(edges), value, side="right") - 1)
+        index = bisect.bisect_right(edges, value) - 1
         index = min(max(index, 0), n_intervals - 1)
         return offset + index
 

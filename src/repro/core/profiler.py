@@ -28,6 +28,7 @@ from repro.bayes.network import DiscreteBayesianNetwork
 from repro.dag.application import ApplicationTemplate
 from repro.dag.dynamic import dynamic_stage_entropy
 from repro.dag.job import Job
+from repro.dag.stage import StageType
 from repro.utils.rng import make_rng
 
 __all__ = ["ApplicationProfile", "BayesianProfiler", "RemainingEstimate"]
@@ -128,22 +129,8 @@ class BayesianProfiler:
         self, app: ApplicationTemplate, n_jobs: int, rng: np.random.Generator
     ) -> ApplicationProfile:
         variables = app.profile_variables()
-        traces: Dict[str, List[float]] = {v: [] for v in variables}
         dynamic_candidates = app.dynamic_candidates()
-        dynamic_totals: Dict[str, List[float]] = {k: [] for k in dynamic_candidates}
-
-        for i in range(n_jobs):
-            job = app.sample_job(f"__profile__{app.name}_{i}", 0.0, rng)
-            durations = self._ground_truth_durations(job)
-            for variable in variables:
-                traces[variable].append(durations.get(variable, 0.0))
-            for dyn_key in dynamic_candidates:
-                inner = [
-                    stage.duration
-                    for stage in job.stages.values()
-                    if stage.profile_key in self._candidate_keys(app, dyn_key)
-                ]
-                dynamic_totals[dyn_key].append(float(sum(inner)))
+        traces, dynamic_totals = self._sample_traces(app, n_jobs, rng)
 
         # Discretise each variable; reserve a zero state if the stage ever
         # skips execution.
@@ -191,15 +178,28 @@ class BayesianProfiler:
             dynamic_info=dynamic_info,
         )
 
-    @staticmethod
-    def _ground_truth_durations(job: Job) -> Dict[str, float]:
-        """profile_key -> executed duration (0 when the stage is skipped)."""
-        durations: Dict[str, float] = {}
-        for stage in job.stages.values():
-            if stage.is_dynamic:
-                continue
-            durations[stage.profile_key] = stage.duration
-        return durations
+    @classmethod
+    def _sample_traces(
+        cls, app: ApplicationTemplate, n_jobs: int, rng: np.random.Generator
+    ) -> Tuple[Dict[str, List[float]], Dict[str, List[float]]]:
+        """Stage durations of ``n_jobs`` offline draws (0 when a stage is skipped or
+        absent) per profile variable, and per dynamic stage its candidates' total."""
+        variables = app.profile_variables()
+        traces: Dict[str, List[float]] = {v: [] for v in variables}
+        candidate_keys = {k: cls._candidate_keys(app, k) for k in app.dynamic_candidates()}
+        dynamic_totals: Dict[str, List[float]] = {k: [] for k in candidate_keys}
+        for draw in app.sample_draws(rng, n_jobs):
+            durations = {
+                s.spec.key: s.duration
+                for s in draw.stages
+                if s.spec.stage_type is not StageType.DYNAMIC
+            }
+            for variable in variables:
+                traces[variable].append(durations.get(variable, 0.0))
+            for dyn_key, keys in candidate_keys.items():
+                inner = [s.duration for s in draw.stages if s.spec.key in keys]
+                dynamic_totals[dyn_key].append(float(sum(inner)))
+        return traces, dynamic_totals
 
     @staticmethod
     def _candidate_keys(app: ApplicationTemplate, dyn_key: str) -> Set[str]:

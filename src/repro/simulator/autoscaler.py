@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 
 from repro.dag.task import TaskType
 from repro.simulator.cluster import Cluster
-from repro.utils.validation import require_int
+from repro.utils.validation import require_int, require_real
 
 __all__ = ["AutoscalerConfig", "ScaleEvent", "ThresholdAutoscaler"]
 
@@ -45,7 +45,7 @@ class AutoscalerConfig:
     step: int = 1
 
     def __post_init__(self) -> None:
-        if self.interval <= 0:
+        if require_real(self.interval, "interval", 0.0) <= 0:
             raise ValueError("interval must be > 0")
         if not 0.0 < self.scale_up_occupancy <= 1.0:
             raise ValueError("scale_up_occupancy must be within (0, 1]")

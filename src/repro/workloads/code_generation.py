@@ -15,8 +15,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.dag.application import ApplicationTemplate, StageDraw
-from repro.dag.job import Job
+from repro.dag.application import ApplicationTemplate, JobDraw, StageDraw
 from repro.dag.stage import StageSpec, StageType
 from repro.workloads.base import (
     LatentScaledDuration,
@@ -83,9 +82,7 @@ class CodeGenerationApplication(ApplicationTemplate):
         continue_probability = 0.15 + 0.65 * float(np.clip(difficulty, 0.0, 1.0)) ** 2
         return sample_truncated_geometric(rng, continue_probability, 0, self.MAX_ITERATIONS)
 
-    def sample_job(
-        self, job_id: str, arrival_time: float, rng: np.random.Generator
-    ) -> Job:
+    def sample_draw(self, rng: np.random.Generator) -> JobDraw:
         query = self.dataset.sample(rng)
         iterations = self.sample_iterations(query.difficulty, rng)
         size = query.size
@@ -125,4 +122,4 @@ class CodeGenerationApplication(ApplicationTemplate):
                     will_execute=executed(key),
                 )
             )
-        return self.build_job(job_id, arrival_time, draws, self.profile_edges())
+        return JobDraw(draws, self.profile_edges())

@@ -12,8 +12,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.dag.application import ApplicationTemplate, StageDraw
-from repro.dag.job import Job
+from repro.dag.application import ApplicationTemplate, JobDraw, StageDraw
 from repro.dag.stage import StageSpec, StageType
 from repro.workloads.base import LatentScaledDuration, sample_lognormal
 from repro.workloads.datasets import SyntheticSequenceDataset
@@ -79,9 +78,7 @@ class DocumentMergingApplication(ApplicationTemplate):
         return ["dm_generate", "dm_aggregate"]
 
     # ------------------------------------------------------------------ #
-    def sample_job(
-        self, job_id: str, arrival_time: float, rng: np.random.Generator
-    ) -> Job:
+    def sample_draw(self, rng: np.random.Generator) -> JobDraw:
         query = self.dataset.sample(rng)
         doc_length = query.size
         verbosity = sample_lognormal(rng, 1.0, self.VERBOSITY_SIGMA)
@@ -110,4 +107,4 @@ class DocumentMergingApplication(ApplicationTemplate):
                     task_durations=durations,
                 )
             )
-        return self.build_job(job_id, arrival_time, draws, self._EDGES)
+        return JobDraw(draws, self._EDGES)

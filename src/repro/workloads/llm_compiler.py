@@ -14,9 +14,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.dag.application import ApplicationTemplate, StageDraw
+from repro.dag.application import ApplicationTemplate, JobDraw, StageDraw
 from repro.dag.dynamic import StageCandidate
-from repro.dag.job import Job
 from repro.dag.stage import StageSpec, StageType
 from repro.workloads.base import LatentScaledDuration, sample_lognormal
 from repro.workloads.datasets import HotpotQaLikeDataset
@@ -93,9 +92,7 @@ class LlmCompilerApplication(ApplicationTemplate):
         chosen = rng.choice(len(names), size=count, replace=False, p=weights)
         return [names[i] for i in sorted(chosen)]
 
-    def sample_job(
-        self, job_id: str, arrival_time: float, rng: np.random.Generator
-    ) -> Job:
+    def sample_draw(self, rng: np.random.Generator) -> JobDraw:
         query = self.dataset.sample(rng)
         selected = self.sample_calls(query, rng)
         hops = query.size
@@ -159,4 +156,4 @@ class LlmCompilerApplication(ApplicationTemplate):
             edges.append((stage_id, self.DYNAMIC_KEY))
             reveals.append((self.PLAN_KEY, stage_id))
 
-        return self.build_job(job_id, arrival_time, draws, edges, reveals)
+        return JobDraw(draws, edges, reveals)

@@ -14,8 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.dag.application import ApplicationTemplate, StageDraw
-from repro.dag.job import Job
+from repro.dag.application import ApplicationTemplate, JobDraw, StageDraw
 from repro.dag.stage import StageSpec, StageType
 from repro.workloads.base import LatentScaledDuration, sample_lognormal
 from repro.workloads.datasets import SyntheticSequenceDataset
@@ -96,9 +95,7 @@ class SequenceSortingApplication(ApplicationTemplate):
         return [k for k, t in self._STAGE_TYPES.items() if t is StageType.LLM]
 
     # ------------------------------------------------------------------ #
-    def sample_job(
-        self, job_id: str, arrival_time: float, rng: np.random.Generator
-    ) -> Job:
+    def sample_draw(self, rng: np.random.Generator) -> JobDraw:
         query = self.dataset.sample(rng)
         sequence_length = query.size
         # Job-level verbosity: shared by every LLM stage of this job.
@@ -128,4 +125,4 @@ class SequenceSortingApplication(ApplicationTemplate):
                     task_durations=durations,
                 )
             )
-        return self.build_job(job_id, arrival_time, draws, self._EDGES)
+        return JobDraw(draws, self._EDGES)

@@ -14,9 +14,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.dag.application import ApplicationTemplate, StageDraw
+from repro.dag.application import ApplicationTemplate, JobDraw, StageDraw
 from repro.dag.dynamic import StageCandidate
-from repro.dag.job import Job
 from repro.dag.stage import StageSpec, StageType
 from repro.workloads.base import LatentScaledDuration, sample_lognormal
 from repro.workloads.datasets import TaskBenchLikeDataset
@@ -103,9 +102,7 @@ class TaskAutomationApplication(ApplicationTemplate):
         chosen = rng.choice(len(names), size=plan_size, replace=False, p=weights)
         return [names[i] for i in sorted(chosen)]
 
-    def sample_job(
-        self, job_id: str, arrival_time: float, rng: np.random.Generator
-    ) -> Job:
+    def sample_draw(self, rng: np.random.Generator) -> JobDraw:
         query = self.dataset.sample(rng)
         selected = self.sample_plan(query, rng)
         plan_duration = self._PLAN.sample(rng, float(len(selected)))
@@ -162,4 +159,4 @@ class TaskAutomationApplication(ApplicationTemplate):
             if rng.random() < self.EDGE_PROBABILITY:
                 edges.append((f"tool_{left}", f"tool_{right}"))
 
-        return self.build_job(job_id, arrival_time, draws, edges, reveals)
+        return JobDraw(draws, edges, reveals)

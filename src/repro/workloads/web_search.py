@@ -13,8 +13,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.dag.application import ApplicationTemplate, StageDraw
-from repro.dag.job import Job
+from repro.dag.application import ApplicationTemplate, JobDraw, StageDraw
 from repro.dag.stage import StageSpec, StageType
 from repro.workloads.base import LatentScaledDuration, sample_truncated_geometric
 from repro.workloads.datasets import HotpotQaLikeDataset
@@ -59,9 +58,7 @@ class WebSearchApplication(ApplicationTemplate):
         continue_probability = 0.2 + 0.4 * query.difficulty
         return sample_truncated_geometric(rng, continue_probability, minimum, self.MAX_ROUNDS)
 
-    def sample_job(
-        self, job_id: str, arrival_time: float, rng: np.random.Generator
-    ) -> Job:
+    def sample_draw(self, rng: np.random.Generator) -> JobDraw:
         query = self.dataset.sample(rng)
         rounds = self.sample_rounds(query, rng)
         hops = query.size
@@ -94,4 +91,4 @@ class WebSearchApplication(ApplicationTemplate):
                     will_execute=executed(key),
                 )
             )
-        return self.build_job(job_id, arrival_time, draws, self.profile_edges())
+        return JobDraw(draws, self.profile_edges())

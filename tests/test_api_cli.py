@@ -142,6 +142,15 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 1
         assert "latency_slope must be a finite number >= 0.0, got nan" in capsys.readouterr().err
 
+    def test_validate_rejects_nan_async_latency(self, tmp_path, capsys):
+        # Used to validate, then leave `repro run` running without end.
+        bad = tmp_path / "nan_async_latency.json"
+        section = {"kind": "fixed", "latency": float("nan")}
+        bad.write_text(json.dumps({"scheduler": {"name": "fcfs"}, "async": section}))
+        assert "NaN" in bad.read_text()
+        assert main(["validate", str(bad)]) == 1
+        assert "async latency must be a finite number >= 0.0, got nan" in capsys.readouterr().err
+
     def test_validate_catches_section_conflicts(self, tmp_path, capsys):
         bad = tmp_path / "conflict.json"
         bad.write_text(

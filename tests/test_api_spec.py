@@ -106,6 +106,35 @@ _REAL_FIELD_CASES = [
     ("federated_poisson", "cluster.migration.cost", float("inf")),
     ("federated_poisson", "cluster.migration.imbalance_threshold", float("nan")),
     ("federated_poisson", "cluster.migration.imbalance_threshold", True),
+    ("async_decision_latency", "async.latency", float("nan")),
+    ("async_decision_latency", "async.latency", float("inf")),
+    ("async_decision_latency", "async.latency", True),
+    ("autoscale_diurnal", "autoscaler.interval", float("nan")),
+    ("autoscale_diurnal", "autoscaler.interval", float("inf")),
+    ("autoscale_diurnal", "autoscaler.interval", True),
+    ("serving_slo_chat", "slo.tiers.interactive.ttft", float("nan")),
+    ("serving_slo_chat", "slo.tiers.interactive.ttft", float("inf")),
+    ("serving_slo_chat", "slo.tiers.batch.tpot", True),
+    ("closed_mixed_fcfs", "workload.arrival_rate", float("nan")),
+    ("closed_mixed_fcfs", "workload.arrival_rate", float("inf")),
+    ("closed_mixed_fcfs", "workload.arrival_rate", True),
+]
+#: (field, the name its error gives, a section built with one value there);
+#: no committed example sets these fields.
+_REAL_SECTION_CASES = [
+    ("cluster.nominal_rate", "cluster nominal_rate", lambda v: ClusterSection(nominal_rate=v)),
+    (
+        "workload.horizon",
+        "workload horizon",
+        lambda v: WorkloadSection.open_loop(PoissonProcess(rate=1.0), horizon=v),
+    ),
+    ("async.base", "async base", lambda v: AsyncSection(kind="per_job_linear", base=v)),
+    ("async.per_job", "async per_job", lambda v: AsyncSection(kind="per_job_linear", per_job=v)),
+    (
+        "async.samples.1",
+        "async samples[1]",
+        lambda v: AsyncSection(kind="sampled", samples=(0.5, v)),
+    ),
 ]
 
 
@@ -159,8 +188,9 @@ class TestValidation:
         ids=[f"{e}-{p}={v!r}" for e, p, v in _REAL_FIELD_CASES],
     )
     def test_real_fields_reject_non_finite_numbers_and_bools(self, example, path, value):
-        # NaN or infinite hardware numbers used to validate and then hang the
-        # run; bools and non-finite migration knobs ran silently.
+        # NaN or infinite hardware numbers, async latencies and arrival rates
+        # used to validate and then hang or crash the run; bools and
+        # non-finite migration, autoscaler and SLO knobs ran silently.
         spec_path = Path(__file__).parent.parent / "examples" / "specs" / f"{example}.json"
         data = json.loads(spec_path.read_text())
         ScenarioSpec.from_dict(data)  # the untouched example is valid
@@ -168,6 +198,20 @@ class TestValidation:
         message = rf"{field} must be a finite number >= 0\.0, got {re.escape(repr(value))}"
         with pytest.raises(SpecError, match=message):
             ScenarioSpec.from_dict(data)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True], ids=repr)
+    @pytest.mark.parametrize(
+        "field, name, build", _REAL_SECTION_CASES, ids=[f for f, _, _ in _REAL_SECTION_CASES]
+    )
+    def test_real_fields_of_sections_reject_non_finite_numbers_and_bools(
+        self, field, name, build, value
+    ):
+        # NaN or infinite rates, horizons and latencies used to validate and
+        # then crash or hang the run; bools ran as 1.0.
+        build(2.0)  # a finite value is valid
+        message = rf"must be a finite number >= 0\.0, got {re.escape(repr(value))}"
+        with pytest.raises(SpecError, match=re.escape(name) + " " + message):
+            build(value)
 
     def test_unknown_scheduler_lists_available(self):
         with pytest.raises(SpecError, match="unknown scheduler 'nope'.*available.*fcfs"):

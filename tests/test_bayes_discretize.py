@@ -90,6 +90,22 @@ class TestValueRange:
         assert spec.value_range == 0.0
 
 
+def _searchsorted_transform(value, spec):
+    """Reference for Discretizer.transform: the interval lookup through np.searchsorted."""
+    if spec.has_zero_state and value <= 1e-9:
+        return 0
+    offset = 1 if spec.has_zero_state else 0
+    n_intervals = len(spec.representatives) - offset
+    if n_intervals <= 0:
+        return 0
+    if value <= spec.edges[0]:
+        return offset
+    if value >= spec.edges[-1]:
+        return offset + n_intervals - 1
+    index = int(np.searchsorted(np.asarray(spec.edges), value, side="right") - 1)
+    return offset + min(max(index, 0), n_intervals - 1)
+
+
 class TestProperties:
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=1, max_size=200),
@@ -112,10 +128,13 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     def test_any_duration_maps_below_cardinality(self, samples, k, zero_state, values):
         """Unseen durations too, including any positive one under a spec
-        fitted to all-zero samples (a stage never seen running)."""
+        fitted to all-zero samples (a stage never seen running).  Edges
+        themselves included, every state is the one np.searchsorted finds."""
         spec = Discretizer(max_intervals=k, zero_state=zero_state).fit(samples)
-        for value in values:
-            assert 0 <= Discretizer.transform(value, spec) < spec.cardinality
+        for value in [*values, *samples, *spec.edges]:
+            state = Discretizer.transform(value, spec)
+            assert 0 <= state < spec.cardinality
+            assert state == _searchsorted_transform(value, spec)
 
     def test_positive_duration_under_all_zero_spec(self):
         spec = Discretizer(zero_state=True).fit([0.0, 0.0])
