@@ -29,7 +29,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 from repro.api.prep import ExperimentSettings
 from repro.core.llmsched import LLMSchedConfig
 from repro.utils.canonical import content_hash
-from repro.utils.validation import require_int, require_real
+from repro.utils.validation import require_bool, require_int, require_real
 from repro.dag.task import TaskType
 from repro.schedulers.registry import check_scheduler_kwargs
 from repro.simulator.async_sched import AsyncConfig, PerJobLinearLatency, SampledLatency
@@ -100,6 +100,14 @@ def _require_real(value: object, name: str, low: float) -> float:
     """:func:`~repro.utils.validation.require_real`, failing with a SpecError."""
     try:
         return require_real(value, name, low)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
+
+
+def _require_bool(value: object, name: str) -> None:
+    """:func:`~repro.utils.validation.require_bool`, failing with a SpecError."""
+    try:
+        require_bool(value, name)
     except ValueError as exc:
         raise SpecError(str(exc)) from None
 
@@ -599,7 +607,8 @@ class AsyncSection:
     decision), ``per_job_linear`` (``base + per_job * pending_jobs``) or
     ``sampled`` (drawn from ``samples`` with a seeded RNG).  ``pipelined``
     and ``max_in_flight`` mirror
-    :class:`~repro.simulator.async_sched.AsyncConfig`.
+    :class:`~repro.simulator.async_sched.AsyncConfig`; ``max_in_flight``
+    only counts when ``pipelined`` is true.
     """
 
     kind: str = "fixed"
@@ -627,6 +636,12 @@ class AsyncSection:
             raise SpecError('async kind "sampled" needs a non-empty `samples` list')
         _require_int(self.seed, "async seed", 0)
         _require_int(self.max_in_flight, "async max_in_flight", 1)
+        _require_bool(self.pipelined, "async pipelined")
+        if not self.pipelined and self.max_in_flight != 2:
+            raise SpecError(
+                "async field 'max_in_flight' has no effect unless 'pipelined' is true; "
+                "drop it or set pipelined"
+            )
         # Fields belonging to a *different* kind are rejected rather than
         # silently ignored: a grid overriding `async.latency` over a
         # "sampled" section would otherwise run identical cells.

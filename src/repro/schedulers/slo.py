@@ -28,6 +28,15 @@ works the token model end to end:
   prefill-role executor is checkpoint-preempted so the
   ``prefill_decode`` placement policy can re-land it on a decode pool,
   keeping prefill capacity free for new-request admission.
+
+A request's SLO terms (TTFT deadline, job arrival time, TPOT batch cap) are
+fixed once it is ready, so each is priced once, by ``_deadline`` and
+``_batch_cap``, and kept as floats in one memo keyed by task ``uid``, which
+snapshot copies share.  Only ready tasks of a job the context knows are
+kept, and doom, which moves with the clock, never is.  Entries go when their
+job completes; a job that migrates off a shard and completes elsewhere
+leaves its entries there until the run ends, a residue bounded by the run's
+migrations.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from repro.dag.job import Job
 from repro.dag.task import Task, TaskType
 from repro.schedulers.base import (
     PreemptionDirective,
@@ -100,6 +110,8 @@ class SloServingScheduler(Scheduler):
         self._targets: Dict[str, Dict[str, float]] = {
             tier: dict(values) for tier, values in targets.items()
         }
+        #: Task uid -> (deadline, job arrival time, batch cap); see _terms.
+        self._memo: Dict[int, Tuple[float, float, float]] = {}
 
     # ------------------------------------------------------------------ #
     # SLO bookkeeping
@@ -142,6 +154,34 @@ class SloServingScheduler(Scheduler):
             return math.inf
         return 1.0 + (float(tpot) / per_token - 1.0) / self._slope
 
+    def _terms(self, context: SchedulingContext, task: Task) -> Tuple[float, float, float]:
+        """``(deadline, job arrival time, batch cap)`` of ``task``, from the memo.
+
+        A miss prices the task with :meth:`_deadline` and :meth:`_batch_cap`
+        and keeps the result only when the task is ready and ``context``
+        knows its job; a task without a job sorts after its deadline peers.
+        """
+        terms = self._memo.get(task.uid)
+        if terms is not None:
+            return terms
+        try:
+            job: Optional[Job] = context.job_of(task)
+        except KeyError:
+            job = None
+        terms = (
+            self._deadline(context, task),
+            math.inf if job is None else job.arrival_time,
+            self._batch_cap(context, task),
+        )
+        if job is not None and task.ready_time is not None:
+            self._memo[task.uid] = terms
+        return terms
+
+    def on_job_complete(self, job: Job, time: float) -> None:
+        for stage in job.stages.values():
+            for task in stage.tasks:
+                self._memo.pop(task.uid, None)
+
     @staticmethod
     def _is_doomed(task: Task, deadline: float, now: float) -> bool:
         """True when the TTFT race is already lost: even started right now,
@@ -166,15 +206,9 @@ class SloServingScheduler(Scheduler):
     def schedule(self, context: SchedulingContext) -> SchedulingDecision:
         now = context.time
 
-        def sort_key(t: Task):
-            deadline = self._deadline(context, t)
-            return (
-                self._is_doomed(t, deadline, now),
-                deadline,
-                context.job_of(t).arrival_time,
-                t.job_id,
-                t.uid,
-            )
+        def sort_key(t: Task) -> Tuple[bool, float, float, str, int]:
+            deadline, arrival, _ = self._terms(context, t)
+            return (self._is_doomed(t, deadline, now), deadline, arrival, t.job_id, t.uid)
 
         ordered = sorted(context.schedulable_tasks(), key=sort_key)
         regular = [t for t in ordered if t.task_type is TaskType.REGULAR]
@@ -227,7 +261,7 @@ class SloServingScheduler(Scheduler):
         running_caps: List[float] = []
         for running in context.running_tasks():
             if running.task_type is TaskType.LLM and running.has_token_model:
-                running_caps.append(self._batch_cap(context, running))
+                running_caps.append(self._terms(context, running)[2])
                 cap = min(cap, running_caps[-1])
         load = float(sum(context.llm_batch_sizes))
         projected_full = (load + len(llm)) / num_executors
@@ -236,7 +270,7 @@ class SloServingScheduler(Scheduler):
         now = context.time
         candidates: List[Tuple[Task, float, bool]] = []
         for task in llm:
-            deadline = self._deadline(context, task)
+            deadline = self._terms(context, task)[0]
             candidates.append(
                 (task, deadline - now, self._is_doomed(task, deadline, now))
             )
@@ -256,7 +290,7 @@ class SloServingScheduler(Scheduler):
                     continue  # defer: keeps in-flight streams within their caps
             admitted.append(task)
             # Admitted => effectively running: its cap now guards later admits.
-            cap = min(cap, self._batch_cap(context, task))
+            cap = min(cap, self._terms(context, task)[2])
         return admitted
 
     # ------------------------------------------------------------------ #
@@ -295,7 +329,7 @@ class SloServingScheduler(Scheduler):
         # the running task with the most SLO slack, checkpointed so the
         # victim only pays the requeue.
         blocked = [
-            (task, self._deadline(context, task))
+            (task, self._terms(context, task)[0])
             for task_list, free in (
                 (decision.regular_tasks, context.free_regular_slots),
                 (decision.llm_tasks, context.free_llm_slots),
@@ -330,7 +364,7 @@ class SloServingScheduler(Scheduler):
         """Running tasks paired with their deadlines, loosest-slack first."""
         inactive = context.inactive_executor_ids
         pool = [
-            (task, self._deadline(context, task))
+            (task, self._terms(context, task)[0])
             for task in context.running_tasks()
             if task.uid not in claimed
             and task.remaining_work > self._min_victim_remaining

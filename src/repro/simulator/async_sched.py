@@ -45,6 +45,7 @@ from typing import Callable, List, Optional, Sequence, Union
 from repro.schedulers.base import SchedulingContext, SchedulingDecision
 from repro.simulator.events import EventQueue, EventType
 from repro.utils.rng import make_rng
+from repro.utils.validation import require_bool
 
 __all__ = [
     "DecisionLatencyModel",
@@ -163,6 +164,7 @@ class AsyncConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.latency, DecisionLatencyModel) and float(self.latency) < 0:
             raise ValueError("decision latency must be >= 0")
+        require_bool(self.pipelined, "pipelined")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
 

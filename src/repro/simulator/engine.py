@@ -513,7 +513,8 @@ class SimulationEngine:
         scoped to the entries the snapshot promised capacity for
         (``snapshot_free_*``, grown by every preemption this decision lands):
         preference lists may exceed capacity by design, and the synchronous
-        engine drops the overflow silently too.
+        engine drops the overflow silently too.  So each list is walked only
+        until its budget is spent and its type has no free slot.
         """
         decision = inflight.decision
         budget = {
@@ -536,6 +537,8 @@ class SimulationEngine:
             (TaskType.LLM, decision.llm_tasks),
         ):
             for task in tasks:
+                if budget[expected_type] <= 0 and self.cluster.free_slots(expected_type) == 0:
+                    break  # nothing later can land (slots only fall) or be metered
                 key = task.key()
                 if key in seen:
                     continue
@@ -556,11 +559,7 @@ class SimulationEngine:
                     if in_budget:
                         self.metrics.record_stale_placement()
                     continue
-                free = (
-                    self.cluster.free_regular_slots()
-                    if expected_type is TaskType.REGULAR
-                    else self.cluster.free_llm_slots()
-                )
+                free = self.cluster.free_slots(expected_type)
                 if (free == 0 or not self._place_task(live, expected_type)) and in_budget:
                     self.metrics.record_placement_conflict()
 

@@ -151,6 +151,14 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 1
         assert "async latency must be a finite number >= 0.0, got nan" in capsys.readouterr().err
 
+    def test_validate_rejects_quoted_async_pipelined_flag(self, tmp_path, capsys):
+        # Used to validate, then run pipelined: the string "false" is truthy.
+        bad = tmp_path / "quoted_pipelined.json"
+        section = {"kind": "fixed", "latency": 2.0, "pipelined": "false"}
+        bad.write_text(json.dumps({"scheduler": {"name": "fcfs"}, "async": section}))
+        assert main(["validate", str(bad)]) == 1
+        assert "async pipelined must be a bool, got 'false'" in capsys.readouterr().err
+
     def test_validate_catches_section_conflicts(self, tmp_path, capsys):
         bad = tmp_path / "conflict.json"
         bad.write_text(

@@ -138,6 +138,9 @@ _REAL_SECTION_CASES = [
 ]
 
 
+_ASYNC_EXAMPLE = Path(__file__).parent.parent / "examples" / "specs" / "async_decision_latency.json"
+
+
 def _set_field(data, path, value):
     """Overwrite the field at dotted ``path`` in ``data`` (it must exist); return its name."""
     *parents, field = path.split(".")
@@ -350,6 +353,25 @@ class TestValidation:
             AsyncSection(kind="sampled", samples=(0.5,), latency=2.0)
         with pytest.raises(SpecError, match="'base' has no effect.*fixed"):
             AsyncSection(kind="fixed", latency=1.0, base=0.5)
+
+    @pytest.mark.parametrize("value", ["false", "no", 1, 0])
+    def test_async_pipelined_must_be_a_bool(self, value):
+        # Each used to validate; the strings and 1 then ran pipelined.
+        data = json.loads(_ASYNC_EXAMPLE.read_text())
+        data["async"]["pipelined"] = value
+        message = rf"async pipelined must be a bool, got {re.escape(repr(value))}"
+        with pytest.raises(SpecError, match=message):
+            ScenarioSpec.from_dict(data)
+
+    def test_async_max_in_flight_needs_pipelining(self):
+        # Unpipelined decisions are one at a time whatever max_in_flight
+        # says, so a grid over it used to run identical cells.
+        data = json.loads(_ASYNC_EXAMPLE.read_text())
+        data["async"].update(pipelined=False, max_in_flight=4)
+        with pytest.raises(SpecError, match="'max_in_flight' has no effect unless 'pipelined'"):
+            ScenarioSpec.from_dict(data)
+        data["async"]["pipelined"] = True
+        assert ScenarioSpec.from_dict(data).async_.to_async_config().depth == 4
 
     def test_unknown_process_kind(self):
         with pytest.raises(SpecError, match="unknown arrival process kind"):
@@ -641,9 +663,11 @@ _async_sections = st.one_of(
         AsyncSection,
         kind=st.just("fixed"),
         latency=st.floats(0.0, 10.0),
-        pipelined=st.booleans(),
+        pipelined=st.just(True),
         max_in_flight=st.integers(1, 4),
     ),
+    # Unpipelined sections keep the default max_in_flight (anything else is rejected).
+    st.builds(AsyncSection, kind=st.just("fixed"), latency=st.floats(0.0, 10.0)),
     st.builds(
         AsyncSection,
         kind=st.just("per_job_linear"),

@@ -9,7 +9,9 @@ import pytest
 from repro.core.calibration import BatchingAwareCalibrator
 from repro.core.llmsched import LLMSchedConfig, LLMSchedScheduler
 from repro.core.profiler import BayesianProfiler
-from repro.dag.task import TaskState
+from repro.dag.job import Job
+from repro.dag.stage import Stage, StageSpec, StageState, StageType
+from repro.dag.task import TaskState, TaskType
 from repro.schedulers.base import (
     PreemptionDirective,
     SchedulingContext,
@@ -23,6 +25,7 @@ from repro.simulator.async_sched import (
     AsyncConfig,
     AsyncSchedulerBackend,
     FixedLatency,
+    InFlightDecision,
     PerJobLinearLatency,
     SampledLatency,
     create_latency_model,
@@ -37,6 +40,7 @@ from repro.simulator.federation import (
     create_job_router,
 )
 from repro.simulator.latency import DecodingLatencyProfile
+from repro.utils.rng import make_rng
 from repro.workloads.arrivals import PoissonProcess, open_loop_jobs
 from repro.workloads.mixtures import (
     WorkloadSpec,
@@ -131,6 +135,12 @@ class TestLatencyModels:
             AsyncConfig(max_in_flight=0)
         assert AsyncConfig(pipelined=True, max_in_flight=3).depth == 3
         assert AsyncConfig(pipelined=False, max_in_flight=3).depth == 1
+
+    @pytest.mark.parametrize("value", ["false", "no", 1, None])
+    def test_config_pipelined_must_be_a_bool(self, value):
+        # A truthy non-bool used to run pipelined.
+        with pytest.raises(ValueError, match="pipelined must be a bool"):
+            AsyncConfig(latency=1.0, pipelined=value)
 
 
 # --------------------------------------------------------------------------- #
@@ -267,8 +277,6 @@ class TestConflictResolution:
         context = engine._build_context()
         snapshot = context.snapshot()
         victim = snapshot.schedulable_tasks()[0]  # PENDING, never ran
-        from repro.simulator.async_sched import InFlightDecision
-
         inflight = InFlightDecision(
             requested_at=engine.current_time,
             apply_at=engine.current_time,
@@ -286,8 +294,6 @@ class TestConflictResolution:
         task = snapshot.schedulable_tasks()[0]
         # Simulate the job leaving the cluster between snapshot and apply.
         engine._active_jobs.pop(task.job_id)
-        from repro.simulator.async_sched import InFlightDecision
-
         decision = SchedulingDecision.from_tasks([task])
         inflight = InFlightDecision(
             requested_at=engine.current_time,
@@ -303,8 +309,6 @@ class TestConflictResolution:
         engine = self._engine_with_context(applications)
         snapshot = engine._build_context().snapshot()
         task = snapshot.schedulable_tasks()[0]
-        from repro.simulator.async_sched import InFlightDecision
-
         # The same task listed three times (allowed by the scheduler
         # contract): one placement, the repeats skipped silently — not
         # counted as stale placements, exactly like the sync path.
@@ -366,6 +370,234 @@ class TestConflictResolution:
             if live is None:
                 continue  # job finished and left the cluster: stale by design
             assert live.key() == task.key()
+
+
+# --------------------------------------------------------------------------- #
+# Applying a decision stops at the last slot: the full walk is the reference
+# --------------------------------------------------------------------------- #
+class FullWalkEngine(SimulationEngine):
+    """The engine with the async apply path walking every entry of both lists."""
+
+    def _apply_async_decision(self, inflight):
+        decision = inflight.decision
+        budget = {
+            TaskType.REGULAR: inflight.snapshot_free_regular,
+            TaskType.LLM: inflight.snapshot_free_llm,
+        }
+        seen = set()
+        for directive in decision.preemptions:
+            live = self._resolve_live_task(directive.task)
+            if live is None or live.state is not TaskState.RUNNING:
+                self.metrics.record_stale_preemption()
+                continue
+            if self.preempt(live, checkpoint=directive.checkpoint):
+                budget[live.task_type] += 1
+        for expected_type, tasks in (
+            (TaskType.REGULAR, decision.regular_tasks),
+            (TaskType.LLM, decision.llm_tasks),
+        ):
+            for task in tasks:
+                key = task.key()
+                if key in seen:
+                    continue
+                seen.add(key)
+                in_budget = budget[expected_type] > 0
+                budget[expected_type] -= 1
+                live = self._resolve_live_task(task)
+                if live is None or live.state is not TaskState.PENDING:
+                    if in_budget:
+                        self.metrics.record_stale_placement()
+                    continue
+                job = self._active_jobs[live.job_id]
+                stage = job.stage(live.stage_id)
+                if (
+                    stage.state not in (StageState.READY, StageState.RUNNING)
+                    or not stage.visible
+                ):
+                    if in_budget:
+                        self.metrics.record_stale_placement()
+                    continue
+                free = (
+                    self.cluster.free_regular_slots()
+                    if expected_type is TaskType.REGULAR
+                    else self.cluster.free_llm_slots()
+                )
+                if (free == 0 or not self._place_task(live, expected_type)) and in_budget:
+                    self.metrics.record_placement_conflict()
+
+
+class TestApplyStop:
+    """Each list of an async decision is walked only until its budget is
+    spent and its type has no free slot.  Twin engines, one stopping and
+    one walking every entry, apply the same decisions; their tasks,
+    counters and free slots must stay equal while the stopping one
+    resolves fewer entries."""
+
+    @staticmethod
+    def twins(jobs_factory, cluster, steps=0):
+        twins = []
+        for engine_class in (SimulationEngine, FullWalkEngine):
+            engine = engine_class(
+                jobs_factory(),
+                FcfsScheduler(),
+                cluster=Cluster(cluster),
+                async_backend=AsyncSchedulerBackend(
+                    AsyncConfig(latency=1.0, pipelined=True, max_in_flight=2)
+                ),
+            )
+            for _ in range(steps):
+                engine.step()
+            resolved = []
+            resolve = engine._resolve_live_task
+
+            def counting(task, resolve=resolve, resolved=resolved):
+                resolved.append((task.task_type, task.key()))
+                return resolve(task)
+
+            engine._resolve_live_task = counting
+            twins.append((engine, resolved))
+        return twins
+
+    @staticmethod
+    def world(engine):
+        metrics = engine.metrics
+        return (
+            {
+                task.key(): (task.state, task.executor_id, task.progress)
+                for job in engine._active_jobs.values()
+                for stage in job.stages.values()
+                for task in stage.tasks
+            },
+            metrics.num_stale_placements,
+            metrics.num_placement_conflicts,
+            metrics.num_stale_preemptions,
+            metrics.num_preemptions,
+            engine.cluster.free_regular_slots(),
+            engine.cluster.free_llm_slots(),
+        )
+
+    def apply(self, twins, free_regular, free_llm, regular=(), llm=(), preempt=()):
+        """Apply one decision to both twins; (stopping, full walk) resolve counts."""
+        decision = SchedulingDecision(
+            regular_tasks=list(regular),
+            llm_tasks=list(llm),
+            preemptions=[PreemptionDirective(task=task) for task in preempt],
+        )
+        for engine, resolved in twins:
+            resolved.clear()
+            engine._apply_async_decision(
+                InFlightDecision(
+                    requested_at=engine.current_time,
+                    apply_at=engine.current_time,
+                    decision=decision,
+                    snapshot_free_regular=free_regular,
+                    snapshot_free_llm=free_llm,
+                )
+            )
+        (stopping, stopped), (full, walked) = twins
+        assert self.world(stopping) == self.world(full)
+        # Preemptions resolve first on both; then the stop cuts each list.
+        count = len(preempt)
+        assert stopped[:count] == walked[:count]
+        for task_type in TaskType:
+            cut = [key for kind, key in stopped[count:] if kind is task_type]
+            assert cut == [key for kind, key in walked[count:] if kind is task_type][: len(cut)]
+        return len(stopped), len(walked)
+
+    @staticmethod
+    def finish(twins):
+        jcts = [engine.run().job_completion_times for engine, _ in twins]
+        assert jcts[0] == jcts[1]
+
+    def test_hand_built_decisions(self):
+        def one_wide_job():
+            job = Job("wide", "app", 0.0)
+            job.add_stage(Stage(StageSpec("r", StageType.REGULAR), "wide", [1.0] * 8))
+            job.add_stage(Stage(StageSpec("l", StageType.LLM), "wide", [2.0] * 10))
+            job.finalize()
+            return [job]
+
+        # 3 regular slots, 4 LLM slots; the first step only requests a
+        # decision, so every task is still pending and every slot free.
+        twins = self.twins(
+            one_wide_job,
+            ClusterConfig(num_regular_executors=3, num_llm_executors=2, max_batch_size=2),
+            steps=1,
+        )
+        job = twins[0][0]._active_jobs["wide"]
+        r = job.stage("r").tasks
+        llm = job.stage("l").tasks
+        assert twins[0][0].cluster.free_regular_slots() == 3
+        # Lists longer than budget and slots, with repeats: three regular
+        # and four LLM entries land, then each list stops.
+        counts = self.apply(
+            twins, 3, 4, regular=[r[0], r[0], r[1], r[2], r[3], r[4], r[5], r[1]], llm=llm
+        )
+        assert counts == (3 + 4, 6 + 10)
+        # Stale entries past the budget: r0 is metered, the rest is not.
+        assert self.apply(twins, 1, 0, regular=[r[0], r[1], r[3], r[4]]) == (1, 4)
+        assert twins[0][0].metrics.num_stale_placements == 1
+        # A budget larger than the live free slots meters every entry it
+        # covers as a conflict, so the walk goes on until it is spent.
+        assert self.apply(twins, 3, 0, regular=[r[3], r[4], r[5], r[6]]) == (3, 4)
+        assert twins[0][0].metrics.num_placement_conflicts == 3
+        # Preemptions grow the budget and free a slot: one landed
+        # preemption (r0), one stale (r3), then one placement and the stop.
+        counts = self.apply(twins, 0, 0, regular=[r[4], r[5], r[6]], preempt=[r[0], r[3]])
+        assert counts == (2 + 1, 2 + 3)
+        assert r[4].state is TaskState.RUNNING and r[0].state is TaskState.PENDING
+        assert twins[0][0].metrics.num_preemptions == 1
+        assert twins[0][0].metrics.num_stale_preemptions == 1
+        # No budget but free slots: entries land unmetered until the slots
+        # run out.
+        twins[0][0].preempt(r[1])
+        twins[1][0].preempt(twins[1][0]._active_jobs["wide"].stage("r").tasks[1])
+        assert self.apply(twins, 0, 0, regular=[r[7], r[6], r[5], r[3]]) == (1, 4)
+        self.finish(twins)
+
+    def test_random_decisions(self, applications):
+        stopped_total = walked_total = 0
+        for seed in range(12):
+            rng = make_rng(seed)
+            twins = self.twins(
+                lambda: generate_workload(SPEC, applications=applications),
+                CLUSTER,
+                steps=int(rng.integers(1, 60)),
+            )
+            for _ in range(4):
+                snapshot = twins[0][0]._build_context().snapshot()
+                tasks = [
+                    task
+                    for job in snapshot.jobs
+                    for stage in job.stages.values()
+                    for task in stage.tasks
+                ]
+
+                def draw(pool, high):
+                    size = int(rng.integers(0, high + 1))
+                    if not pool:
+                        return []
+                    return [pool[i] for i in rng.integers(0, len(pool), size=size)]
+
+                regular = [t for t in tasks if t.task_type is TaskType.REGULAR]
+                llm = [t for t in tasks if t.task_type is TaskType.LLM]
+                running = [t for t in tasks if t.state is TaskState.RUNNING]
+                free_regular = int(rng.integers(0, snapshot.free_regular_slots + 3))
+                free_llm = int(rng.integers(0, snapshot.free_llm_slots + 3))
+                decision = dict(
+                    regular=draw(regular, 2 * free_regular + 6),
+                    llm=draw(llm, 2 * free_llm + 6),
+                    preempt=draw(running, 3) + draw(tasks, 1),
+                )
+                # Let the world move on before the decision lands.
+                for _ in range(int(rng.integers(0, 4))):
+                    for engine, _resolved in twins:
+                        engine.step()
+                stopped, walked = self.apply(twins, free_regular, free_llm, **decision)
+                stopped_total += stopped
+                walked_total += walked
+            self.finish(twins)
+        assert stopped_total < walked_total
 
 
 # --------------------------------------------------------------------------- #
