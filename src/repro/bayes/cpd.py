@@ -57,6 +57,8 @@ class TabularCPD:
                 f"CPD table for {variable!r} has shape {array.shape}, "
                 f"expected {(self.cardinality, expected_cols)}"
             )
+        if not np.isfinite(array).all():
+            raise ValueError(f"CPD table for {variable!r} contains non-finite entries")
         if np.any(array < -1e-12):
             raise ValueError(f"CPD table for {variable!r} contains negative entries")
         column_sums = array.sum(axis=0)

@@ -11,7 +11,19 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["DiscreteFactor"]
+__all__ = ["DiscreteFactor", "normalized"]
+
+
+def normalized(values: np.ndarray) -> np.ndarray:
+    """``values`` scaled so that all entries sum to 1.
+
+    An array that sums to zero (impossible evidence) becomes uniform, which
+    is the safest behaviour for downstream expectation estimates.
+    """
+    total = float(values.sum())
+    if total <= 0.0:
+        return np.full(values.shape, 1.0 / values.size)
+    return values / total
 
 
 class DiscreteFactor:
@@ -25,7 +37,7 @@ class DiscreteFactor:
         Mapping from variable name to the number of states it can take.
     values:
         Array (or nested sequence) with one axis per variable, in the order of
-        ``variables``.  Values must be non-negative.
+        ``variables``.  Values must be finite and non-negative.
     """
 
     def __init__(
@@ -47,6 +59,8 @@ class DiscreteFactor:
             raise ValueError(
                 f"values shape {array.shape} does not match cardinalities {expected_shape}"
             )
+        if not np.isfinite(array).all():
+            raise ValueError("factor values must be finite")
         if np.any(array < -1e-12):
             raise ValueError("factor values must be non-negative")
         self.values = np.clip(array, 0.0, None)
@@ -142,15 +156,8 @@ class DiscreteFactor:
         return DiscreteFactor(remaining, cards, values)
 
     def normalize(self) -> "DiscreteFactor":
-        """Return a copy scaled so that all entries sum to 1.
-
-        A factor that sums to zero (impossible evidence) is returned uniform,
-        which is the safest behaviour for downstream expectation estimates.
-        """
-        total = float(self.values.sum())
-        if total <= 0.0:
-            return DiscreteFactor.uniform(self.variables, self.cardinalities)
-        return DiscreteFactor(self.variables, self.cardinalities, self.values / total)
+        """Return a copy scaled by :func:`normalized`."""
+        return DiscreteFactor(self.variables, self.cardinalities, normalized(self.values))
 
     def marginal(self, variable: str) -> np.ndarray:
         """1-D normalised marginal distribution of a single variable."""

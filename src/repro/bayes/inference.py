@@ -4,18 +4,29 @@ LLMSched's Bayesian networks are small (the paper notes compound LLM
 applications rarely exceed ~10 LLM stages), so exact elimination with a
 min-degree ordering is both simple and fast enough to run inside the
 scheduler's critical path.
+
+A query reads the network's compiled state (see :mod:`repro.bayes.network`),
+built at the network's first query and dropped by ``add_node``, ``add_edge``
+and ``set_cpd``.  Its read-only CPD arrays are conditioned only where an
+evidence variable touches them, its memo supplies the elimination order
+(which depends on the factor scopes, not on the evidence states), and the
+elimination runs on ``(variables, array)`` pairs.  Only the answer is built
+as a checked :class:`DiscreteFactor`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bayes.factor import DiscreteFactor
-from repro.bayes.network import DiscreteBayesianNetwork
+from repro.bayes.factor import DiscreteFactor, normalized
+from repro.bayes.network import DiscreteBayesianNetwork, Scope
 
 __all__ = ["VariableElimination"]
+
+#: A factor during elimination: its variables and its array.
+Table = Tuple[Scope, np.ndarray]
 
 
 class VariableElimination:
@@ -50,31 +61,28 @@ class VariableElimination:
         if unknown_evidence:
             raise ValueError(f"unknown evidence variables: {unknown_evidence}")
 
-        factors = [f.reduce(evidence) for f in self._network.factors()]
-        factors = [f for f in factors if f.variables or f.total != 1.0]
-
-        to_eliminate = [
-            node
-            for node in self._network.nodes
-            if node not in query_vars and node not in evidence
-        ]
-        order = self._elimination_order(to_eliminate, factors)
+        compiled = self._network.compiled()
+        cards = compiled.cardinalities
+        factors = _conditioned(compiled.tables, evidence)
+        to_eliminate = tuple(v for v in cards if v not in query_vars and v not in evidence)
+        key = (to_eliminate, tuple(scope for scope, _ in factors))
+        order = compiled.elimination_orders.get(key)
+        if order is None:
+            order = compiled.elimination_orders[key] = self._elimination_order(*key)
 
         for var in order:
-            factors = self._eliminate(var, factors)
+            involved = [f for f in factors if var in f[0]]
+            if involved:
+                factors = [f for f in factors if var not in f[0]]
+                scope, values = _product(involved, cards)
+                axis = scope.index(var)
+                factors.append((scope[:axis] + scope[axis + 1 :], values.sum(axis=(axis,))))
 
-        result = DiscreteFactor.identity()
-        for factor in factors:
-            result = result.product(factor)
-        # Restrict to exactly the query variables (scalar leftovers are fine).
-        extra = [v for v in result.variables if v not in query_vars]
-        if extra:
-            result = result.marginalize(extra)
-        if not result.variables:
-            raise RuntimeError("query eliminated all variables; this is a bug")
+        scope, values = _product(factors, cards)
         # Re-order axes to the requested order for predictable downstream use.
-        result = self._reorder(result, query_vars)
-        return result.normalize()
+        if list(scope) != query_vars:
+            values = values.transpose([scope.index(v) for v in query_vars])
+        return DiscreteFactor(query_vars, cards, normalized(values))
 
     def posterior_marginals(
         self,
@@ -99,25 +107,12 @@ class VariableElimination:
     # Internals
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _eliminate(variable: str, factors: List[DiscreteFactor]) -> List[DiscreteFactor]:
-        involved = [f for f in factors if variable in f.variables]
-        untouched = [f for f in factors if variable not in f.variables]
-        if not involved:
-            return untouched
-        product = involved[0]
-        for factor in involved[1:]:
-            product = product.product(factor)
-        return untouched + [product.marginalize([variable])]
-
-    @staticmethod
-    def _elimination_order(
-        variables: Iterable[str], factors: Sequence[DiscreteFactor]
-    ) -> List[str]:
+    def _elimination_order(variables: Iterable[str], scopes: Sequence[Scope]) -> List[str]:
         """Greedy min-degree ordering on the factor interaction graph."""
         remaining = list(variables)
         # Adjacency: variables co-occurring in a factor interact.
         neighbors: Dict[str, set] = {v: set() for v in remaining}
-        cliques = [set(f.variables) for f in factors]
+        cliques = [set(scope) for scope in scopes]
         order: List[str] = []
         while remaining:
             for var in remaining:
@@ -133,12 +128,52 @@ class VariableElimination:
             cliques.append(set(merged))
         return order
 
-    @staticmethod
-    def _reorder(factor: DiscreteFactor, variable_order: Sequence[str]) -> DiscreteFactor:
-        desired = [v for v in variable_order if v in factor.variables]
-        if desired == factor.variables:
-            return factor
-        perm = [factor.variables.index(v) for v in desired]
-        values = factor.values.transpose(perm)
-        cards = {v: factor.cardinalities[v] for v in desired}
-        return DiscreteFactor(desired, cards, values)
+
+def _conditioned(tables: Sequence[Table], evidence: Mapping[str, int]) -> List[Table]:
+    """The CPD tables reduced to the evidence states.
+
+    Only a table an evidence variable touches is indexed, and copied into
+    a C-ordered array; one left as the scalar 1 is dropped.
+    """
+    factors: List[Table] = []
+    for scope, values in tables:
+        if evidence.keys().isdisjoint(scope):
+            factors.append((scope, values))
+            continue
+        index: List[object] = []
+        remaining: List[str] = []
+        for var, card in zip(scope, values.shape, strict=True):
+            if var in evidence:
+                state = int(evidence[var])
+                if not 0 <= state < card:
+                    raise ValueError(
+                        f"state {state} out of range for {var!r} (cardinality {card})"
+                    )
+                index.append(state)
+            else:
+                index.append(slice(None))
+                remaining.append(var)
+        reduced = np.array(values[tuple(index)])
+        if remaining or float(reduced) != 1.0:
+            factors.append((tuple(remaining), reduced))
+    return factors
+
+
+def _product(factors: Sequence[Table], cards: Mapping[str, int]) -> Table:
+    """Pointwise product of the factors, left to right, over the union of their variables.
+
+    Each step writes ``left * right`` into a new C-ordered array whose axes
+    are the left factor's, then the right factor's new ones.
+    """
+    scope, values = factors[0]
+    for other_scope, other in factors[1:]:
+        new = tuple(v for v in other_scope if v not in scope)
+        joined = scope + new
+        present = [v for v in joined if v in other_scope]
+        if present != list(other_scope):
+            other = other.transpose([other_scope.index(v) for v in present])
+        right = other.reshape(tuple(cards[v] if v in other_scope else 1 for v in joined))
+        left = values.reshape(values.shape + (1,) * len(new))
+        values = np.multiply(left, right, out=np.empty(tuple(cards[v] for v in joined)))
+        scope = joined
+    return scope, values

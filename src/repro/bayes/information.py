@@ -14,7 +14,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.bayes.factor import DiscreteFactor
+from repro.bayes.factor import DiscreteFactor, normalized
 from repro.bayes.inference import VariableElimination
 from repro.bayes.network import DiscreteBayesianNetwork
 
@@ -33,8 +33,9 @@ def entropy_of_distribution(probabilities: Sequence[float]) -> float:
     """Shannon entropy (bits) of a probability vector.
 
     The vector is normalised defensively; zero entries contribute nothing.
+    An array of any shape is read in row-major order.
     """
-    probs = np.asarray(list(probabilities), dtype=float)
+    probs = np.asarray(probabilities, dtype=float).ravel()
     if probs.size == 0:
         return 0.0
     if np.any(probs < -_EPS):
@@ -79,16 +80,23 @@ def mutual_information(
     if missing:
         raise ValueError(f"joint factor is missing variables: {missing}")
 
-    normalized = joint.normalize()
-    extra = [v for v in normalized.variables if v not in left + right]
+    variables = joint.variables
+    values = normalized(joint.values)
+    extra = [v for v in variables if v not in left + right]
     if extra:
-        normalized = normalized.marginalize(extra).normalize()
+        values = _summed_out(variables, values, extra)
+        variables = [v for v in variables if v not in extra]
 
-    h_joint = factor_entropy(normalized)
-    h_left = factor_entropy(normalized.marginalize(right).normalize())
-    h_right = factor_entropy(normalized.marginalize(left).normalize())
+    h_joint = entropy_of_distribution(values)
+    h_left = entropy_of_distribution(_summed_out(variables, values, right))
+    h_right = entropy_of_distribution(_summed_out(variables, values, left))
     value = h_left + h_right - h_joint
     return max(0.0, float(value))
+
+
+def _summed_out(variables: Sequence[str], values: np.ndarray, group: Sequence[str]) -> np.ndarray:
+    """The distribution ``values`` over ``variables`` with ``group`` summed out, normalised."""
+    return normalized(values.sum(axis=tuple(variables.index(v) for v in group)))
 
 
 def conditional_mutual_information(

@@ -1,14 +1,67 @@
-"""Discrete Bayesian network: a DAG of tabular CPDs."""
+"""Discrete Bayesian network: a DAG of tabular CPDs.
+
+Queries read a network's compiled state (:class:`CompiledNetwork`), built
+at the first :meth:`DiscreteBayesianNetwork.compiled` call after a change:
+
+* each CPD as a :class:`~repro.bayes.factor.DiscreteFactor`, checked once,
+  whose array is read-only (:meth:`~DiscreteBayesianNetwork.factors` returns
+  these factors);
+* the topological order and, per variable, its CPD columns, which the
+  profiler's forward pass mixes;
+* a memo of the elimination orders variable elimination has used.
+
+``add_node``, ``add_edge`` and ``set_cpd`` drop the compiled state, so the
+next query sees the edited network.
+"""
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.bayes.cpd import TabularCPD
 from repro.bayes.factor import DiscreteFactor
 from repro.utils.graph import DiGraph
 
-__all__ = ["DiscreteBayesianNetwork"]
+__all__ = ["CompiledNetwork", "DiscreteBayesianNetwork"]
+
+#: Variables of a factor, in the order of its array's axes.
+Scope = Tuple[str, ...]
+
+
+class CompiledNetwork:
+    """What queries read from a network; see the module docstring."""
+
+    __slots__ = ("factors", "tables", "cardinalities", "order", "columns", "elimination_orders")
+
+    def __init__(self, network: "DiscreteBayesianNetwork") -> None:
+        network.check_model()
+        nodes = network.nodes
+        self.factors: List[DiscreteFactor] = [network.get_cpd(n).to_factor() for n in nodes]
+        for factor in self.factors:
+            factor.values.flags.writeable = False
+        #: The factors as the (variables, array) pairs variable elimination reads.
+        self.tables: List[Tuple[Scope, np.ndarray]] = [
+            (tuple(f.variables), f.values) for f in self.factors
+        ]
+        self.cardinalities: Dict[str, int] = {n: network.cardinality(n) for n in nodes}
+        self.order: List[str] = network.topological_order()
+        #: variable -> (its parents, last first; its CPD columns, each with the
+        #: parents' states that select it, in the same order).  A root has no
+        #: parents and one column.
+        self.columns: Dict[str, Tuple[Scope, List[Tuple[np.ndarray, Tuple[int, ...]]]]] = {}
+        for (node, *parents), values in self.tables:
+            table = values.reshape(values.shape[0], -1)
+            assignments = itertools.product(*(range(self.cardinalities[p]) for p in parents))
+            self.columns[node] = (
+                tuple(reversed(parents)),
+                [(table[:, i], states[::-1]) for i, states in enumerate(assignments)],
+            )
+        #: (variables to eliminate, factor scopes) -> min-degree elimination
+        #: order; the order depends on the scopes only, not on evidence states.
+        self.elimination_orders: Dict[Tuple[Scope, Tuple[Scope, ...]], List[str]] = {}
 
 
 class DiscreteBayesianNetwork:
@@ -24,6 +77,7 @@ class DiscreteBayesianNetwork:
         self._cpds: Dict[str, TabularCPD] = {}
         self._cardinalities: Dict[str, int] = {}
         self._state_labels: Dict[str, List[object]] = {}
+        self._compiled: Optional[CompiledNetwork] = None
 
     # ------------------------------------------------------------------ #
     # Structure
@@ -51,6 +105,7 @@ class DiscreteBayesianNetwork:
         self._graph.add_node(name)
         self._cardinalities[name] = int(cardinality)
         self._state_labels[name] = labels
+        self._compiled = None
 
     def add_edge(self, parent: str, child: str) -> None:
         """Add a dependency edge; rejects self-loops and cycles."""
@@ -58,6 +113,7 @@ class DiscreteBayesianNetwork:
             if node not in self._cardinalities:
                 raise ValueError(f"unknown node {node!r}")
         self._graph.add_edge(parent, child)
+        self._compiled = None
 
     @property
     def nodes(self) -> List[str]:
@@ -132,6 +188,7 @@ class DiscreteBayesianNetwork:
                     f"CPD parent cardinality mismatch for {parent!r} in {cpd.variable!r}"
                 )
         self._cpds[cpd.variable] = cpd
+        self._compiled = None
 
     def get_cpd(self, node: str) -> TabularCPD:
         return self._cpds[node]
@@ -146,10 +203,15 @@ class DiscreteBayesianNetwork:
     # ------------------------------------------------------------------ #
     # Distributions
     # ------------------------------------------------------------------ #
+    def compiled(self) -> CompiledNetwork:
+        """The query state, built at the first call after a change (see the module docstring)."""
+        if self._compiled is None:
+            self._compiled = CompiledNetwork(self)
+        return self._compiled
+
     def factors(self) -> List[DiscreteFactor]:
-        """All CPDs converted to factors (used by inference engines)."""
-        self.check_model()
-        return [self._cpds[node].to_factor() for node in self.nodes]
+        """All CPDs as factors, in node order; their arrays are read-only."""
+        return list(self.compiled().factors)
 
     def joint_distribution(self) -> DiscreteFactor:
         """Full joint distribution (only sensible for small networks)."""

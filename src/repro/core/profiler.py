@@ -46,6 +46,16 @@ class ApplicationProfile:
     mean_durations: Dict[str, float]
     #: dynamic-stage profile key -> (preceding LLM key, entropy, duration range)
     dynamic_info: Dict[str, Tuple[str, float, float]] = field(default_factory=dict)
+    #: variable -> (state representatives, their squares), for the duration moments.
+    state_values: Dict[str, Tuple[np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self.state_values = {}
+        for variable, spec in self.specs.items():
+            representatives = np.asarray(spec.representatives, dtype=float)
+            self.state_values[variable] = (representatives, representatives**2)
 
     @property
     def mean_total_duration(self) -> float:
@@ -123,6 +133,10 @@ class BayesianProfiler:
         rng = make_rng(seed)
         for app in applications:
             self._profiles[app.name] = self._fit_application(app, n_profile_jobs, rng)
+        # Answers of the replaced networks must not outlive them.
+        self._marginal_cache.clear()
+        self._moment_cache.clear()
+        self._reduction_cache.clear()
         return self
 
     def _fit_application(
@@ -307,33 +321,30 @@ class BayesianProfiler:
         if cached is not None:
             return cached
 
-        network = profile.network
+        compiled = profile.network.compiled()
         marginals: Dict[str, np.ndarray] = {}
-        for variable in network.topological_order():
-            card = network.cardinality(variable)
+        for variable in compiled.order:
+            card = compiled.cardinalities[variable]
             if variable in evidence:
                 point = np.zeros(card)
                 point[int(evidence[variable])] = 1.0
                 marginals[variable] = point
                 continue
-            cpd = network.get_cpd(variable)
-            if not cpd.parents:
-                marginals[variable] = cpd.table[:, 0].copy()
+            parents, columns = compiled.columns[variable]
+            if not parents:
+                marginals[variable] = columns[0][0].copy()
                 continue
             # Mix the CPD columns over the joint parent distribution
             # (parents treated as independent, which is exact for the
             # tree-structured networks the profiler learns).
+            parent_probs = [marginals[parent].tolist() for parent in parents]
             distribution = np.zeros(card)
-            parent_cards = [cpd.parent_cardinalities[p] for p in cpd.parents]
-            for column_index in range(int(np.prod(parent_cards))):
+            for column, states in columns:
                 weight = 1.0
-                remainder = column_index
-                for parent, parent_card in zip(reversed(cpd.parents), reversed(parent_cards)):
-                    state = remainder % parent_card
-                    remainder //= parent_card
-                    weight *= float(marginals[parent][state])
+                for probs, state in zip(parent_probs, states, strict=True):
+                    weight *= probs[state]
                 if weight > 0:
-                    distribution += weight * cpd.table[:, column_index]
+                    distribution += weight * column
             total = distribution.sum()
             marginals[variable] = distribution / total if total > 0 else np.full(card, 1.0 / card)
 
@@ -402,13 +413,13 @@ class BayesianProfiler:
         marginals = self.posterior_marginals(application, evidence) if use_posterior else None
         moments = {}
         for variable in profile.variables:
-            representatives = np.asarray(profile.specs[variable].representatives, dtype=float)
+            representatives, squares = profile.state_values[variable]
             if marginals is not None:
-                distribution = np.asarray(marginals[variable], dtype=float)
+                distribution = marginals[variable]
             else:
                 distribution = np.full(representatives.size, 1.0 / representatives.size)
             mean = float(np.dot(distribution, representatives))
-            second_moment = float(np.dot(distribution, representatives**2))
+            second_moment = float(np.dot(distribution, squares))
             moments[variable] = (mean, max(0.0, second_moment - mean**2))
         self._moment_cache[key] = moments
         return moments

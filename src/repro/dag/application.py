@@ -13,6 +13,7 @@ The six concrete applications of the paper live in :mod:`repro.workloads`.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple
 
@@ -130,7 +131,8 @@ class ApplicationTemplate(abc.ABC):
         """Return ``draw`` if it describes a valid job, else raise :class:`JobBuildError`.
 
         Every draw passes here, built or not: :meth:`build_job` and
-        :meth:`sample_draws` both call it.
+        :meth:`sample_draws` both call it.  Offline readers take task
+        durations from draws alone, so each must be finite and non-negative.
         """
         graph = DiGraph()
         ids: Set[str] = set()
@@ -141,6 +143,11 @@ class ApplicationTemplate(abc.ABC):
             is_llm = stage.spec.stage_type is StageType.LLM
             if is_llm and stage.will_execute and not stage.task_durations:
                 raise JobBuildError(f"{self.name}: LLM stage {stage_id!r} has no tasks")
+            for duration in stage.task_durations:
+                if not 0.0 <= duration < math.inf:
+                    raise JobBuildError(
+                        f"{self.name}: stage {stage_id!r} has task duration {duration!r}"
+                    )
             ids.add(stage_id)
             graph.add_node(stage_id)
         for pair in (*draw.edges, *draw.reveals):

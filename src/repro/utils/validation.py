@@ -58,8 +58,8 @@ def require_positive(value: float, name: str) -> float:
 
 
 def require_non_negative(value: float, name: str) -> float:
-    """Return ``value`` if >= 0, otherwise raise ``ValueError``."""
-    if value < 0:
+    """Return ``value`` if >= 0, otherwise (NaN included) raise ``ValueError``."""
+    if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value
 

@@ -20,6 +20,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TabularCPD("a", 2, np.array([[-0.1], [1.1]]))
 
+    @pytest.mark.parametrize(
+        "table",
+        [[[np.nan], [np.nan]], [[np.nan], [1.0]], [[np.inf], [0.0]], [[0.5, np.nan], [0.5, 0.5]]],
+    )
+    def test_non_finite_entries_rejected(self, table):
+        # NaN used to pass both the sign and the column-sum check.
+        columns = len(table[0])
+        parents = {"b": columns} if columns > 1 else {}
+        with pytest.raises(ValueError, match="non-finite"):
+            TabularCPD("a", 2, np.array(table), list(parents), parents)
+
     def test_shape_must_match_parent_cards(self):
         with pytest.raises(ValueError):
             TabularCPD("a", 2, np.ones((2, 3)) / 2, parents=["b"], parent_cardinalities={"b": 2})

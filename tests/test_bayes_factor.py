@@ -21,6 +21,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_factor(["a"], {"a": 2}, [-0.5, 1.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_raise(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            make_factor(["a"], {"a": 2}, [bad, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteFactor([], {}, np.asarray(bad))
+
     def test_duplicate_variables_raise(self):
         with pytest.raises(ValueError):
             DiscreteFactor(["a", "a"], {"a": 2}, np.ones((2, 2)))

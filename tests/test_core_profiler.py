@@ -12,6 +12,8 @@ from repro.workloads import (
     SequenceSortingApplication,
     TaskAutomationApplication,
 )
+from repro.workloads.mixtures import default_applications
+from tests.test_ready_index import partial_jobs
 
 
 @pytest.fixture(scope="module")
@@ -243,3 +245,35 @@ class TestUncertaintyReduction:
         split_reduction = fitted_profiler.uncertainty_reduction(job, "ss_split")
         score_reduction = fitted_profiler.uncertainty_reduction(job, "ss_score_final")
         assert split_reduction > score_reduction
+
+
+class TestRefit:
+    def test_a_refit_profiler_answers_like_a_fresh_one(self):
+        """A refit used to answer from the replaced networks' cached marginals."""
+        applications = default_applications().values()
+        jobs = partial_jobs(11, 12, 20)
+
+        def answers(profiler):
+            result = [profiler.posterior_marginals("code_generation", {})]
+            for job in jobs:
+                evidence = profiler.evidence_for(job)
+                result.append(profiler.posterior_marginals(job.application, evidence))
+                result.append(profiler.remaining_estimate(job))
+                keys = sorted({stage.profile_key for stage in job.stages.values()})
+                result.append([profiler.uncertainty_reduction(job, key) for key in keys])
+            return result
+
+        def same(left, right):
+            if isinstance(left, dict):
+                return list(left) == list(right) and all(
+                    np.array_equal(left[k], right[k]) for k in left
+                )
+            return left == right
+
+        refit = BayesianProfiler().fit(applications, n_profile_jobs=20, seed=1)
+        stale = answers(refit)
+        refit.fit(applications, n_profile_jobs=300, seed=9)
+        fresh = answers(BayesianProfiler().fit(applications, n_profile_jobs=300, seed=9))
+        assert not same(stale[0], fresh[0])
+        for got, expected in zip(answers(refit), fresh, strict=True):
+            assert same(got, expected)

@@ -14,6 +14,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_task(work=-1.0)
 
+    def test_nan_work_rejected(self):
+        with pytest.raises(ValueError, match="work must be >= 0"):
+            make_task(work=float("nan"))
+
     def test_unique_uids(self):
         assert make_task().uid != make_task().uid
 

@@ -69,6 +69,10 @@ class TestRequireNonNegative:
         with pytest.raises(ValueError):
             require_non_negative(-0.1, "x")
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="x must be >= 0, got nan"):
+            require_non_negative(float("nan"), "x")
+
 
 class TestRequireProbability:
     def test_accepts_bounds(self):

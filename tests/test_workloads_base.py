@@ -93,6 +93,11 @@ class TestLatentScaledDuration:
         with pytest.raises(ValueError):
             LatentScaledDuration(base=-1.0)
 
+    def test_nan_noise_rejected(self):
+        # It used to validate, and every sample was then the 0.05 s floor.
+        with pytest.raises(ValueError, match="noise_sigma must be >= 0"):
+            LatentScaledDuration(base=3.0, scale_per_unit=1.0, noise_sigma=float("nan"))
+
 
 class TestQuery:
     def test_invalid_difficulty_rejected(self):

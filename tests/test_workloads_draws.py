@@ -212,6 +212,13 @@ def _no_stages(stages, edges, reveals):
     edges.clear()
 
 
+def _task_duration(value):
+    def mutate(stages, edges, reveals):
+        stages[1].task_durations = [1.0, value]
+
+    return mutate
+
+
 DEFECTS = {
     "duplicate_id": (_duplicate_id, "duplicate stage id 'a'"),
     "llm_stage_without_tasks": (_llm_stage_without_tasks, "LLM stage 'a' has no tasks"),
@@ -219,6 +226,9 @@ DEFECTS = {
     "unknown_reveal_endpoint": (_unknown_reveal_endpoint, "unknown stage 'c'"),
     "cycle": (_cycle, "'b' -> 'a' would create a cycle"),
     "no_stages": (_no_stages, "no stages"),
+    "nan_task_duration": (_task_duration(float("nan")), "stage 'b' has task duration nan"),
+    "negative_task_duration": (_task_duration(-0.5), "stage 'b' has task duration -0.5"),
+    "infinite_task_duration": (_task_duration(float("inf")), "stage 'b' has task duration inf"),
 }
 
 
@@ -267,3 +277,17 @@ def test_every_reader_rejects_a_defective_draw(defect, reader):
 @pytest.mark.parametrize("reader", sorted(_READERS))
 def test_every_reader_accepts_the_sound_draw(reader):
     _READERS[reader](Toy())
+
+
+def test_a_nan_stage_fails_the_profiler_fit():
+    """The profiler reads draws and builds no task, so the draw check is its only guard."""
+
+    class NanSearch(type(APPLICATIONS["web_search"])):
+        def sample_draw(self, rng):
+            draw = super().sample_draw(rng)
+            stage = next(s for s in draw.stages if s.spec.key == "ws_think_0")
+            stage.task_durations = [float("nan")] * len(stage.task_durations)
+            return draw
+
+    with pytest.raises(JobBuildError, match="web_search: stage 'ws_think_0' has task duration nan"):
+        BayesianProfiler().fit([NanSearch()], n_profile_jobs=20, seed=1)
