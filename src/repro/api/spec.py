@@ -818,7 +818,11 @@ class ScenarioSpec:
     def from_dict(cls, data: Mapping) -> "ScenarioSpec":
         if not isinstance(data, Mapping):
             raise SpecError("a scenario spec must be a JSON object")
-        if data.get("schema_version", SCHEMA_VERSION) == 1:
+        # JSON's true equals 1 (and 2.0 equals 2): reject both before the
+        # v1 upcast reads the version, and before 2.0 changes the content hash.
+        version = data.get("schema_version", SCHEMA_VERSION)
+        _require_int(version, "schema_version", 1)
+        if version == 1:
             data = _upcast_v1(data)
         known = {
             "schema_version",

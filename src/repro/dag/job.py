@@ -22,13 +22,22 @@ class Job:
 
     Lifecycle driven by the simulator:
 
-    1. ``finalize()`` freezes the structure and unlocks root stages.
-    2. ``advance(time)`` is called after every state change; it promotes
-       stages whose dependencies completed, auto-skips stages that will not
-       execute, auto-finishes empty placeholder stages, and reveals stages
-       unlocked by a completed planner.
-    3. ``notify_stage_finished(stage_id, time)`` is called by the simulator
-       when the last task of a stage completes.
+    1. ``finalize()`` freezes the structure and runs the full pass,
+       ``advance(time)``: it walks every stage to a fixpoint, promoting
+       stages whose dependencies completed, auto-skipping stages that will
+       not execute, auto-finishing empty placeholder stages and revealing
+       stages unlocked by a completed planner, then counts the stages still
+       incomplete.
+    2. ``notify_stage_finished(stage_id, time)`` is called by the simulator
+       when the last task of a stage completes.  It settles the completion
+       locally: a worklist visits only the finished stage, the stages it
+       reveals and its successors, applies the same transitions, and
+       decrements the incomplete count for every stage it completes.  The
+       job finishes when that count reaches zero.  With structure caching
+       off it runs the full pass instead (the seed cost model).
+
+    Each stage keeps its own pending tasks at every task transition (see
+    :meth:`Stage.pending_tasks`), so no step rescans task states.
     """
 
     def __init__(self, job_id: str, application: str, arrival_time: float) -> None:
@@ -57,6 +66,9 @@ class Job:
         self._sched_cache: Optional[List[Stage]] = None
         # Stage id -> insertion index, built on first use (see stage_position).
         self._positions: Optional[Dict[str, int]] = None
+        # Stages neither finished nor skipped: set by advance(), decremented
+        # by notify_stage_finished(); the job finishes when it reaches 0.
+        self._incomplete = 0
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -164,11 +176,12 @@ class Job:
         return self._depth_cache[stage_id]
 
     def set_structure_caching(self, enabled: bool) -> None:
-        """Toggle the topology / schedulable-stage caches.
+        """Toggle the topology / schedulable-stage caches and the worklist settle.
 
-        The caches are on by default and are semantically transparent; the
-        only reason to disable them is to reproduce the seed cost model when
-        benchmarking the fast engine against the reference engine.
+        Both are on by default and are semantically transparent; off, every
+        stage completion runs the full pass.  The only reason to disable
+        them is to reproduce the seed cost model when benchmarking the fast
+        engine against the reference engine.
         """
         self._caching = bool(enabled)
         self._topo_cache = None
@@ -257,11 +270,49 @@ class Job:
 
         Returns the ids of stages whose state changed as a consequence
         (newly ready, skipped, revealed or auto-finished placeholders).
+        Only the finished stage, the stages it reveals and its successors
+        are visited, cascading through the stages completed on the way;
+        the states reached, and the set of ids returned, are those of the
+        full pass (:meth:`advance`), which structure caching off still runs.
+        Raises if the stage is already finished or skipped.
         """
         self._require_finalized()
         stage = self._stages[stage_id]
+        if stage.is_complete:
+            raise RuntimeError(f"stage {stage_id!r} of job {self.job_id} is already complete")
         stage.mark_finished(time)
-        return self.advance(time)
+        if not self._caching:
+            return self.advance(time)
+        self._sched_cache = None
+        self._incomplete -= 1
+        changed: List[str] = []
+        worklist = [stage]
+        while worklist:
+            done = worklist.pop()
+            for revealed_id in self._reveals.pop(done.stage_id, ()):
+                revealed = self._stages[revealed_id]
+                if not revealed.visible:
+                    revealed.visible = True
+                    changed.append(revealed_id)
+            for child_id in self._graph.successors(done.stage_id):
+                child = self._stages[child_id]
+                if child.state is not StageState.BLOCKED or not all(
+                    self._stages[p].is_complete for p in self._graph.predecessors(child_id)
+                ):
+                    continue
+                child.mark_ready(time)
+                changed.append(child_id)
+                if not child.will_execute:
+                    child.mark_skipped(time)
+                elif not child.tasks:
+                    child.mark_finished(time)  # empty placeholder
+                else:
+                    continue
+                self._incomplete -= 1
+                worklist.append(child)
+        if self.finish_time is None and self._incomplete == 0:
+            self.finish_time = float(time)
+        return changed
 
     def advance(self, time: float) -> List[str]:
         """Propagate completions through the DAG until a fixpoint.
@@ -269,7 +320,8 @@ class Job:
         Promotes blocked stages whose parents completed, reveals stages whose
         trigger completed, skips stages that will not execute, finishes empty
         placeholder stages, and records the job finish time when everything
-        is complete.
+        is complete.  This full pass walks every stage; it also recounts the
+        incomplete stages that :meth:`notify_stage_finished` decrements.
         """
         if not self._finalized:
             raise RuntimeError(f"job {self.job_id} is not finalized yet")
@@ -301,7 +353,8 @@ class Job:
                         stage.mark_finished(time)
                         changed.append(stage.stage_id)
                         progressed = True
-        if self.finish_time is None and all(s.is_complete for s in self._stages.values()):
+        self._incomplete = sum(not s.is_complete for s in self._stages.values())
+        if self.finish_time is None and self._incomplete == 0:
             self.finish_time = float(time)
         return changed
 
@@ -312,9 +365,10 @@ class Job:
         depth caches are frozen at :meth:`finalize` and therefore *shared*
         with the clone (this is what makes the clone cheaper than
         ``copy.deepcopy(job)``, which copies them too).  Mutable
-        runtime state is copied: stages (with their tasks), the pending
-        reveal map, and the job finish time.  The schedulable-stage cache
-        is dropped because it holds references to this job's live stages.
+        runtime state is copied: stages (with their tasks and pending
+        lists), the pending reveal map, the incomplete count and the job
+        finish time.  The schedulable-stage cache is dropped because it
+        holds references to this job's live stages.
         """
         self._require_finalized()
         clone = copy.copy(self)

@@ -109,6 +109,11 @@ class Stage:
             )
             for i, duration in enumerate(task_durations)
         ]
+        # The PENDING tasks in index order, kept by Task.mark_running and
+        # Task.mark_preempted through each task's back-reference.
+        self._pending: List[Task] = list(self.tasks)
+        for task in self.tasks:
+            task._stage = self
 
     # ------------------------------------------------------------------ #
     # Identity and typing helpers
@@ -137,7 +142,15 @@ class Stage:
     # Task-level views
     # ------------------------------------------------------------------ #
     def pending_tasks(self) -> List[Task]:
-        return [t for t in self.tasks if t.state is TaskState.PENDING]
+        """The PENDING tasks in index order, as a new list.
+
+        The stage keeps this list at every task transition: placement
+        (:meth:`Task.mark_running`) takes a task out, and preemption
+        (:meth:`Task.mark_preempted`, also how a migrating job gives up its
+        executors) puts it back at its index position.  So the call copies
+        the list instead of filtering every task's state.
+        """
+        return list(self._pending)
 
     def running_tasks(self) -> List[Task]:
         return [t for t in self.tasks if t.state is TaskState.RUNNING]
@@ -211,11 +224,15 @@ class Stage:
 
         The frozen :class:`StageSpec` is shared; mutable runtime state
         (``state``, ``finish_time``, ``visible``, ``will_execute``, the
-        task list and the dynamic-stage id list) is copied.
+        task list and the dynamic-stage id list) is copied.  The cloned
+        tasks point back at the clone, whose pending list holds them.
         """
         clone = copy.copy(self)
         clone.inner_stage_ids = list(self.inner_stage_ids)
         clone.tasks = [task.snapshot_clone() for task in self.tasks]
+        for task in clone.tasks:
+            task._stage = clone
+        clone._pending = [task for task in clone.tasks if task.state is TaskState.PENDING]
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

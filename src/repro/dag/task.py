@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import bisect
 import copy
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from operator import attrgetter
+from typing import TYPE_CHECKING, Optional
 
 from repro.utils.validation import require_non_negative
+
+if TYPE_CHECKING:
+    from repro.dag.stage import Stage
 
 __all__ = ["TaskType", "TaskState", "Task"]
 
 _task_counter = itertools.count()
+_INDEX = attrgetter("index")
 
 
 class TaskType(enum.Enum):
@@ -77,6 +83,11 @@ class Task:
     #: Absolute time the task became schedulable (its stage turned READY);
     #: the TTFT anchor, so TTFT >= queueing delay by construction.
     ready_time: Optional[float] = None
+    #: The owning stage, whose pending list the transitions below keep
+    #: (None for a task built on its own).  Set by :class:`Stage`; a deep
+    #: copy gets the copied stage through the copy memo, and
+    #: :meth:`Stage.snapshot_clone` rebinds it to the clone.
+    _stage: Optional["Stage"] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         require_non_negative(self.work, "work")
@@ -142,11 +153,19 @@ class Task:
 
     # ------------------------------------------------------------------ #
     def mark_running(self, time: float, executor_id: str) -> None:
+        """Start the task; it leaves its stage's pending list."""
         if self.state is not TaskState.PENDING:
             raise RuntimeError(f"task {self.uid} cannot start from state {self.state}")
         self.state = TaskState.RUNNING
         self.start_time = float(time)
         self.executor_id = executor_id
+        if self._stage is not None:
+            # By identity: a snapshot clone of this task compares equal to it.
+            pending = self._stage._pending
+            for position, queued in enumerate(pending):
+                if queued is self:
+                    del pending[position]
+                    break
 
     def advance(self, amount: float) -> None:
         """Record ``amount`` of batch-size-1-equivalent work as completed."""
@@ -162,7 +181,8 @@ class Task:
         With ``checkpoint=True`` the accrued ``progress`` is conserved (the
         task resumes with only its remaining work); otherwise progress is
         discarded and the task restarts from scratch.  Returns the amount
-        of work wasted (0 for a checkpointed preemption).
+        of work wasted (0 for a checkpointed preemption).  The task goes
+        back into its stage's pending list at its index position.
         """
         if self.state is not TaskState.RUNNING:
             raise RuntimeError(f"task {self.uid} cannot be preempted from state {self.state}")
@@ -177,9 +197,12 @@ class Task:
         self.start_time = None
         self.executor_id = None
         self.num_preemptions += 1
+        if self._stage is not None:
+            bisect.insort(self._stage._pending, self, key=_INDEX)
         return wasted
 
     def mark_finished(self, time: float) -> None:
+        """Finish a running task (already out of its stage's pending list)."""
         if self.state is not TaskState.RUNNING:
             raise RuntimeError(f"task {self.uid} cannot finish from state {self.state}")
         self.state = TaskState.FINISHED
@@ -189,10 +212,11 @@ class Task:
     def snapshot_clone(self) -> "Task":
         """A structural copy for copy-on-write snapshot views.
 
-        Every field is an immutable scalar, so a shallow copy is a full
-        copy; ``uid`` is preserved (unlike constructing a new Task), which
-        keeps tie-breaks that sort on uid identical between a snapshot and
-        the live world.
+        Every other field is an immutable scalar, so a shallow copy is a
+        full copy; ``uid`` is preserved (unlike constructing a new Task),
+        which keeps tie-breaks that sort on uid identical between a
+        snapshot and the live world.  The stage back-reference still names
+        the original stage: :meth:`Stage.snapshot_clone` rebinds it.
         """
         return copy.copy(self)
 

@@ -47,9 +47,10 @@ class AutoscalerConfig:
     def __post_init__(self) -> None:
         if require_real(self.interval, "interval", 0.0) <= 0:
             raise ValueError("interval must be > 0")
-        if not 0.0 < self.scale_up_occupancy <= 1.0:
+        up = require_real(self.scale_up_occupancy, "scale_up_occupancy", 0.0)
+        if not 0.0 < up <= 1.0:
             raise ValueError("scale_up_occupancy must be within (0, 1]")
-        if not 0.0 <= self.scale_down_occupancy < self.scale_up_occupancy:
+        if not require_real(self.scale_down_occupancy, "scale_down_occupancy", 0.0) < up:
             raise ValueError("scale_down_occupancy must be in [0, scale_up_occupancy)")
         require_int(self.step, "step", 1)
 

@@ -51,9 +51,19 @@ def require_bool(value: object, name: str) -> bool:
 
 
 def require_positive(value: float, name: str) -> float:
-    """Return ``value`` if strictly positive, otherwise raise ``ValueError``."""
-    if not value > 0:
-        raise ValueError(f"{name} must be > 0, got {value!r}")
+    """Return ``value`` if a finite number (not a bool) > 0, otherwise raise ``ValueError``.
+
+    Rates, periods and horizons arrive as JSON, where ``Infinity`` and
+    ``true`` parse fine: an infinite rate would still run, and ``true``
+    would run as 1.0.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or not value > 0
+    ):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
     return value
 
 

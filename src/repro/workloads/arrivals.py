@@ -171,8 +171,8 @@ class DiurnalProcess(ArrivalProcess):
 
     def __post_init__(self) -> None:
         require_positive(self.mean_rate, "mean_rate")
-        if not 0.0 <= self.amplitude <= 1.0:
-            raise ValueError("amplitude must be within [0, 1]")
+        if isinstance(self.amplitude, bool) or not 0.0 <= self.amplitude <= 1.0:
+            raise ValueError(f"amplitude must be within [0, 1], got {self.amplitude!r}")
         require_positive(self.period, "period")
         require_int(self.seed, "seed", 0)
 

@@ -151,6 +151,15 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 1
         assert "async latency must be a finite number >= 0.0, got nan" in capsys.readouterr().err
 
+    def test_validate_rejects_infinite_arrival_rate(self, tmp_path, capsys):
+        # Used to validate, then run with every arrival at t=0.
+        bad = tmp_path / "infinite_rate.json"
+        workload = {"mode": "open", "process": {"kind": "poisson", "rate": float("inf")}}
+        bad.write_text(json.dumps({"scheduler": {"name": "fcfs"}, "workload": workload}))
+        assert "Infinity" in bad.read_text()
+        assert main(["validate", str(bad)]) == 1
+        assert "rate must be a finite number > 0, got inf" in capsys.readouterr().err
+
     def test_validate_rejects_quoted_async_pipelined_flag(self, tmp_path, capsys):
         # Used to validate, then run pipelined: the string "false" is truthy.
         bad = tmp_path / "quoted_pipelined.json"

@@ -50,6 +50,7 @@ from repro.workloads.serving import available_token_mixes
 # --------------------------------------------------------------------------- #
 #: Valid spec documents the integer-field cases below break one field of.
 _CLOSED_DOC = {
+    "schema_version": 2,
     "workload": {
         "mode": "closed", "num_jobs": 5, "seed": 1, "token_mix": "chat", "token_seed": 2
     },
@@ -94,6 +95,7 @@ _INT_FIELD_CASES = [
     (_CLOSED_DOC, "async.seed", 1.5),
     (_CLOSED_DOC, "async.max_in_flight", 1.5),
     (_CLOSED_DOC, "autoscaler.step", 1.5),
+    (_CLOSED_DOC, "schema_version", 2.0),
 ]
 #: (example spec, dotted path into it, a non-finite or bool value JSON may carry there)
 _REAL_FIELD_CASES = [
@@ -118,6 +120,28 @@ _REAL_FIELD_CASES = [
     ("closed_mixed_fcfs", "workload.arrival_rate", float("nan")),
     ("closed_mixed_fcfs", "workload.arrival_rate", float("inf")),
     ("closed_mixed_fcfs", "workload.arrival_rate", True),
+]
+#: (example spec, dotted path into it, an infinite or bool value JSON may
+#: carry there): arrival-process rates and durations, the diurnal amplitude,
+#: an autoscaler occupancy and the schema version.
+_UNBOUNDED_FIELD_CASES = [
+    *(
+        ("federated_poisson", "workload.process.rate", value)
+        for value in (float("inf"), True)
+    ),
+    *(
+        ("open_loop_bursty_srtf", f"workload.process.{name}", value)
+        for name in ("base_rate", "burst_rate", "mean_burst_duration", "mean_normal_duration")
+        for value in (float("inf"), True)
+    ),
+    *(
+        ("autoscale_diurnal", f"workload.process.{name}", value)
+        for name in ("mean_rate", "period")
+        for value in (float("inf"), True)
+    ),
+    ("autoscale_diurnal", "workload.process.amplitude", True),
+    ("autoscale_diurnal", "autoscaler.scale_up_occupancy", True),
+    ("autoscale_diurnal", "schema_version", True),
 ]
 #: (field, the name its error gives, a section built with one value there);
 #: no committed example sets these fields.
@@ -199,6 +223,23 @@ class TestValidation:
         ScenarioSpec.from_dict(data)  # the untouched example is valid
         field = _set_field(data, path, value)
         message = rf"{field} must be a finite number >= 0\.0, got {re.escape(repr(value))}"
+        with pytest.raises(SpecError, match=message):
+            ScenarioSpec.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "example, path, value",
+        _UNBOUNDED_FIELD_CASES,
+        ids=[f"{e}-{p}={v!r}" for e, p, v in _UNBOUNDED_FIELD_CASES],
+    )
+    def test_fields_reject_infinities_and_bools(self, example, path, value):
+        # Each of these used to validate and then change the run: an
+        # infinite rate still ran, true ran as 1.0, and schema_version true
+        # was upcast as v1.
+        spec_path = Path(__file__).parent.parent / "examples" / "specs" / f"{example}.json"
+        data = json.loads(spec_path.read_text())
+        ScenarioSpec.from_dict(data)  # the untouched example is valid
+        field = _set_field(data, path, value)
+        message = rf"\b{field} must .*got {re.escape(repr(value))}"
         with pytest.raises(SpecError, match=message):
             ScenarioSpec.from_dict(data)
 

@@ -80,6 +80,7 @@ def context_digest(context):
             stages[stage_id] = {
                 "state": stage.state.name,
                 "visible": stage.visible,
+                "pending": [t.key() for t in stage.pending_tasks()],
                 "tasks": [
                     (t.key(), t.state.name, t.progress, t.remaining_work, t.executor_id)
                     for t in stage.tasks

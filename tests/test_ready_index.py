@@ -1,13 +1,17 @@
 """The engine-kept ready index, the FCFS walk that reads it, and the live
 running set.
 
-Three oracles:
+Four oracles:
 
 * ``ready_jobs_of`` over an engine's active jobs is what its
   :class:`ReadyIndex` must hold after every step, across the feature
   matrix (closed and open loop, multi-pool placement, preemption,
   autoscaling, pipelined async decisions, prefill/decode serving and a
   migrating fleet).
+* A rescan of each active job is what its kept DAG state must equal after
+  every step of the same runs: each stage's pending tasks (same objects,
+  same order), the incomplete-stage count and a warm schedulable-stage
+  cache.
 * The pre-index FCFS order (jobs by arrival, stages by depth) is what a
   snapshot-mode FCFS decision must list, and a live decision must be its
   prefix, cut at the context's free slots.
@@ -21,7 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dag.job import Job
-from repro.dag.task import TaskType
+from repro.dag.stage import StageState
+from repro.dag.task import TaskState, TaskType
 from repro.schedulers.base import SchedulingContext
 from repro.schedulers.fcfs import FcfsScheduler
 from repro.schedulers.preemptive import PreemptiveSrtfScheduler
@@ -96,8 +101,40 @@ def assert_running_matches(engine):
     return live
 
 
+def assert_job_state_matches(job):
+    """The job's kept DAG state equals a rescan: every stage's pending list
+    (same objects, same order, each task pointing back at its stage), the
+    incomplete-stage count, and the schedulable-stage cache when it is warm."""
+    stages = list(job.stages.values())
+    for stage in stages:
+        scanned = [t for t in stage.tasks if t.state is TaskState.PENDING]
+        kept = stage.pending_tasks()
+        assert key_tuples(kept) == key_tuples(scanned), stage
+        assert all(a is b for a, b in zip(kept, scanned, strict=True))
+        assert all(t._stage is stage for t in stage.tasks), stage
+    assert job._incomplete == sum(not s.is_complete for s in stages), job
+    cache = job._sched_cache
+    if cache is not None:
+        fresh = [
+            s
+            for s in stages
+            if s.visible
+            and s.state in (StageState.READY, StageState.RUNNING)
+            and any(t.state is TaskState.PENDING for t in s.tasks)
+        ]
+        assert [s.stage_id for s in cache] == [s.stage_id for s in fresh], job
+        assert all(a is b for a, b in zip(cache, fresh, strict=True))
+
+
+def assert_dag_state_matches(engine):
+    """Every active job's kept DAG state equals a rescan."""
+    for job in engine._active_jobs.values():
+        assert_job_state_matches(job)
+
+
 def assert_engine_matches(engine):
     assert_index_matches(engine)
+    assert_dag_state_matches(engine)
     if engine.scheduler.preemptive:
         assert_running_matches(engine)
 
@@ -105,10 +142,10 @@ def assert_engine_matches(engine):
 def step_checked(engine, every=1):
     """Step ``engine`` to the end, checking it after every ``every`` steps.
 
-    The ready index is always checked, and a preemptive scheduler's running
-    set too.  Reading the index re-files the jobs touched since the last
-    read, so a larger ``every`` checks changes that piled up over several
-    steps.
+    The ready index and the jobs' kept DAG state are always checked, and a
+    preemptive scheduler's running set too.  Reading the index re-files the
+    jobs touched since the last read, so a larger ``every`` checks changes
+    that piled up over several steps.
     """
     assert_engine_matches(engine)
     context = engine._build_context()
@@ -347,7 +384,7 @@ class TestIndexOracle:
         )
         while engine.step():
             for shard in engine.shards:
-                assert_index_matches(shard.engine)
+                assert_engine_matches(shard.engine)
         metrics = engine.finalize()
         assert len(metrics.job_completion_times) == 40
         assert metrics.num_migrations == len(moved) > 0

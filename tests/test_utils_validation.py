@@ -60,6 +60,11 @@ class TestRequirePositive:
         with pytest.raises(ValueError):
             require_positive(-1, "x")
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), True, "1"], ids=repr)
+    def test_rejects_non_finite_numbers_bools_and_strings(self, value):
+        with pytest.raises(ValueError, match=r"x must be a finite number > 0, got "):
+            require_positive(value, "x")
+
 
 class TestRequireNonNegative:
     def test_accepts_zero(self):
