@@ -20,9 +20,10 @@ from repro.dag.stage import StageType
 from repro.schedulers.priors import ApplicationPriors
 from repro.schedulers.registry import PAPER_BASELINES
 from repro.simulator.cluster import ClusterConfig
+from repro.simulator.engine import SNAPSHOT_POLICY
 from repro.simulator.latency import DecodingLatencyProfile
 from repro.utils.rng import make_rng
-from repro.utils.validation import require_int, require_real
+from repro.utils.validation import check_fields, integer, real, within
 from repro.workloads.mixtures import WorkloadSpec
 
 __all__ = [
@@ -48,35 +49,20 @@ class ExperimentSettings:
     JCT grows with the number of jobs and scheduling order matters.
     """
 
-    target_load: float = 1.0
-    max_batch_size: int = 4
-    latency_slope: float = 0.06
-    profile_jobs: int = 150
-    prior_samples: int = 100
-    profiler_seed: int = 77
+    target_load: float = field(default=1.0, metadata=within(0, 2, open_low=True))
+    max_batch_size: int = field(default=4, metadata=integer(1))
+    latency_slope: float = field(default=0.06, metadata=real(0.0))
+    profile_jobs: int = field(default=150, metadata=integer(2))
+    prior_samples: int = field(default=100, metadata=integer(1))
+    profiler_seed: int = field(default=77, metadata=integer(0))
     #: How async decisions are isolated from live mutations: "cow" hands out
     #: copy-on-write context snapshots, "deepcopy" the golden-oracle wholesale
     #: copy (bit-identical, O(jobs x stages x tasks) slower per pass).
-    snapshot_policy: str = "cow"
+    snapshot_policy: str = field(default="cow", metadata=SNAPSHOT_POLICY)
     llmsched: LLMSchedConfig = field(default_factory=LLMSchedConfig)
 
     def __post_init__(self) -> None:
-        # Specs arrive as JSON: reject what no run can use here, naming the
-        # field, rather than inside the profiler fit or the cluster build.
-        for name, low in (
-            ("profile_jobs", 2),
-            ("prior_samples", 1),
-            ("max_batch_size", 1),
-            ("profiler_seed", 0),
-        ):
-            require_int(getattr(self, name), name, low)
-        if not 0.0 < require_real(self.target_load, "target_load", 0.0) <= 2.0:
-            raise ValueError("target_load must be within (0, 2]")
-        require_real(self.latency_slope, "latency_slope", 0.0)
-        if self.snapshot_policy not in ("cow", "deepcopy"):
-            raise ValueError(
-                f"snapshot_policy must be 'cow' or 'deepcopy', got {self.snapshot_policy!r}"
-            )
+        check_fields(self)
 
 
 def build_priors(

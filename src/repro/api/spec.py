@@ -13,29 +13,42 @@ as a frozen dataclass tree that round-trips through JSON::
     assert ScenarioSpec.from_json(spec.to_json()) == spec
 
 Validation happens at construction time and raises :class:`SpecError`
-(a ``ValueError``) with actionable messages: unknown scheduler / placement
-/ router names list the available ones, and conflicting sections (pools +
-cluster config, federation + autoscaler) name both offenders.  The spec is
-resolved into live simulator objects by :mod:`repro.api.dispatch`.
+(a ``ValueError``) with actionable messages.  Every scalar field declares
+its rule once, in ``dataclasses.field(metadata=...)``, and
+:func:`~repro.utils.validation.check_fields` checks them all, naming the
+field and the value; ``__post_init__`` keeps only the cross-field rules
+(conflicting sections such as pools + cluster config or federation +
+autoscaler name both offenders).  The spec is resolved into live simulator
+objects by :mod:`repro.api.dispatch`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, replace
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.api.prep import ExperimentSettings
 from repro.core.llmsched import LLMSchedConfig
 from repro.utils.canonical import content_hash
-from repro.utils.validation import require_bool, require_int, require_real
+from repro.utils.validation import (
+    boolean,
+    check_fields,
+    integer,
+    mapping,
+    one_of,
+    positive,
+    real,
+    require_real,
+    text,
+)
 from repro.dag.task import TaskType
 from repro.schedulers.registry import check_scheduler_kwargs
 from repro.simulator.async_sched import AsyncConfig, PerJobLinearLatency, SampledLatency
 from repro.simulator.autoscaler import AutoscalerConfig
 from repro.simulator.cluster import ClusterConfig
-from repro.simulator.federation import MigrationConfig, available_job_routers
+from repro.simulator.federation import MigrationConfig, available_job_routers, create_job_router
 from repro.simulator.placement import available_placement_policies
 from repro.simulator.pool import PoolSpec
 from repro.workloads.arrivals import (
@@ -88,44 +101,34 @@ class SpecError(ValueError):
     """A scenario spec failed validation (message says how to fix it)."""
 
 
-def _require_int(value: object, name: str, low: int) -> None:
-    """:func:`~repro.utils.validation.require_int`, failing with a SpecError."""
-    try:
-        require_int(value, name, low)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
-
-
-def _require_real(value: object, name: str, low: float) -> float:
-    """:func:`~repro.utils.validation.require_real`, failing with a SpecError."""
-    try:
-        return require_real(value, name, low)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
-
-
-def _require_bool(value: object, name: str) -> None:
-    """:func:`~repro.utils.validation.require_bool`, failing with a SpecError."""
-    try:
-        require_bool(value, name)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
-
-
 # --------------------------------------------------------------------------- #
 # Generic (de)serialization helpers
 # --------------------------------------------------------------------------- #
-def _check_keys(data: Mapping, cls, where: str) -> None:
-    known = {f.name for f in dataclasses.fields(cls)}
+def _check_keys(data: object, cls, where: str) -> Dict[str, object]:
+    """``data`` as a dict of ``cls`` fields: an object with no unknown or missing key."""
+    if not isinstance(data, Mapping):
+        raise SpecError(f"{where} must be a JSON object, got {data!r}")
+    fields = dataclasses.fields(cls)
+    known = {f.name for f in fields}
     unknown = sorted(set(data) - known)
     if unknown:
         raise SpecError(
             f"unknown key(s) {unknown} in {where}; expected a subset of {sorted(known)}"
         )
+    required = {f.name for f in fields if f.default is MISSING and f.default_factory is MISSING}
+    if required - set(data):
+        raise SpecError(f"{where} is missing required key(s) {sorted(required - set(data))}")
+    return dict(data)
+
+
+def _items(value: object, where: str) -> Sequence:
+    if not isinstance(value, (list, tuple)):
+        raise SpecError(f"{where} must be a list, got {value!r}")
+    return value
 
 
 def _config_to_dict(config) -> Dict[str, object]:
-    """Flat dataclass -> dict, mapping enums to values and dropping Nones."""
+    """Dataclass -> dict, mapping enums to values and processes to their dicts, dropping Nones."""
     out: Dict[str, object] = {}
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
@@ -133,20 +136,25 @@ def _config_to_dict(config) -> Dict[str, object]:
             continue
         if isinstance(value, TaskType):
             value = value.value
+        elif isinstance(value, ArrivalProcess):
+            value = process_to_dict(value)
         elif dataclasses.is_dataclass(value):
             value = _config_to_dict(value)
         elif isinstance(value, tuple):
-            value = list(value)
+            value = [process_to_dict(v) if isinstance(v, ArrivalProcess) else v for v in value]
         out[f.name] = value
     return out
 
 
-def _config_from_dict(cls, data: Mapping, where: str):
-    _check_keys(data, cls, where)
+def _build(cls, body: Dict[str, object], where: str):
     try:
-        return cls(**dict(data))
+        return cls(**body)
     except (TypeError, ValueError) as exc:
         raise SpecError(f"invalid {where}: {exc}") from exc
+
+
+def _config_from_dict(cls, data: Mapping, where: str):
+    return _build(cls, _check_keys(data, cls, where), where)
 
 
 # --------------------------------------------------------------------------- #
@@ -157,21 +165,14 @@ _PROCESS_KINDS = {
     "bursty": BurstyProcess,
     "diurnal": DiurnalProcess,
     "trace": TraceReplayProcess,
+    "take": _Take,
+    "until": _Until,
+    "superpose": _Superposition,
 }
 
 
 def process_to_dict(process: ArrivalProcess) -> Dict[str, object]:
     """Serialize an arrival process (including combinators) to a JSON dict."""
-    if isinstance(process, _Take):
-        return {"kind": "take", "count": process.count, "inner": process_to_dict(process.inner)}
-    if isinstance(process, _Until):
-        return {
-            "kind": "until",
-            "horizon": process.horizon,
-            "inner": process_to_dict(process.inner),
-        }
-    if isinstance(process, _Superposition):
-        return {"kind": "superpose", "processes": [process_to_dict(p) for p in process.processes]}
     for kind, cls in _PROCESS_KINDS.items():
         if type(process) is cls:
             payload = _config_to_dict(process)
@@ -179,33 +180,36 @@ def process_to_dict(process: ArrivalProcess) -> Dict[str, object]:
             return payload
     raise SpecError(
         f"arrival process {type(process).__name__} is not serializable; "
-        f"use one of {sorted(_PROCESS_KINDS)} or the take/until/superpose combinators"
+        f"use one of {sorted(_PROCESS_KINDS)}"
     )
 
 
 def process_from_dict(data: Mapping) -> ArrivalProcess:
+    """Build an arrival process from its JSON dict, passing every value as written."""
     if not isinstance(data, Mapping) or "kind" not in data:
         raise SpecError('an arrival process needs a {"kind": ...} object')
     kind = data["kind"]
-    body = {k: v for k, v in data.items() if k != "kind"}
-    if kind == "take":
-        return process_from_dict(body.get("inner", {})).take(int(body["count"]))
-    if kind == "until":
-        return process_from_dict(body.get("inner", {})).until(float(body["horizon"]))
-    if kind == "superpose":
-        inner = [process_from_dict(p) for p in body.get("processes", [])]
-        if not inner:
-            raise SpecError("superpose needs at least one inner process")
-        return _Superposition(tuple(inner))
-    cls = _PROCESS_KINDS.get(kind)
+    cls = _PROCESS_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise SpecError(
-            f"unknown arrival process kind {kind!r}; available: "
-            f"{sorted(_PROCESS_KINDS) + ['take', 'until', 'superpose']}"
+            f"unknown arrival process kind {kind!r}; available: {sorted(_PROCESS_KINDS)}"
         )
-    if cls is TraceReplayProcess:
-        body["trace"] = tuple(float(v) for v in body.get("trace", ()))
-    return _config_from_dict(cls, body, f"arrival process {kind!r}")
+    where = f"arrival process {kind!r}"
+    body = _check_keys({k: v for k, v in data.items() if k != "kind"}, cls, where)
+    if "inner" in body:
+        body["inner"] = process_from_dict(body["inner"])
+    if "processes" in body:
+        body["processes"] = [
+            process_from_dict(p) for p in _items(body["processes"], f"{where} processes")
+        ]
+    return _build(cls, body, where)
+
+
+def _is_finite(process: ArrivalProcess) -> bool:
+    """Whether the stream ends by itself: a trace, a take, an until, or a superpose of those."""
+    if isinstance(process, _Superposition):
+        return all(_is_finite(p) for p in process.processes)
+    return isinstance(process, (TraceReplayProcess, _Take, _Until))
 
 
 # --------------------------------------------------------------------------- #
@@ -221,10 +225,11 @@ class SchedulerSection:
     scheduler constructor.
     """
 
-    name: str = "fcfs"
-    kwargs: Mapping[str, object] = field(default_factory=dict)
+    name: str = field(default="fcfs", metadata=text())
+    kwargs: Mapping[str, object] = field(default_factory=dict, metadata=mapping())
 
     def __post_init__(self) -> None:
+        check_fields(self, "scheduler", SpecError)
         object.__setattr__(self, "kwargs", dict(self.kwargs))
         try:
             check_scheduler_kwargs(self.name, self.kwargs)
@@ -239,8 +244,7 @@ class SchedulerSection:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SchedulerSection":
-        _check_keys(data, cls, "scheduler section")
-        return cls(name=data.get("name", "fcfs"), kwargs=dict(data.get("kwargs", {})))
+        return cls(**_check_keys(data, cls, "scheduler section"))
 
 
 @dataclass(frozen=True)
@@ -260,61 +264,48 @@ class WorkloadSection:
     — bit-identical traces.
     """
 
-    mode: str = "closed"
+    mode: str = field(default="closed", metadata=one_of("workload mode", ("closed", "open")))
     # Closed loop --------------------------------------------------------- #
-    workload_type: str = "mixed"
-    num_jobs: int = 300
-    arrival_rate: float = 0.9
+    workload_type: str = field(
+        default="mixed", metadata=one_of("workload_type", [w.value for w in WorkloadType])
+    )
+    num_jobs: int = field(default=300, metadata=integer(1))
+    arrival_rate: float = field(default=0.9, metadata=positive())
     # Open loop ----------------------------------------------------------- #
     process: Optional[ArrivalProcess] = None
-    application_names: Optional[Tuple[str, ...]] = None
-    max_jobs: Optional[int] = None
-    horizon: Optional[float] = None
-    name: str = "open_loop"
+    application_names: Optional[Tuple[str, ...]] = field(
+        default=None, metadata=text(optional=True, each=True)
+    )
+    max_jobs: Optional[int] = field(default=None, metadata=integer(1, optional=True))
+    horizon: Optional[float] = field(default=None, metadata=positive(optional=True))
+    name: str = field(default="open_loop", metadata=text())
     # Shared -------------------------------------------------------------- #
-    seed: int = 0
+    seed: int = field(default=0, metadata=integer(0))
     # Token-level serving (schema v2) -------------------------------------- #
-    token_mix: Optional[str] = None
-    token_seed: Optional[int] = None
+    token_mix: Optional[str] = field(
+        default=None, metadata=one_of("token_mix", available_token_mixes(), optional=True)
+    )
+    token_seed: Optional[int] = field(default=None, metadata=integer(0, optional=True))
 
     def __post_init__(self) -> None:
+        check_fields(self, "workload", SpecError)
         if self.application_names is not None:
             object.__setattr__(self, "application_names", tuple(self.application_names))
-        if self.mode not in ("closed", "open"):
-            raise SpecError(f'workload mode must be "closed" or "open", not {self.mode!r}')
-        if self.token_mix is not None and self.token_mix not in available_token_mixes():
-            raise SpecError(
-                f"unknown token_mix {self.token_mix!r}; available: {available_token_mixes()}"
-            )
         if self.token_seed is not None and self.token_mix is None:
             raise SpecError("workload token_seed has no effect without a token_mix")
-        _require_int(self.seed, "workload seed", 0)
-        if self.token_seed is not None:
-            _require_int(self.token_seed, "workload token_seed", 0)
         if self.mode == "closed":
-            try:
-                WorkloadType(self.workload_type)
-            except ValueError:
-                raise SpecError(
-                    f"unknown workload_type {self.workload_type!r}; available: "
-                    f"{[w.value for w in WorkloadType]}"
-                ) from None
             if self.process is not None:
                 raise SpecError(
                     'a closed-loop workload draws its own Poisson arrivals; use mode="open" '
                     "to run an explicit arrival process"
                 )
-            _require_int(self.num_jobs, "workload num_jobs", 1)
-            if _require_real(self.arrival_rate, "workload arrival_rate", 0.0) <= 0:
-                raise SpecError("workload arrival_rate must be > 0")
-        else:
-            if self.process is None:
-                raise SpecError('an open-loop workload needs a "process" section')
-            if self.max_jobs is not None:
-                _require_int(self.max_jobs, "workload max_jobs", 1)
-            if self.horizon is not None:
-                if _require_real(self.horizon, "workload horizon", 0.0) <= 0:
-                    raise SpecError("workload horizon must be > 0 when given")
+        elif self.process is None:
+            raise SpecError('an open-loop workload needs a "process" section')
+        elif self.max_jobs is None and self.horizon is None and not _is_finite(self.process):
+            raise SpecError(
+                "an open-loop workload needs `max_jobs` or `horizon` unless its process ends "
+                "by itself (a trace, take or until, or a superpose of those)"
+            )
 
     # Constructors -------------------------------------------------------- #
     @classmethod
@@ -418,8 +409,7 @@ class WorkloadSection:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "WorkloadSection":
-        _check_keys(data, cls, "workload section")
-        body = dict(data)
+        body = _check_keys(data, cls, "workload section")
         if body.get("process") is not None and not isinstance(body["process"], ArrivalProcess):
             body["process"] = process_from_dict(body["process"])
         return cls(**body)
@@ -443,13 +433,16 @@ class ClusterSection:
 
     config: Optional[ClusterConfig] = None
     pools: Optional[Tuple[PoolSpec, ...]] = None
-    num_shards: int = 1
-    router: str = "least_loaded"
-    router_kwargs: Mapping[str, object] = field(default_factory=dict)
+    num_shards: int = field(default=1, metadata=integer(1))
+    router: str = field(
+        default="least_loaded", metadata=one_of("job router", available_job_routers())
+    )
+    router_kwargs: Mapping[str, object] = field(default_factory=dict, metadata=mapping())
     migration: Optional[MigrationConfig] = None
-    nominal_rate: Optional[float] = None
+    nominal_rate: Optional[float] = field(default=None, metadata=positive(optional=True))
 
     def __post_init__(self) -> None:
+        check_fields(self, "cluster", SpecError)
         object.__setattr__(self, "router_kwargs", dict(self.router_kwargs))
         if self.pools is not None:
             object.__setattr__(self, "pools", tuple(self.pools))
@@ -458,24 +451,21 @@ class ClusterSection:
                 "cluster section sets both `config` and `pools`: pass either a homogeneous "
                 "ClusterConfig or an explicit heterogeneous pool layout, not both"
             )
-        _require_int(self.num_shards, "cluster num_shards", 1)
         if self.num_shards > 1:
             if self.pools is not None:
                 raise SpecError(
                     "federated clusters (num_shards > 1) are built by splitting a total "
                     "ClusterConfig; explicit `pools` layouts are per-shard and not supported"
                 )
-            if self.router not in available_job_routers():
-                raise SpecError(
-                    f"unknown job router {self.router!r}; available: {available_job_routers()}"
-                )
+            # Build the router as the run will, so a bad kwarg fails before sizing.
+            try:
+                create_job_router(self.router, **self.router_kwargs)
+            except (TypeError, ValueError) as exc:
+                raise SpecError(f"invalid cluster router_kwargs: {exc}") from None
         elif self.migration is not None:
             raise SpecError(
                 "cluster `migration` is cross-shard rebalancing; it requires num_shards > 1"
             )
-        if self.nominal_rate is not None:
-            if _require_real(self.nominal_rate, "cluster nominal_rate", 0.0) <= 0:
-                raise SpecError("cluster nominal_rate must be > 0 when given")
 
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {}
@@ -497,14 +487,14 @@ class ClusterSection:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ClusterSection":
-        _check_keys(data, cls, "cluster section")
-        body = dict(data)
+        body = _check_keys(data, cls, "cluster section")
         if body.get("config") is not None and not isinstance(body["config"], ClusterConfig):
             body["config"] = _config_from_dict(ClusterConfig, body["config"], "cluster config")
         if body.get("pools") is not None:
-            body["pools"] = tuple(
-                p if isinstance(p, PoolSpec) else _pool_from_dict(p) for p in body["pools"]
-            )
+            body["pools"] = [
+                p if isinstance(p, PoolSpec) else _pool_from_dict(p)
+                for p in _items(body["pools"], "cluster pools")
+            ]
         if body.get("migration") is not None and not isinstance(body["migration"], MigrationConfig):
             body["migration"] = _config_from_dict(
                 MigrationConfig, body["migration"], "migration config"
@@ -513,16 +503,11 @@ class ClusterSection:
 
 
 def _pool_from_dict(data: Mapping) -> PoolSpec:
-    body = dict(data)
-    if "task_type" in body and not isinstance(body["task_type"], TaskType):
-        try:
-            body["task_type"] = TaskType(body["task_type"])
-        except ValueError:
-            raise SpecError(
-                f"unknown pool task_type {body['task_type']!r}; available: "
-                f"{[t.value for t in TaskType]}"
-            ) from None
-    return _config_from_dict(PoolSpec, body, "pool spec")
+    body = _check_keys(data, PoolSpec, "pool spec")
+    # JSON names the task type by its value; anything else fails the declared rule.
+    value = body["task_type"]
+    body["task_type"] = next((t for t in TaskType if t.value == value), value)
+    return _build(PoolSpec, body, "pool spec")
 
 
 @dataclass(frozen=True)
@@ -537,11 +522,12 @@ class SLOSection:
     the SLO-aware scheduler's admission/deadline logic.
     """
 
-    tiers: Mapping[str, Mapping[str, float]] = field(default_factory=dict)
+    tiers: Mapping[str, Mapping[str, float]] = field(default_factory=dict, metadata=mapping())
 
     def __post_init__(self) -> None:
+        check_fields(self, "slo", SpecError)
         normalized: Dict[str, Dict[str, float]] = {}
-        for tier, targets in dict(self.tiers).items():
+        for tier, targets in self.tiers.items():
             if not isinstance(targets, Mapping):
                 raise SpecError(
                     f'SLO tier {tier!r} must map to {{"ttft": seconds, "tpot": seconds}}'
@@ -554,7 +540,10 @@ class SLOSection:
                 )
             clean: Dict[str, float] = {}
             for key, value in targets.items():
-                clean[key] = _require_real(value, f"SLO {tier}.{key}", 0.0)
+                try:
+                    clean[key] = require_real(value, f"SLO {tier}.{key}", 0.0)
+                except ValueError as exc:
+                    raise SpecError(str(exc)) from None
                 if clean[key] <= 0:
                     raise SpecError(f"SLO {tier}.{key} must be > 0, got {clean[key]}")
             if not clean:
@@ -573,30 +562,26 @@ class SLOSection:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SLOSection":
-        _check_keys(data, cls, "slo section")
-        return cls(tiers=dict(data.get("tiers", {})))
+        return cls(**_check_keys(data, cls, "slo section"))
 
 
 @dataclass(frozen=True)
 class PlacementSection:
     """Which placement policy decides the pool a task lands on."""
 
-    name: str = "greedy"
+    name: str = field(
+        default="greedy", metadata=one_of("placement policy", available_placement_policies())
+    )
 
     def __post_init__(self) -> None:
-        if self.name not in available_placement_policies():
-            raise SpecError(
-                f"unknown placement policy {self.name!r}; available: "
-                f"{available_placement_policies()}"
-            )
+        check_fields(self, "placement", SpecError)
 
     def to_dict(self) -> Dict[str, object]:
         return {"name": self.name}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PlacementSection":
-        _check_keys(data, cls, "placement section")
-        return cls(**dict(data))
+        return cls(**_check_keys(data, cls, "placement section"))
 
 
 @dataclass(frozen=True)
@@ -611,32 +596,23 @@ class AsyncSection:
     only counts when ``pipelined`` is true.
     """
 
-    kind: str = "fixed"
-    latency: float = 0.0
-    base: float = 0.0
-    per_job: float = 0.01
-    samples: Tuple[float, ...] = ()
-    seed: int = 0
-    pipelined: bool = False
-    max_in_flight: int = 2
+    kind: str = field(
+        default="fixed",
+        metadata=one_of("async latency kind", ("fixed", "per_job_linear", "sampled")),
+    )
+    latency: float = field(default=0.0, metadata=real(0.0))
+    base: float = field(default=0.0, metadata=real(0.0))
+    per_job: float = field(default=0.01, metadata=real(0.0))
+    samples: Tuple[float, ...] = field(default=(), metadata=real(0.0, each=True))
+    seed: int = field(default=0, metadata=integer(0))
+    pipelined: bool = field(default=False, metadata=boolean())
+    max_in_flight: int = field(default=2, metadata=integer(1))
 
     def __post_init__(self) -> None:
-        samples = tuple(
-            _require_real(v, f"async samples[{i}]", 0.0) for i, v in enumerate(self.samples)
-        )
-        object.__setattr__(self, "samples", samples)
-        if self.kind not in ("fixed", "per_job_linear", "sampled"):
-            raise SpecError(
-                f'unknown async latency kind {self.kind!r}; available: '
-                '["fixed", "per_job_linear", "sampled"]'
-            )
-        for name in ("latency", "base", "per_job"):
-            _require_real(getattr(self, name), f"async {name}", 0.0)
+        check_fields(self, "async", SpecError)
+        object.__setattr__(self, "samples", tuple(float(v) for v in self.samples))
         if self.kind == "sampled" and not self.samples:
             raise SpecError('async kind "sampled" needs a non-empty `samples` list')
-        _require_int(self.seed, "async seed", 0)
-        _require_int(self.max_in_flight, "async max_in_flight", 1)
-        _require_bool(self.pipelined, "async pipelined")
         if not self.pipelined and self.max_in_flight != 2:
             raise SpecError(
                 "async field 'max_in_flight' has no effect unless 'pipelined' is true; "
@@ -686,11 +662,7 @@ class AsyncSection:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "AsyncSection":
-        _check_keys(data, cls, "async section")
-        body = dict(data)
-        if "samples" in body:
-            body["samples"] = tuple(body["samples"])
-        return cls(**body)
+        return cls(**_check_keys(data, cls, "async section"))
 
 
 # --------------------------------------------------------------------------- #
@@ -698,10 +670,10 @@ class AsyncSection:
 # serialization is plain _config_to_dict, which recurses into llmsched)
 # --------------------------------------------------------------------------- #
 def _settings_from_dict(data: Mapping) -> ExperimentSettings:
-    body = dict(data)
-    if body.get("llmsched") is not None and not isinstance(body["llmsched"], LLMSchedConfig):
+    body = _check_keys(data, ExperimentSettings, "settings section")
+    if "llmsched" in body and not isinstance(body["llmsched"], LLMSchedConfig):
         body["llmsched"] = _config_from_dict(LLMSchedConfig, body["llmsched"], "llmsched config")
-    return _config_from_dict(ExperimentSettings, body, "settings section")
+    return _build(ExperimentSettings, body, "settings section")
 
 
 # --------------------------------------------------------------------------- #
@@ -755,9 +727,10 @@ class ScenarioSpec:
     autoscaler: Optional[AutoscalerConfig] = None
     slo: Optional[SLOSection] = None
     settings: ExperimentSettings = field(default_factory=ExperimentSettings)
-    schema_version: int = SCHEMA_VERSION
+    schema_version: int = field(default=SCHEMA_VERSION, metadata=integer(1))
 
     def __post_init__(self) -> None:
+        check_fields(self, error=SpecError)
         self.validate()
 
     def validate(self) -> "ScenarioSpec":
@@ -818,23 +791,12 @@ class ScenarioSpec:
     def from_dict(cls, data: Mapping) -> "ScenarioSpec":
         if not isinstance(data, Mapping):
             raise SpecError("a scenario spec must be a JSON object")
-        # JSON's true equals 1 (and 2.0 equals 2): reject both before the
-        # v1 upcast reads the version, and before 2.0 changes the content hash.
+        # JSON's true and 1.0 equal 1: only the int 1 marks a v1 document, and
+        # the declared rule rejects the others by name.
         version = data.get("schema_version", SCHEMA_VERSION)
-        _require_int(version, "schema_version", 1)
-        if version == 1:
+        if type(version) is int and version == 1:
             data = _upcast_v1(data)
-        known = {
-            "schema_version",
-            "scheduler",
-            "workload",
-            "cluster",
-            "placement",
-            "async",
-            "autoscaler",
-            "slo",
-            "settings",
-        }
+        known = {"async" if f.name == "async_" else f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
             raise SpecError(

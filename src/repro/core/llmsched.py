@@ -30,7 +30,7 @@ carry no versions, and there every call recomputes every job.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.calibration import BatchingAwareCalibrator
@@ -40,7 +40,7 @@ from repro.dag.stage import Stage
 from repro.dag.task import Task
 from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingDecision
 from repro.utils.rng import make_rng
-from repro.utils.validation import require_bool, require_int, require_probability, require_real
+from repro.utils.validation import boolean, check_fields, integer, within
 
 __all__ = ["LLMSchedConfig", "LLMSchedScheduler"]
 
@@ -66,20 +66,14 @@ class LLMSchedConfig:
     sweep favours a slightly larger ε on its testbed workloads.
     """
 
-    epsilon: float = 0.1
-    sampling_ratio: float = 0.3
-    use_bn: bool = True
-    use_uncertainty: bool = True
-    seed: int = 0
+    epsilon: float = field(default=0.1, metadata=within(0, 1))
+    sampling_ratio: float = field(default=0.3, metadata=within(0, 1))
+    use_bn: bool = field(default=True, metadata=boolean())
+    use_uncertainty: bool = field(default=True, metadata=boolean())
+    seed: int = field(default=0, metadata=integer(0))
 
     def __post_init__(self) -> None:
-        # Specs arrive as JSON: a quoted "false" is truthy, and a negative
-        # seed would only fail inside numpy without naming the field.
-        for name in ("epsilon", "sampling_ratio"):
-            require_probability(require_real(getattr(self, name), name, 0.0), name)
-        for name in ("use_bn", "use_uncertainty"):
-            require_bool(getattr(self, name), name)
-        require_int(self.seed, "seed", 0)
+        check_fields(self)
 
 
 class LLMSchedScheduler(Scheduler):

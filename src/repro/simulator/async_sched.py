@@ -39,13 +39,13 @@ the synchronous engine.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Union
 
 from repro.schedulers.base import SchedulingContext, SchedulingDecision
 from repro.simulator.events import EventQueue, EventType
 from repro.utils.rng import make_rng
-from repro.utils.validation import require_bool
+from repro.utils.validation import boolean, check_fields, integer
 
 __all__ = [
     "DecisionLatencyModel",
@@ -158,15 +158,13 @@ class AsyncConfig:
     """
 
     latency: Union[float, DecisionLatencyModel] = 0.0
-    pipelined: bool = False
-    max_in_flight: int = 2
+    pipelined: bool = field(default=False, metadata=boolean())
+    max_in_flight: int = field(default=2, metadata=integer(1))
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not isinstance(self.latency, DecisionLatencyModel) and float(self.latency) < 0:
             raise ValueError("decision latency must be >= 0")
-        require_bool(self.pipelined, "pipelined")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
 
     @property
     def depth(self) -> int:

@@ -15,12 +15,12 @@ runs remain bit-identical to the pre-autoscaler engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.dag.task import TaskType
 from repro.simulator.cluster import Cluster
-from repro.utils.validation import require_int, require_real
+from repro.utils.validation import check_fields, integer, positive, real, within
 
 __all__ = ["AutoscalerConfig", "ScaleEvent", "ThresholdAutoscaler"]
 
@@ -39,20 +39,15 @@ class AutoscalerConfig:
     however many sibling pools serve that type.
     """
 
-    interval: float = 30.0
-    scale_up_occupancy: float = 0.9
-    scale_down_occupancy: float = 0.3
-    step: int = 1
+    interval: float = field(default=30.0, metadata=positive())
+    scale_up_occupancy: float = field(default=0.9, metadata=within(0, 1, open_low=True))
+    scale_down_occupancy: float = field(default=0.3, metadata=real(0.0))
+    step: int = field(default=1, metadata=integer(1))
 
     def __post_init__(self) -> None:
-        if require_real(self.interval, "interval", 0.0) <= 0:
-            raise ValueError("interval must be > 0")
-        up = require_real(self.scale_up_occupancy, "scale_up_occupancy", 0.0)
-        if not 0.0 < up <= 1.0:
-            raise ValueError("scale_up_occupancy must be within (0, 1]")
-        if not require_real(self.scale_down_occupancy, "scale_down_occupancy", 0.0) < up:
+        check_fields(self)
+        if not self.scale_down_occupancy < self.scale_up_occupancy:
             raise ValueError("scale_down_occupancy must be in [0, scale_up_occupancy)")
-        require_int(self.step, "step", 1)
 
 
 @dataclass(frozen=True)

@@ -23,14 +23,14 @@ order, which is exactly the pre-pool behavior for the default cluster.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dag.task import Task, TaskType
 from repro.simulator.executor import LLMExecutor, RegularExecutor
 from repro.simulator.latency import DecodingLatencyProfile
 from repro.simulator.pool import AnyExecutor, ExecutorPool, PoolSpec
-from repro.utils.validation import require_int, require_real
+from repro.utils.validation import check_fields, integer, real
 
 __all__ = ["ClusterConfig", "Cluster"]
 
@@ -47,16 +47,13 @@ class ClusterConfig:
     directly.
     """
 
-    num_regular_executors: int = 8
-    num_llm_executors: int = 4
-    max_batch_size: int = 8
-    latency_slope: float = 0.06
+    num_regular_executors: int = field(default=8, metadata=integer(1))
+    num_llm_executors: int = field(default=4, metadata=integer(1))
+    max_batch_size: int = field(default=8, metadata=integer(1))
+    latency_slope: float = field(default=0.06, metadata=real(0.0))
 
     def __post_init__(self) -> None:
-        require_int(self.num_regular_executors, "num_regular_executors", 1)
-        require_int(self.num_llm_executors, "num_llm_executors", 1)
-        require_int(self.max_batch_size, "max_batch_size", 1)
-        require_real(self.latency_slope, "latency_slope", 0.0)
+        check_fields(self)
 
     def latency_profile(self) -> DecodingLatencyProfile:
         return DecodingLatencyProfile(slope=self.latency_slope)

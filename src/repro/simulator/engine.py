@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import itertools
 import time as wallclock
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 from repro.dag.job import Job
@@ -83,10 +83,14 @@ from repro.simulator.cluster import Cluster
 from repro.simulator.events import EventQueue, EventType
 from repro.simulator.metrics import SimulationMetrics
 from repro.simulator.placement import GreedyFirstFitPlacement, PlacementPolicy
+from repro.utils.validation import check_fields, integer, one_of, positive
 
 __all__ = ["SimulationConfig", "SimulationEngine", "validate_arrival_order"]
 
 _EPS = 1e-9
+
+#: The declared rule of both ``snapshot_policy`` fields (here and in the settings).
+SNAPSHOT_POLICY = one_of("snapshot policy", ("cow", "deepcopy"))
 
 
 def validate_arrival_order(
@@ -127,22 +131,13 @@ class SimulationConfig:
     stages x tasks) slower per scheduling pass).
     """
 
-    max_simulated_time: float = 10_000_000.0
-    max_iterations: int = 20_000_000
-    eps: float = _EPS
-    snapshot_policy: str = "cow"
+    max_simulated_time: float = field(default=10_000_000.0, metadata=positive())
+    max_iterations: int = field(default=20_000_000, metadata=integer(1))
+    eps: float = field(default=_EPS, metadata=positive())
+    snapshot_policy: str = field(default="cow", metadata=SNAPSHOT_POLICY)
 
     def __post_init__(self) -> None:
-        if self.max_simulated_time <= 0:
-            raise ValueError("max_simulated_time must be > 0")
-        if self.max_iterations <= 0:
-            raise ValueError("max_iterations must be > 0")
-        if self.eps <= 0:
-            raise ValueError("eps must be > 0")
-        if self.snapshot_policy not in ("cow", "deepcopy"):
-            raise ValueError(
-                f"snapshot_policy must be 'cow' or 'deepcopy', got {self.snapshot_policy!r}"
-            )
+        check_fields(self)
 
 
 class SimulationEngine:

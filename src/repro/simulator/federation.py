@@ -45,7 +45,7 @@ from repro.simulator.async_sched import AsyncSchedulerBackend
 from repro.simulator.cluster import Cluster
 from repro.simulator.engine import SimulationConfig, SimulationEngine, validate_arrival_order
 from repro.simulator.metrics import SimulationMetrics
-from repro.utils.validation import require_int, require_real
+from repro.utils.validation import check_fields, integer, positive, real, require_real
 
 __all__ = [
     "JobRouter",
@@ -161,9 +161,9 @@ class StaleLeastLoadedRouter(JobRouter):
     name = "stale_least_loaded"
 
     def __init__(self, view_refresh_interval: float = 30.0) -> None:
-        if view_refresh_interval < 0:
-            raise ValueError("view_refresh_interval must be >= 0")
-        self.view_refresh_interval = float(view_refresh_interval)
+        # A NaN interval would fail every comparison in observe() and refresh
+        # on every call, silently acting as least_loaded.
+        self.view_refresh_interval = require_real(view_refresh_interval, "view_refresh_interval", 0.0)
         self._loads: Optional[List[float]] = None
         self._last_refresh: Optional[float] = None
 
@@ -204,6 +204,8 @@ class TypeAffinityRouter(JobRouter):
     name = "type_affinity"
 
     def __init__(self, fallback: Optional[JobRouter] = None) -> None:
+        if fallback is not None and not isinstance(fallback, JobRouter):
+            raise ValueError(f"fallback must be a JobRouter, got {fallback!r}")
         self._fallback = fallback or LeastLoadedRouter()
 
     def select_shard(self, shards: Sequence["FederatedShard"], job: Job) -> int:
@@ -263,18 +265,13 @@ class MigrationConfig:
     next step in the ROADMAP).
     """
 
-    interval: float = 60.0
-    imbalance_threshold: float = 0.25
-    max_migrations_per_check: int = 4
-    cost: float = 0.0
+    interval: float = field(default=60.0, metadata=positive())
+    imbalance_threshold: float = field(default=0.25, metadata=positive())
+    max_migrations_per_check: int = field(default=4, metadata=integer(1))
+    cost: float = field(default=0.0, metadata=real(0.0))
 
     def __post_init__(self) -> None:
-        if require_real(self.interval, "interval", 0.0) <= 0:
-            raise ValueError("interval must be > 0")
-        if require_real(self.imbalance_threshold, "imbalance_threshold", 0.0) <= 0:
-            raise ValueError("imbalance_threshold must be > 0")
-        require_int(self.max_migrations_per_check, "max_migrations_per_check", 1)
-        require_real(self.cost, "cost", 0.0)
+        check_fields(self)
 
 
 @dataclass(frozen=True)

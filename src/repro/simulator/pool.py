@@ -25,13 +25,13 @@ engine's event bookkeeping remain stable.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Set, Union
 
 from repro.dag.task import Task, TaskType
 from repro.simulator.executor import LLMExecutor, RegularExecutor
 from repro.simulator.latency import DecodingLatencyProfile
-from repro.utils.validation import require_int, require_real
+from repro.utils.validation import check_fields, integer, member, one_of, positive, real, text
 
 __all__ = ["PoolSpec", "ExecutorPool"]
 
@@ -73,34 +73,27 @@ class PoolSpec:
         the pool role-agnostic and all placement behavior unchanged.
     """
 
-    name: str
-    task_type: TaskType
-    num_executors: int
-    max_batch_size: int = 1
-    latency_slope: float = 0.06
-    speed_factor: float = 1.0
-    min_executors: int = 1
-    max_executors: Optional[int] = None
-    executor_id_prefix: Optional[str] = None
-    role: Optional[str] = None
+    name: str = field(metadata=text())
+    task_type: TaskType = field(metadata=member(TaskType))
+    num_executors: int = field(metadata=integer(1))
+    max_batch_size: int = field(default=1, metadata=integer(1))
+    latency_slope: float = field(default=0.06, metadata=real(0.0))
+    speed_factor: float = field(default=1.0, metadata=positive())
+    min_executors: int = field(default=1, metadata=integer(0))
+    max_executors: Optional[int] = field(default=None, metadata=integer(0, optional=True))
+    executor_id_prefix: Optional[str] = field(default=None, metadata=text(optional=True))
+    role: Optional[str] = field(
+        default=None, metadata=one_of("pool role", ("prefill", "decode"), optional=True)
+    )
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("pool name must be non-empty")
-        require_int(self.num_executors, "num_executors", 1)
-        require_int(self.max_batch_size, "max_batch_size", 1)
-        if self.role is not None and self.role not in ("prefill", "decode"):
-            raise ValueError(f"role must be 'prefill' or 'decode', got {self.role!r}")
+        check_fields(self)
         if self.role is not None and self.task_type is not TaskType.LLM:
             raise ValueError("only LLM pools can carry a prefill/decode role")
         if self.task_type is TaskType.REGULAR and self.max_batch_size != 1:
             raise ValueError("regular pools run one task per executor (max_batch_size=1)")
-        require_real(self.latency_slope, "latency_slope", 0.0)
-        if require_real(self.speed_factor, "speed_factor", 0.0) <= 0:
-            raise ValueError("speed_factor must be > 0")
-        require_int(self.min_executors, "min_executors", 0)
-        if self.max_executors is not None:
-            require_int(self.max_executors, "max_executors", self.min_executors)
+        if self.max_executors is not None and self.max_executors < self.min_executors:
+            raise ValueError(f"max_executors must be >= min_executors, got {self.max_executors}")
 
     @property
     def prefix(self) -> str:

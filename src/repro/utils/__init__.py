@@ -8,12 +8,6 @@ from repro.utils.stats import (
     pearson_correlation_matrix,
     summarize,
 )
-from repro.utils.validation import (
-    require_in_range,
-    require_non_negative,
-    require_positive,
-    require_probability,
-)
 
 __all__ = [
     "RngMixin",
@@ -24,8 +18,4 @@ __all__ = [
     "pearson_correlation",
     "pearson_correlation_matrix",
     "summarize",
-    "require_in_range",
-    "require_non_negative",
-    "require_positive",
-    "require_probability",
 ]

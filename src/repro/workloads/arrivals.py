@@ -28,12 +28,13 @@ import abc
 import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Dict, Iterator, Optional, Sequence
 
 from repro.dag.application import ApplicationTemplate
 from repro.dag.job import Job
 from repro.utils.rng import make_rng
-from repro.utils.validation import require_int, require_positive
+from repro.utils.validation import check_fields, integer, positive, real, text, within
 
 __all__ = [
     "ArrivalProcess",
@@ -59,20 +60,20 @@ class ArrivalProcess(abc.ABC):
     # ------------------------------------------------------------------ #
     def take(self, count: int) -> "ArrivalProcess":
         """At most the first ``count`` arrivals."""
-        if count < 0:
-            raise ValueError("count must be >= 0")
         return _Take(self, count)
 
     def until(self, horizon: float) -> "ArrivalProcess":
         """Only arrivals at or before ``horizon`` seconds."""
-        require_positive(horizon, "horizon")
         return _Until(self, horizon)
 
 
 @dataclass(frozen=True)
 class _Take(ArrivalProcess):
     inner: ArrivalProcess
-    count: int
+    count: int = field(metadata=integer(0))
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
     def times(self) -> Iterator[float]:
         stream = self.inner.times()
@@ -86,7 +87,10 @@ class _Take(ArrivalProcess):
 @dataclass(frozen=True)
 class _Until(ArrivalProcess):
     inner: ArrivalProcess
-    horizon: float
+    horizon: float = field(metadata=positive())
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
     def times(self) -> Iterator[float]:
         for value in self.inner.times():
@@ -99,12 +103,11 @@ class _Until(ArrivalProcess):
 class PoissonProcess(ArrivalProcess):
     """Homogeneous Poisson process with ``rate`` arrivals per second."""
 
-    rate: float
-    seed: int = 0
+    rate: float = field(metadata=positive())
+    seed: int = field(default=0, metadata=integer(0))
 
     def __post_init__(self) -> None:
-        require_positive(self.rate, "rate")
-        require_int(self.seed, "seed", 0)
+        check_fields(self)
 
     def times(self) -> Iterator[float]:
         rng = make_rng(self.seed)
@@ -125,18 +128,14 @@ class BurstyProcess(ArrivalProcess):
     samples the exact process.
     """
 
-    base_rate: float
-    burst_rate: float
-    mean_normal_duration: float = 60.0
-    mean_burst_duration: float = 10.0
-    seed: int = 0
+    base_rate: float = field(metadata=positive())
+    burst_rate: float = field(metadata=positive())
+    mean_normal_duration: float = field(default=60.0, metadata=positive())
+    mean_burst_duration: float = field(default=10.0, metadata=positive())
+    seed: int = field(default=0, metadata=integer(0))
 
     def __post_init__(self) -> None:
-        require_positive(self.base_rate, "base_rate")
-        require_positive(self.burst_rate, "burst_rate")
-        require_positive(self.mean_normal_duration, "mean_normal_duration")
-        require_positive(self.mean_burst_duration, "mean_burst_duration")
-        require_int(self.seed, "seed", 0)
+        check_fields(self)
 
     def times(self) -> Iterator[float]:
         rng = make_rng(self.seed)
@@ -164,17 +163,13 @@ class DiurnalProcess(ArrivalProcess):
     sampled by Lewis–Shedler thinning against the peak rate.
     """
 
-    mean_rate: float
-    amplitude: float = 0.5
-    period: float = 86_400.0
-    seed: int = 0
+    mean_rate: float = field(metadata=positive())
+    amplitude: float = field(default=0.5, metadata=within(0, 1))
+    period: float = field(default=86_400.0, metadata=positive())
+    seed: int = field(default=0, metadata=integer(0))
 
     def __post_init__(self) -> None:
-        require_positive(self.mean_rate, "mean_rate")
-        if isinstance(self.amplitude, bool) or not 0.0 <= self.amplitude <= 1.0:
-            raise ValueError(f"amplitude must be within [0, 1], got {self.amplitude!r}")
-        require_positive(self.period, "period")
-        require_int(self.seed, "seed", 0)
+        check_fields(self)
 
     def rate_at(self, time: float) -> float:
         return self.mean_rate * (1.0 + self.amplitude * math.sin(2.0 * math.pi * time / self.period))
@@ -193,16 +188,13 @@ class DiurnalProcess(ArrivalProcess):
 class TraceReplayProcess(ArrivalProcess):
     """Replays a recorded sequence of absolute arrival times."""
 
-    trace: Sequence[float] = field(default_factory=tuple)
+    trace: Sequence[float] = field(default_factory=tuple, metadata=real(0.0, each=True))
 
     def __post_init__(self) -> None:
-        previous = 0.0
-        for value in self.trace:
-            if value < 0:
-                raise ValueError("trace arrival times must be >= 0")
-            if value < previous:
-                raise ValueError("trace arrival times must be non-decreasing")
-            previous = value
+        check_fields(self)
+        object.__setattr__(self, "trace", tuple(self.trace))
+        if any(later < earlier for earlier, later in pairwise(self.trace)):
+            raise ValueError("trace arrival times must be non-decreasing")
 
     def times(self) -> Iterator[float]:
         return iter([float(value) for value in self.trace])
@@ -212,15 +204,18 @@ class TraceReplayProcess(ArrivalProcess):
 class _Superposition(ArrivalProcess):
     processes: Sequence[ArrivalProcess]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "processes", tuple(self.processes))
+        if not self.processes:
+            raise ValueError("superpose needs at least one process")
+
     def times(self) -> Iterator[float]:
         return heapq.merge(*(p.times() for p in self.processes))
 
 
 def superpose(*processes: ArrivalProcess) -> ArrivalProcess:
     """Merge independent arrival streams into one (order-preserving)."""
-    if not processes:
-        raise ValueError("superpose needs at least one process")
-    return _Superposition(tuple(processes))
+    return _Superposition(processes)
 
 
 # --------------------------------------------------------------------------- #
@@ -236,17 +231,16 @@ class OpenLoopSpec:
     """
 
     process: ArrivalProcess
-    application_names: Optional[Sequence[str]] = None
-    seed: int = 0
-    max_jobs: Optional[int] = None
-    horizon: Optional[float] = None
-    name: str = "open_loop"
+    application_names: Optional[Sequence[str]] = field(
+        default=None, metadata=text(optional=True, each=True)
+    )
+    seed: int = field(default=0, metadata=integer(0))
+    max_jobs: Optional[int] = field(default=None, metadata=integer(1, optional=True))
+    horizon: Optional[float] = field(default=None, metadata=positive(optional=True))
+    name: str = field(default="open_loop", metadata=text())
 
     def __post_init__(self) -> None:
-        if self.max_jobs is not None and self.max_jobs <= 0:
-            raise ValueError("max_jobs must be > 0 when given")
-        if self.horizon is not None and self.horizon <= 0:
-            raise ValueError("horizon must be > 0 when given")
+        check_fields(self)
 
     def jobs(
         self, applications: Optional[Dict[str, ApplicationTemplate]] = None

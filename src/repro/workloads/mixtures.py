@@ -12,7 +12,7 @@ Job arrivals follow a Poisson process with rate ``lambda`` as in the paper
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from repro.dag.application import ApplicationTemplate
 from repro.dag.job import Job
 from repro.utils.rng import make_rng
-from repro.utils.validation import require_positive
+from repro.utils.validation import check_fields, integer, member, positive, require_positive
 from repro.workloads.code_generation import CodeGenerationApplication
 from repro.workloads.document_merging import DocumentMergingApplication
 from repro.workloads.llm_compiler import LlmCompilerApplication
@@ -103,15 +103,13 @@ class WorkloadSpec:
         inputs.
     """
 
-    workload_type: WorkloadType = WorkloadType.MIXED
-    num_jobs: int = 300
-    arrival_rate: float = 0.9
-    seed: int = 0
+    workload_type: WorkloadType = field(default=WorkloadType.MIXED, metadata=member(WorkloadType))
+    num_jobs: int = field(default=300, metadata=integer(1))
+    arrival_rate: float = field(default=0.9, metadata=positive())
+    seed: int = field(default=0, metadata=integer(0))
 
     def __post_init__(self) -> None:
-        if self.num_jobs <= 0:
-            raise ValueError("num_jobs must be > 0")
-        require_positive(self.arrival_rate, "arrival_rate")
+        check_fields(self)
 
     @property
     def application_names(self) -> List[str]:

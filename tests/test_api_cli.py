@@ -9,6 +9,7 @@ from repro.api.cli import main
 from repro.simulator.cluster import ClusterConfig
 
 TINY = ExperimentSettings(profile_jobs=30, prior_samples=15)
+_POISSON = {"kind": "poisson", "rate": 1.0, "seed": 1}
 
 
 @pytest.fixture()
@@ -167,6 +168,40 @@ class TestValidate:
         bad.write_text(json.dumps({"scheduler": {"name": "fcfs"}, "async": section}))
         assert main(["validate", str(bad)]) == 1
         assert "async pipelined must be a bool, got 'false'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "workload, cluster, names",
+        [
+            ({"max_jobs": 5, "process": {"kind": "trace", "trace": [1.0, float("nan")]}}, {},
+             ["trace[1]"]),
+            ({"process": {"kind": "take", "count": True, "inner": _POISSON}}, {}, ["count"]),
+            ({"process": {"kind": "take", "inner": _POISSON}}, {}, ["count"]),
+            ({"process": _POISSON}, {}, ["max_jobs", "horizon"]),
+            (
+                {"max_jobs": 5, "process": _POISSON},
+                {
+                    "config": {"num_regular_executors": 2, "num_llm_executors": 2},
+                    "num_shards": 2,
+                    "router": "stale_least_loaded",
+                    "router_kwargs": {"view_refresh_intervl": 5.0},
+                },
+                ["view_refresh_intervl"],
+            ),
+        ],
+        ids=["nan-trace-entry", "take-count-true", "take-without-count", "uncapped-poisson",
+             "misspelled-router-kwarg"],
+    )
+    def test_validate_rejects_by_name_without_a_traceback(
+        self, workload, cluster, names, tmp_path, capsys
+    ):
+        # Each used to validate (and then hang, run a cast value or die after
+        # cluster sizing) or to end in a traceback.
+        bad = tmp_path / "bad.json"
+        doc = {"scheduler": {"name": "fcfs"}, "workload": {"mode": "open", **workload}}
+        bad.write_text(json.dumps({**doc, "cluster": cluster} if cluster else doc))
+        assert main(["validate", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert all(name in err for name in names) and "Traceback" not in err, err
 
     def test_validate_catches_section_conflicts(self, tmp_path, capsys):
         bad = tmp_path / "conflict.json"

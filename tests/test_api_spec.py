@@ -30,6 +30,7 @@ from repro.api import (
     WorkloadSection,
     with_overrides,
 )
+from repro.api.spec import _is_finite
 from repro.dag.task import TaskType
 from repro.simulator.async_sched import PerJobLinearLatency, SampledLatency
 from repro.simulator.cluster import ClusterConfig
@@ -162,6 +163,17 @@ _REAL_SECTION_CASES = [
 ]
 
 
+#: Fields declared > 0 (the others above are >= 0.0): a non-finite or bool
+#: value there reads "must be a finite number > 0".
+_POSITIVE_FIELDS = {
+    "speed_factor", "interval", "imbalance_threshold", "arrival_rate", "nominal_rate", "horizon"
+}
+
+
+def _bound(field):
+    return "> 0" if field in _POSITIVE_FIELDS else r">= 0\.0"
+
+
 _ASYNC_EXAMPLE = Path(__file__).parent.parent / "examples" / "specs" / "async_decision_latency.json"
 
 
@@ -222,7 +234,7 @@ class TestValidation:
         data = json.loads(spec_path.read_text())
         ScenarioSpec.from_dict(data)  # the untouched example is valid
         field = _set_field(data, path, value)
-        message = rf"{field} must be a finite number >= 0\.0, got {re.escape(repr(value))}"
+        message = rf"{field} must be a finite number {_bound(field)}, got {re.escape(repr(value))}"
         with pytest.raises(SpecError, match=message):
             ScenarioSpec.from_dict(data)
 
@@ -253,7 +265,8 @@ class TestValidation:
         # NaN or infinite rates, horizons and latencies used to validate and
         # then crash or hang the run; bools ran as 1.0.
         build(2.0)  # a finite value is valid
-        message = rf"must be a finite number >= 0\.0, got {re.escape(repr(value))}"
+        bound = _bound(field.split(".")[-1])
+        message = rf"must be a finite number {bound}, got {re.escape(repr(value))}"
         with pytest.raises(SpecError, match=re.escape(name) + " " + message):
             build(value)
 
@@ -461,6 +474,125 @@ class TestValidation:
             ).validate()
 
 
+_POISSON = {"kind": "poisson", "rate": 1.0, "seed": 1}
+#: (arrival process a JSON spec may carry, the error it must raise): each used
+#: to be cast (true ran one arrival, 2.7 two, "5" five), ignored (the typo)
+#: or to fail with a KeyError traceback (no count).
+_PROCESS_DOCUMENT_CASES = [
+    ({"kind": "take", "count": True, "inner": _POISSON}, "count must be an int >= 0, got True"),
+    ({"kind": "take", "count": 2.7, "inner": _POISSON}, "count must be an int >= 0, got 2.7"),
+    ({"kind": "take", "count": "5", "inner": _POISSON}, "count must be an int >= 0, got '5'"),
+    ({"kind": "take", "inner": _POISSON}, "missing required key(s) ['count']"),
+    (
+        {"kind": "until", "horizon": True, "inner": _POISSON},
+        "horizon must be a finite number > 0, got True",
+    ),
+    ({"kind": "trace", "trace": [True]}, "trace[0] must be a finite number >= 0.0, got True"),
+    (
+        {"kind": "trace", "trace": [1.0, float("nan")]},
+        "trace[1] must be a finite number >= 0.0, got nan",
+    ),
+    (
+        {"kind": "trace", "trace": [1.0, float("inf")]},
+        "trace[1] must be a finite number >= 0.0, got inf",
+    ),
+    (
+        {"kind": "take", "count": 3, "inner": _POISSON, "cout": 4},
+        "unknown key(s) ['cout'] in arrival process 'take'",
+    ),
+    (
+        {"kind": "superpose", "processes": [_POISSON], "proceses": []},
+        "unknown key(s) ['proceses'] in arrival process 'superpose'",
+    ),
+    (
+        {"kind": "until", "horizon": 5.0, "inner": _POISSON, "horizn": 6.0},
+        "unknown key(s) ['horizn'] in arrival process 'until'",
+    ),
+]
+
+#: Processes that end by themselves, so an open workload needs no cap.
+_FINITE_PROCESSES = [
+    {"kind": "trace", "trace": [1.0, 2.0]},
+    {"kind": "take", "count": 3, "inner": _POISSON},
+    {"kind": "until", "horizon": 10.0, "inner": _POISSON},
+    {"kind": "superpose", "processes": [
+        {"kind": "take", "count": 3, "inner": _POISSON}, {"kind": "trace", "trace": [1.0]}
+    ]},
+]
+
+
+def _fleet_doc(router_kwargs):
+    doc = copy.deepcopy(_FLEET_DOC)
+    doc["cluster"].update(router="stale_least_loaded", router_kwargs=router_kwargs)
+    return doc
+
+
+class TestArrivalProcessDocuments:
+    @pytest.mark.parametrize(
+        "process, message",
+        _PROCESS_DOCUMENT_CASES,
+        ids=[repr(p)[:60] for p, _ in _PROCESS_DOCUMENT_CASES],
+    )
+    def test_values_pass_through_as_written_and_fail_by_name(self, process, message):
+        doc = {"workload": {"mode": "open", "process": process, "max_jobs": 5}}
+        with pytest.raises(SpecError, match=re.escape(message)):
+            ScenarioSpec.from_dict(doc)
+
+    def test_combinators_keep_their_values(self):
+        take = {"kind": "take", "count": 3, "inner": _POISSON}
+        process = {"kind": "until", "horizon": 7, "inner": take}
+        spec = ScenarioSpec.from_dict({"workload": {"mode": "open", "process": process}})
+        assert spec.to_dict()["workload"]["process"] == process
+
+    def test_an_uncapped_endless_stream_is_rejected(self):
+        # It used to validate, and `repro run` then never finished.
+        doc = {"workload": {"mode": "open", "process": _POISSON}}
+        with pytest.raises(SpecError, match="needs `max_jobs` or `horizon`"):
+            ScenarioSpec.from_dict(doc)
+        endless = {"kind": "superpose", "processes": [_POISSON, _FINITE_PROCESSES[0]]}
+        with pytest.raises(SpecError, match="needs `max_jobs` or `horizon`"):
+            ScenarioSpec.from_dict({"workload": {"mode": "open", "process": endless}})
+        for cap in ({"max_jobs": 5}, {"horizon": 60.0}):
+            ScenarioSpec.from_dict({"workload": {"mode": "open", "process": _POISSON, **cap}})
+
+    @pytest.mark.parametrize("process", _FINITE_PROCESSES, ids=lambda p: p["kind"])
+    def test_a_process_that_ends_by_itself_needs_no_cap(self, process):
+        ScenarioSpec.from_dict({"workload": {"mode": "open", "process": process}})
+
+
+class TestRouterKwargs:
+    def test_valid_router_kwargs_pass(self):
+        spec = ScenarioSpec.from_dict(_fleet_doc({"view_refresh_interval": 5.0}))
+        assert spec.cluster.router_kwargs == {"view_refresh_interval": 5.0}
+
+    def test_misspelled_router_kwarg_fails_at_validation(self):
+        # It used to validate, then fail with a TypeError after cluster sizing.
+        with pytest.raises(SpecError, match="router_kwargs.*view_refresh_intervl"):
+            ScenarioSpec.from_dict(_fleet_doc({"view_refresh_intervl": 5.0}))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, True, "5"], ids=repr)
+    def test_bad_refresh_interval_fails_at_validation(self, value):
+        # A NaN interval used to make the router refresh on every call,
+        # silently acting as least_loaded.
+        got = re.escape(repr(value))
+        message = rf"view_refresh_interval must be a finite number >= 0\.0, got {got}"
+        with pytest.raises(SpecError, match=message):
+            ScenarioSpec.from_dict(_fleet_doc({"view_refresh_interval": value}))
+
+    def test_a_router_kwarg_with_no_json_form_fails_at_validation(self):
+        # A JSON fallback name used to validate, then crash the run the
+        # first time type_affinity fell back.
+        doc = _fleet_doc({"fallback": "hash"})
+        doc["cluster"]["router"] = "type_affinity"
+        with pytest.raises(SpecError, match="fallback must be a JobRouter, got 'hash'"):
+            ScenarioSpec.from_dict(doc)
+
+    def test_single_shard_router_kwargs_are_not_built(self):
+        doc = _fleet_doc({"view_refresh_intervl": 5.0})
+        doc["cluster"].update(num_shards=1, migration=None)
+        ScenarioSpec.from_dict(doc)
+
+
 # --------------------------------------------------------------------------- #
 # Schema v1 -> v2 migration
 # --------------------------------------------------------------------------- #
@@ -646,17 +778,26 @@ def _closed_workload_strategy(draw):
 
 _closed_workloads = _closed_workload_strategy()
 
-_open_workloads = st.builds(
-    WorkloadSection.open_loop,
-    process=_processes,
-    application_names=st.one_of(
-        st.none(), st.just(("code_generation", "web_search"))
-    ),
-    seed=_seeds,
-    max_jobs=st.one_of(st.none(), st.integers(1, 200)),
-    horizon=st.one_of(st.none(), st.floats(1.0, 1e4)),
-    name=st.sampled_from(["open_loop", "bursty", "diurnal"]),
-)
+@st.composite
+def _open_workload_strategy(draw):
+    # A stream that never ends by itself needs a cap (validated), so the
+    # strategy draws max_jobs and horizon dependently.
+    max_jobs = draw(st.one_of(st.none(), st.integers(1, 200)))
+    horizon = draw(st.one_of(st.none(), st.floats(1.0, 1e4)))
+    process = draw(_processes)
+    if max_jobs is None and horizon is None and not _is_finite(process):
+        max_jobs = draw(st.integers(1, 200))
+    return WorkloadSection.open_loop(
+        process,
+        application_names=draw(st.one_of(st.none(), st.just(("code_generation", "web_search")))),
+        seed=draw(_seeds),
+        max_jobs=max_jobs,
+        horizon=horizon,
+        name=draw(st.sampled_from(["open_loop", "bursty", "diurnal"])),
+    )
+
+
+_open_workloads = _open_workload_strategy()
 
 _cluster_configs = st.builds(
     ClusterConfig,

@@ -1,16 +1,29 @@
-"""Tests for validation helpers."""
+"""Tests for validation helpers and the declared-field walker."""
+
+import dataclasses
+import re
+from dataclasses import field
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 import pytest
 
+from repro.dag.task import TaskType
 from repro.utils.validation import (
+    boolean,
+    check_fields,
+    integer,
+    mapping,
+    member,
+    one_of,
+    positive,
     require_bool,
-    require_in_range,
     require_int,
     require_non_negative,
     require_positive,
-    require_probability,
     require_real,
+    text,
+    within,
 )
 
 
@@ -79,22 +92,50 @@ class TestRequireNonNegative:
             require_non_negative(float("nan"), "x")
 
 
-class TestRequireProbability:
-    def test_accepts_bounds(self):
-        assert require_probability(0.0, "p") == 0.0
-        assert require_probability(1.0, "p") == 1.0
+@dataclasses.dataclass(frozen=True)
+class _Declared:
+    count: int = field(default=1, metadata=integer(1))
+    ratio: float = field(default=0.5, metadata=within(0, 1))
+    load: float = field(default=1.0, metadata=within(0, 2, open_low=True))
+    rate: Optional[float] = field(default=None, metadata=positive(optional=True))
+    flag: bool = field(default=False, metadata=boolean())
+    names: Tuple[str, ...] = field(default=("a",), metadata=text(each=True))
+    kind: str = field(default="x", metadata=one_of("thing kind", ("x", "y")))
+    task_type: TaskType = field(default=TaskType.LLM, metadata=member(TaskType))
+    kwargs: Mapping[str, object] = field(default_factory=dict, metadata=mapping())
+    undeclared: object = "anything"
 
-    def test_rejects_outside(self):
-        with pytest.raises(ValueError):
-            require_probability(1.5, "p")
-        with pytest.raises(ValueError):
-            require_probability(-0.5, "p")
 
+class TestCheckFields:
+    def test_declared_values_pass_as_they_are(self):
+        declared = _Declared(ratio=1, load=2, rate=np.float64(0.5), names=["a", "b"])
+        check_fields(declared)
+        assert declared.ratio == 1 and type(declared.ratio) is int  # checked, never coerced
+        assert declared.names == ["a", "b"]
 
-class TestRequireInRange:
-    def test_accepts_inside(self):
-        assert require_in_range(5, 0, 10, "x") == 5
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("count", True, "count must be an int >= 1, got True"),
+            ("ratio", 1.5, "ratio must be within [0, 1], got 1.5"),
+            ("ratio", float("nan"), "ratio must be within [0, 1], got nan"),
+            ("load", 0, "load must be within (0, 2], got 0"),
+            ("rate", float("inf"), "rate must be a finite number > 0, got inf"),
+            ("flag", "no", "flag must be a bool, got 'no'"),
+            ("names", "ab", "names must be a list, got 'ab'"),
+            ("names", ("a", ""), "names[1] must be a non-empty str, got ''"),
+            ("kind", "z", "unknown thing kind 'z': kind must be 'x' or 'y'"),
+            ("task_type", "llm", "task_type must be a TaskType ('regular' or 'llm'), got 'llm'"),
+            ("kwargs", None, "kwargs must be a mapping, got None"),
+        ],
+    )
+    def test_a_failed_rule_names_the_field_and_the_value(self, name, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_fields(_Declared(**{name: value}))
 
-    def test_rejects_outside(self):
-        with pytest.raises(ValueError):
-            require_in_range(11, 0, 10, "x")
+    def test_a_prefix_names_the_section_and_the_error_type_is_chosen(self):
+        class SectionError(ValueError):
+            pass
+
+        with pytest.raises(SectionError, match=r"^workload count must be an int >= 1, got 0$"):
+            check_fields(_Declared(count=0), "workload", SectionError)
