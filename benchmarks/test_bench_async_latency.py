@@ -27,13 +27,10 @@ from repro.api import (
     ScenarioSpec,
     SchedulerSection,
     WorkloadSection,
-    build_priors,
-    build_profiler,
     run,
 )
 from repro.schedulers.registry import available_schedulers
 from repro.simulator.cluster import ClusterConfig
-from repro.workloads.mixtures import default_applications
 
 SMOKE = os.environ.get("BENCH_SCALE") == "smoke"
 NUM_JOBS = 30 if SMOKE else 80
@@ -55,10 +52,6 @@ def is_monotone_degradation(jcts):
 
 
 def test_bench_async_latency_degradation():
-    applications = default_applications()
-    priors = build_priors(applications, BENCH_SETTINGS)
-    profiler = build_profiler(applications, BENCH_SETTINGS)
-
     def scenario(name, latency=None):
         return ScenarioSpec(
             scheduler=SchedulerSection(name),
@@ -72,17 +65,10 @@ def test_bench_async_latency_degradation():
     monotone = []
     results = {}
     for name in SCHEDULERS:
-        sync = run(
-            scenario(name), applications=applications, priors=priors, profiler=profiler
-        ).metrics
+        sync = run(scenario(name)).metrics
         jcts = []
         for latency in LATENCIES:
-            result = run(
-                scenario(name, latency=latency),
-                applications=applications,
-                priors=priors,
-                profiler=profiler,
-            )
+            result = run(scenario(name, latency=latency))
             metrics = result.metrics
             if latency == 0.0:
                 # The async backend at latency 0 must be the synchronous

@@ -13,12 +13,10 @@ from repro.api import (
     ExperimentSettings,
     ScenarioSpec,
     WorkloadSection,
-    build_priors,
-    build_profiler,
     compare,
 )
 from repro.experiments.report import format_table
-from repro.workloads.mixtures import WorkloadType, default_applications
+from repro.workloads.mixtures import WorkloadType
 
 
 def main() -> None:
@@ -29,9 +27,6 @@ def main() -> None:
     args = parser.parse_args()
 
     settings = ExperimentSettings(profile_jobs=100, prior_samples=60)
-    applications = default_applications()
-    priors = build_priors(applications, settings)
-    profiler = build_profiler(applications, settings)
     schedulers = PAPER_BASELINES + ["llmsched"]
 
     rows = []
@@ -45,13 +40,7 @@ def main() -> None:
             ),
             settings=settings,
         )
-        comparison = compare(
-            scenario,
-            schedulers,
-            applications=applications,
-            priors=priors,
-            profiler=profiler,
-        )
+        comparison = compare(scenario, schedulers)
         row = {"workload": workload_type.value}
         row.update({name: comparison.metrics[name].average_jct for name in schedulers})
         rows.append(row)

@@ -30,7 +30,6 @@ from repro.api.prep import (
     build_priors,
     build_profiler,
     size_cluster,
-    size_cluster_for_workload,
     split_cluster_config,
 )
 from repro.api.results import ComparisonResult, Result
@@ -76,6 +75,5 @@ __all__ = [
     "build_priors",
     "build_profiler",
     "size_cluster",
-    "size_cluster_for_workload",
     "split_cluster_config",
 ]

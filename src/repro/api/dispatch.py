@@ -3,32 +3,29 @@
 :func:`run` is the single front door for every engine the simulator
 offers: closed-loop and open-loop single clusters (synchronous or behind
 an asynchronous decision-latency backend, optionally autoscaled) and
-federated fleets.  The spec is declarative; keyword overrides let callers
-inject live objects — prebuilt priors/profilers (worker caches) and
-routers the JSON schema cannot express — in place of what the spec would
-build.  The golden-trace identity tests in ``tests/test_api_run.py`` pin
-spec runs to ``tests/golden/``.
+federated fleets.  The spec is declarative: a run takes the priors, the
+fitted profiler and the cluster sizing it needs from the offline-artifact
+memo in :mod:`repro.api.prep`, and the only live object a caller can
+inject is a router the JSON schema cannot express.  The golden-trace
+identity tests in ``tests/test_api_run.py`` pin spec runs to
+``tests/golden/``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Callable, Dict, Mapping, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.api.prep import (
-    build_priors,
-    build_profiler,
-    size_cluster,
-    size_cluster_for_workload,
+    prepared_cluster,
+    prepared_priors,
+    prepared_profiler,
     split_cluster_config,
 )
 from repro.api.results import ComparisonResult, Result
 from repro.api.spec import ScenarioSpec, SchedulerSection, SpecError
-from repro.core.profiler import BayesianProfiler
-from repro.dag.application import ApplicationTemplate
 from repro.schedulers.base import Scheduler
-from repro.schedulers.priors import ApplicationPriors
 from repro.schedulers.registry import (
     LLMSCHED_VARIANTS,
     create_scheduler,
@@ -45,7 +42,7 @@ from repro.simulator.federation import (
     create_job_router,
 )
 from repro.simulator.placement import create_placement_policy
-from repro.workloads.mixtures import default_applications, generate_workload
+from repro.workloads.mixtures import APPLICATION_NAMES, default_applications, generate_workload
 from repro.workloads.serving import DEFAULT_SLO_TARGETS, attach_token_model
 
 __all__ = ["run", "compare"]
@@ -79,10 +76,12 @@ def _serving_targets(spec: ScenarioSpec) -> Dict[str, Dict[str, float]]:
     return {tier: dict(targets) for tier, targets in DEFAULT_SLO_TARGETS.items()}
 
 
-def _resolve_total_config(
-    spec: ScenarioSpec, applications: Mapping[str, ApplicationTemplate]
-) -> Optional[ClusterConfig]:
-    """The (explicit or workload-sized) total cluster config, None for pools."""
+def _resolve_total_config(spec: ScenarioSpec) -> Optional[ClusterConfig]:
+    """The (explicit or workload-sized) total cluster config, None for pools.
+
+    ``ScenarioSpec.validate`` guarantees an open-loop spec sized here has
+    a ``nominal_rate`` or a process with a ``rate``.
+    """
     section = spec.cluster
     if section.pools is not None:
         return None
@@ -90,37 +89,26 @@ def _resolve_total_config(
         return section.config
     workload = spec.workload
     if workload.mode == "closed":
-        return size_cluster_for_workload(
-            workload.to_workload_spec(), applications, spec.settings
-        )
-    rate = section.nominal_rate
-    if rate is None:
-        rate = getattr(workload.process, "rate", None)
-        if rate is None:
-            raise SpecError(
-                "open-loop sizing needs cluster.nominal_rate (or an explicit cluster "
-                f"config) for {type(workload.process).__name__}"
-            )
-    names = list(workload.application_names or sorted(applications))
-    return size_cluster(float(rate), names, applications, spec.settings)
+        rate, names = workload.arrival_rate, workload.to_workload_spec().application_names
+    else:
+        rate = section.nominal_rate if section.nominal_rate is not None else workload.process.rate
+        names = workload.application_names or sorted(APPLICATION_NAMES)
+    return prepared_cluster(rate, names, spec.settings)
 
 
 def run(
     spec: ScenarioSpec,
     *,
-    applications: Optional[Mapping[str, ApplicationTemplate]] = None,
-    priors: Optional[ApplicationPriors] = None,
-    profiler: Optional[BayesianProfiler] = None,
     router: Optional[JobRouter] = None,
     store=None,
 ) -> Result:
     """Run one scenario and return its uniform :class:`Result`.
 
-    Offline artifacts (``priors``, ``profiler``) are built from the spec's
-    settings only when the scheduler actually needs them; passing prebuilt
-    ones (e.g. from a sweep worker's cache) skips that work without
-    changing the simulation.  ``router`` replaces the cluster section's
-    named router on a federated run (``num_shards > 1``).
+    The priors and the fitted profiler, built only for a scheduler that
+    needs them, and an auto-sized cluster come from the memo in
+    :mod:`repro.api.prep`: equal inputs share one build per process, and
+    each run gets its own profiler query caches.  ``router`` replaces the
+    cluster section's named router on a federated run (``num_shards > 1``).
 
     ``store`` — a :class:`repro.store.RunStore` (or a path to one) — makes
     the run self-recording: the finished :class:`Result` persists as a
@@ -136,18 +124,16 @@ def run(
             "a router override only applies to federated runs; set "
             "cluster.num_shards > 1 to route jobs across shards"
         )
-    applications = applications or default_applications()
     requirements = scheduler_requirements(spec.scheduler.name)
-    if priors is None and "priors" in requirements:
-        priors = build_priors(applications, spec.settings)
-    if profiler is None and "profiler" in requirements:
-        profiler = build_profiler(applications, spec.settings)
+    priors = prepared_priors(spec.settings) if "priors" in requirements else None
+    profiler = prepared_profiler(spec.settings) if "profiler" in requirements else None
 
-    total_config = _resolve_total_config(spec, applications)
+    total_config = _resolve_total_config(spec)
     resolved = spec
     if total_config is not None and spec.cluster.config is None:
         resolved = replace(spec, cluster=replace(spec.cluster, config=total_config))
 
+    applications = default_applications()
     started = time.perf_counter()  # repro: REP003-exempt -- meters the Result wall-clock field, outside the simulation
     if spec.cluster.num_shards > 1:
         metrics = _run_federated(resolved, applications, priors, profiler, router)
@@ -184,7 +170,7 @@ def _run_single(spec, applications, priors, profiler):
         jobs = generate_workload(workload.to_workload_spec(), applications=applications)
         workload_name = workload.workload_type
     else:
-        jobs = workload.to_open_loop_spec().jobs(dict(applications))
+        jobs = workload.to_open_loop_spec().jobs(applications)
         workload_name = workload.name
     if workload.token_mix is not None:
         token_seed = workload.token_seed if workload.token_seed is not None else workload.seed
@@ -221,7 +207,7 @@ def _run_federated(spec, applications, priors, profiler, router):
         ),
     )
     return FederatedSimulationEngine(
-        spec.workload.to_open_loop_spec().jobs(dict(applications)),
+        spec.workload.to_open_loop_spec().jobs(applications),
         lambda: _make_scheduler(spec, priors, profiler),
         fleet,
         config=SimulationConfig(snapshot_policy=spec.settings.snapshot_policy),
@@ -231,41 +217,17 @@ def _run_federated(spec, applications, priors, profiler, router):
     ).run()
 
 
-def compare(
-    spec: ScenarioSpec,
-    scheduler_names: Sequence[str],
-    *,
-    applications: Optional[Mapping[str, ApplicationTemplate]] = None,
-    priors: Optional[ApplicationPriors] = None,
-    profiler: Optional[BayesianProfiler] = None,
-) -> ComparisonResult:
+def compare(spec: ScenarioSpec, scheduler_names: Sequence[str]) -> ComparisonResult:
     """Run several schedulers on the *identical* workload draw and cluster.
 
-    The cluster is resolved once (auto-sizing included) and every scheduler
-    replays the same closed-loop draw on it, so the returned
-    :class:`ComparisonResult` is a fair comparison; priors/profiler are
-    built once, only if some scheduler in the list needs them.
+    Every scheduler replays the same closed-loop draw on the same
+    (explicit or memo-sized) cluster, so the returned
+    :class:`ComparisonResult` is a fair comparison.
     """
     if not scheduler_names:
         raise ValueError("scheduler_names must not be empty")
     if spec.workload.mode != "closed":
         raise SpecError("compare() needs a closed-loop workload (identical draws per scheduler)")
-    applications = applications or default_applications()
-    needs = set()
-    for name in scheduler_names:
-        needs |= scheduler_requirements(name)
-    if priors is None and "priors" in needs:
-        priors = build_priors(applications, spec.settings)
-    if profiler is None and "profiler" in needs:
-        profiler = build_profiler(applications, spec.settings)
-    if spec.cluster.pools is not None:
-        resolved_cluster = spec.cluster
-    else:
-        resolved_cluster = replace(spec.cluster, config=_resolve_total_config(spec, applications))
-    metrics = {}
-    for name in scheduler_names:
-        cell = replace(spec, scheduler=SchedulerSection(name=name), cluster=resolved_cluster)
-        metrics[name] = run(
-            cell, applications=applications, priors=priors, profiler=profiler
-        ).metrics
+    cells = {name: replace(spec, scheduler=SchedulerSection(name=name)) for name in scheduler_names}
+    metrics = {name: run(cell).metrics for name, cell in cells.items()}
     return ComparisonResult(workload=spec.workload.to_workload_spec(), metrics=metrics)

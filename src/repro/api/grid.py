@@ -5,9 +5,9 @@ placement policies, shard counts) with one mechanism: a base
 :class:`~repro.api.spec.ScenarioSpec` plus a mapping of dotted-path axes
 (``{"workload.arrival_rate": [0.5, 0.9], "scheduler.name": ["fcfs",
 "sjf"]}``) expands into the cartesian product of scenarios, which fan out
-over worker processes.  Each worker builds and
-caches the expensive offline artifacts (priors, profiler) once per
-settings configuration.
+over worker processes.  Each worker process builds the expensive offline
+artifacts (priors, profiler, sizings) once per input, in the memo of
+:mod:`repro.api.prep`.
 """
 
 from __future__ import annotations
@@ -17,11 +17,8 @@ import multiprocessing
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.dispatch import run
-from repro.api.prep import ExperimentSettings, build_priors, build_profiler
 from repro.api.results import Result
 from repro.api.spec import ScenarioSpec, with_overrides
-from repro.schedulers.registry import scheduler_requirements
-from repro.workloads.mixtures import default_applications
 
 __all__ = ["expand_axes", "run_grid", "run_specs"]
 
@@ -52,22 +49,8 @@ def expand_axes(
 
 
 # --------------------------------------------------------------------------- #
-# Worker-side caches + process fan-out
+# Process fan-out
 # --------------------------------------------------------------------------- #
-#: Per-worker-process cache: profiler fitting is the expensive part of a
-#: cell, and it only depends on the settings, so each worker builds each
-#: artifact at most once per settings configuration — and only when some
-#: scheduler in the grid actually needs it.
-_WORKER_STATE: Dict[Tuple, dict] = {}
-
-
-def _worker_state(settings: ExperimentSettings) -> dict:
-    key = (settings.profile_jobs, settings.prior_samples, settings.profiler_seed)
-    if key not in _WORKER_STATE:
-        _WORKER_STATE[key] = {"applications": default_applications()}
-    return _WORKER_STATE[key]
-
-
 def _run_spec_item(item: Tuple[ScenarioSpec, Optional[str]]) -> Result:
     """Picklable worker: run one cell, optionally recording into a store.
 
@@ -76,19 +59,7 @@ def _run_spec_item(item: Tuple[ScenarioSpec, Optional[str]]) -> Result:
     ingestion from many workers safe without any cross-process lock.
     """
     spec, store_root = item
-    state = _worker_state(spec.settings)
-    requirements = scheduler_requirements(spec.scheduler.name)
-    if "priors" in requirements and "priors" not in state:
-        state["priors"] = build_priors(state["applications"], spec.settings)
-    if "profiler" in requirements and "profiler" not in state:
-        state["profiler"] = build_profiler(state["applications"], spec.settings)
-    return run(
-        spec,
-        applications=state["applications"],
-        priors=state.get("priors"),
-        profiler=state.get("profiler"),
-        store=store_root,
-    )
+    return run(spec, store=store_root)
 
 
 def _map_cells(worker: Callable, payload: Sequence, processes: Optional[int]) -> List:

@@ -1,15 +1,20 @@
 """Offline preparation shared by every experiment entry point.
 
 Settings, priors/profiler construction and cluster sizing: everything a
-run needs before the simulation starts.  It sits below the spec tree
-(:mod:`repro.api.spec` embeds :class:`ExperimentSettings`) and the
-dispatcher, so both import it without a cycle.
+run needs before the simulation starts.  ``build_priors``,
+``build_profiler`` and ``size_cluster`` take any applications; the
+``prepared_*`` functions serve the default applications' artifacts from
+one per-process memo, which is how :func:`repro.api.run` gets them.
+The module sits below the spec tree (:mod:`repro.api.spec` embeds
+:class:`ExperimentSettings`) and the dispatcher, so both import it
+without a cycle.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence
+from typing import Any, Callable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -24,15 +29,17 @@ from repro.simulator.engine import SNAPSHOT_POLICY
 from repro.simulator.latency import DecodingLatencyProfile
 from repro.utils.rng import make_rng
 from repro.utils.validation import check_fields, integer, real, within
-from repro.workloads.mixtures import WorkloadSpec
+from repro.workloads.mixtures import default_applications
 
 __all__ = [
     "PAPER_BASELINES",
     "ExperimentSettings",
     "build_priors",
     "build_profiler",
+    "prepared_cluster",
+    "prepared_priors",
+    "prepared_profiler",
     "size_cluster",
-    "size_cluster_for_workload",
     "split_cluster_config",
 ]
 
@@ -89,15 +96,6 @@ def build_profiler(
     return profiler
 
 
-def size_cluster_for_workload(
-    spec: WorkloadSpec,
-    applications: Mapping[str, ApplicationTemplate],
-    settings: Optional[ExperimentSettings] = None,
-) -> ClusterConfig:
-    """Size executor pools for a closed-loop workload spec."""
-    return size_cluster(spec.arrival_rate, spec.application_names, applications, settings)
-
-
 def size_cluster(
     arrival_rate: float,
     application_names: Sequence[str],
@@ -138,6 +136,53 @@ def size_cluster(
         num_llm_executors=num_llm,
         max_batch_size=settings.max_batch_size,
         latency_slope=settings.latency_slope,
+    )
+
+
+# --------------------------------------------------------------------------- #
+# The offline-artifact memo
+# --------------------------------------------------------------------------- #
+# Eight entries cover one paper figure (one profile, one priors, four
+# sizings); a fitted default profile holds about 1.1 MiB, the others bytes.
+@functools.lru_cache(maxsize=8)
+def _built(build: Callable, settings: ExperimentSettings, *args: object) -> Any:
+    """``build(*args, default_applications(), settings)``, once per process.
+
+    ``settings`` holds only the fields ``build`` reads, the rest at their
+    defaults, so the key is exactly the artifact's inputs.  The templates
+    are rebuilt on a miss rather than kept: holding them for the process
+    costs more peak memory than the rebuild costs time.
+    """
+    return build(*args, default_applications(), settings)
+
+
+def _only(settings: ExperimentSettings, *names: str) -> ExperimentSettings:
+    """Default settings but for the named fields, copied from ``settings``."""
+    return ExperimentSettings(**{name: getattr(settings, name) for name in names})
+
+
+def prepared_priors(settings: ExperimentSettings) -> ApplicationPriors:
+    """The default applications' priors for ``settings``, from the memo."""
+    return _built(build_priors, _only(settings, "prior_samples", "profiler_seed"))
+
+
+def prepared_profiler(settings: ExperimentSettings) -> BayesianProfiler:
+    """A profiler over the memo's default-application profiles fitted for ``settings``.
+
+    Each caller gets its own query caches: kept across the runs of a
+    process, they only grow.
+    """
+    fitted = _built(build_profiler, _only(settings, "profile_jobs", "profiler_seed"))
+    return fitted.with_empty_caches()
+
+
+def prepared_cluster(
+    arrival_rate: float, application_names: Sequence[str], settings: ExperimentSettings
+) -> ClusterConfig:
+    """:func:`size_cluster` over the default applications, from the memo."""
+    read = ("target_load", "max_batch_size", "latency_slope", "profiler_seed")
+    return _built(
+        size_cluster, _only(settings, *read), float(arrival_rate), tuple(application_names)
     )
 
 

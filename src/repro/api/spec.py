@@ -62,7 +62,7 @@ from repro.workloads.arrivals import (
     _Take,
     _Until,
 )
-from repro.workloads.mixtures import WorkloadSpec, WorkloadType
+from repro.workloads.mixtures import APPLICATION_NAMES, WorkloadSpec, WorkloadType
 from repro.workloads.serving import available_token_mixes
 
 __all__ = [
@@ -274,7 +274,7 @@ class WorkloadSection:
     # Open loop ----------------------------------------------------------- #
     process: Optional[ArrivalProcess] = None
     application_names: Optional[Tuple[str, ...]] = field(
-        default=None, metadata=text(optional=True, each=True)
+        default=None, metadata=one_of("application", APPLICATION_NAMES, optional=True, each=True)
     )
     max_jobs: Optional[int] = field(default=None, metadata=integer(1, optional=True))
     horizon: Optional[float] = field(default=None, metadata=positive(optional=True))
@@ -764,6 +764,20 @@ class ScenarioSpec:
                     "FederationMetrics does not aggregate per-request token streams "
                     "(drop workload.token_mix or set num_shards=1)"
                 )
+        cluster, process = self.cluster, self.workload.process
+        if (
+            process is not None
+            and cluster.config is None
+            and cluster.pools is None
+            and cluster.nominal_rate is None
+            and getattr(process, "rate", None) is None
+        ):
+            kind = {cls: k for k, cls in _PROCESS_KINDS.items()}.get(type(process))
+            raise SpecError(
+                f"sizing the cluster for arrival process kind {kind or type(process).__name__!r} "
+                "needs cluster.nominal_rate (the process has no single rate), or an explicit "
+                "cluster config or pools"
+            )
         return self
 
     # Serialization ------------------------------------------------------- #

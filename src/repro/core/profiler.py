@@ -139,6 +139,14 @@ class BayesianProfiler:
         self._reduction_cache.clear()
         return self
 
+    def with_empty_caches(self) -> "BayesianProfiler":
+        """A copy that shares this profiler's fitted profiles but no query cache."""
+        clone = BayesianProfiler(
+            self.structure_config, self.max_intervals, self.max_correlated_targets
+        )
+        clone._profiles = dict(self._profiles)
+        return clone
+
     def _fit_application(
         self, app: ApplicationTemplate, n_jobs: int, rng: np.random.Generator
     ) -> ApplicationProfile:

@@ -10,7 +10,7 @@ parameters are available through each module's command line, e.g.::
     python -m repro.experiments.fig7_simulation --num-jobs 100 200 300 400
 
 The figure drivers run through the declarative API (:mod:`repro.api`),
-which also owns the shared settings and offline preparation
-(:class:`~repro.api.ExperimentSettings`, ``build_priors`` /
-``build_profiler``, cluster sizing).
+which also owns the shared settings (:class:`~repro.api.ExperimentSettings`)
+and the offline preparation: each run takes its priors, fitted profiler and
+cluster sizing from the per-process memo in :mod:`repro.api.prep`.
 """

@@ -16,12 +16,10 @@ from repro.api import (
     ExperimentSettings,
     ScenarioSpec,
     WorkloadSection,
-    build_priors,
-    build_profiler,
     compare,
 )
 from repro.experiments.report import format_table
-from repro.workloads.mixtures import WorkloadType, default_applications
+from repro.workloads.mixtures import WorkloadType
 
 __all__ = ["run", "main", "ABLATION_SCHEDULERS"]
 
@@ -43,9 +41,6 @@ def run(
     present in the paper but listed in DESIGN.md.
     """
     settings = settings or ExperimentSettings()
-    applications = default_applications()
-    priors = build_priors(applications, settings)
-    profiler = build_profiler(applications, settings)
     scheduler_names = list(ABLATION_SCHEDULERS)
     if include_calibration_ablation:
         scheduler_names.append("llmsched_wo_calibration")
@@ -58,13 +53,7 @@ def run(
             ),
             settings=settings,
         )
-        comparison = compare(
-            scenario,
-            scheduler_names,
-            applications=applications,
-            priors=priors,
-            profiler=profiler,
-        )
+        comparison = compare(scenario, scheduler_names)
         normalized = comparison.normalized_to("llmsched")
         row: Dict[str, object] = {
             "workload": workload_type.value,

@@ -19,12 +19,10 @@ from repro.api import (
     ExperimentSettings,
     ScenarioSpec,
     WorkloadSection,
-    build_priors,
-    build_profiler,
     compare,
 )
 from repro.experiments.report import format_table
-from repro.workloads.mixtures import WorkloadType, default_applications
+from repro.workloads.mixtures import WorkloadType
 
 __all__ = ["run", "main", "TESTBED_SEED"]
 
@@ -42,10 +40,6 @@ def run(
 ) -> List[Dict[str, object]]:
     """One row per (workload, scheduler) with average JCT and overhead."""
     settings = settings or ExperimentSettings()
-    applications = default_applications()
-    priors = build_priors(applications, settings)
-    profiler = build_profiler(applications, settings)
-
     rows: List[Dict[str, object]] = []
     for workload_type in workload_types:
         scenario = ScenarioSpec(
@@ -54,13 +48,7 @@ def run(
             ),
             settings=settings,
         )
-        comparison = compare(
-            scenario,
-            scheduler_names,
-            applications=applications,
-            priors=priors,
-            profiler=profiler,
-        )
+        comparison = compare(scenario, scheduler_names)
         for name in scheduler_names:
             metrics = comparison.metrics[name]
             rows.append(

@@ -19,22 +19,13 @@ from repro.api import (
     ScenarioSpec,
     SchedulerSection,
     WorkloadSection,
-    build_priors,
-    build_profiler,
     run as run_scenario,
-    size_cluster_for_workload,
 )
-from repro.workloads.mixtures import WorkloadSpec, WorkloadType, default_applications
+from repro.api.prep import prepared_cluster
+from repro.workloads.mixtures import WorkloadSpec, WorkloadType
 from repro.experiments.report import format_series
 
 __all__ = ["run_epsilon_sweep", "run_sampling_sweep", "run_arrival_sweep", "run", "main"]
-
-
-def _prepared(settings: ExperimentSettings):
-    applications = default_applications()
-    priors = build_priors(applications, settings)
-    profiler = build_profiler(applications, settings)
-    return applications, priors, profiler
 
 
 def run_epsilon_sweep(
@@ -47,19 +38,11 @@ def run_epsilon_sweep(
 ) -> Dict[float, float]:
     """Normalised average JCT for each exploration probability (Fig. 9a)."""
     settings = settings or ExperimentSettings()
-    applications, priors, profiler = _prepared(settings)
-    spec = WorkloadSpec(workload_type=workload_type, num_jobs=num_jobs, arrival_rate=arrival_rate, seed=seed)
-    scenario = ScenarioSpec(
-        workload=WorkloadSection.from_workload_spec(spec),
-        cluster=ClusterSection(config=size_cluster_for_workload(spec, applications, settings)),
-        settings=settings,
-    )
+    workload = WorkloadSection.closed_loop(workload_type.value, num_jobs, arrival_rate, seed)
+    scenario = ScenarioSpec(workload=workload, settings=settings)
     jcts: Dict[float, float] = {}
     for epsilon in epsilons:
-        result = run_scenario(
-            scenario.with_scheduler("llmsched", epsilon=float(epsilon)),
-            applications=applications, priors=priors, profiler=profiler,
-        )
+        result = run_scenario(scenario.with_scheduler("llmsched", epsilon=float(epsilon)))
         jcts[float(epsilon)] = result.average_jct
     reference = jcts.get(settings.llmsched.epsilon) or min(jcts.values())
     return {eps: jct / reference for eps, jct in jcts.items()}
@@ -75,19 +58,11 @@ def run_sampling_sweep(
 ) -> Dict[float, float]:
     """Normalised average JCT for each task sampling ratio (Fig. 9b)."""
     settings = settings or ExperimentSettings()
-    applications, priors, profiler = _prepared(settings)
-    spec = WorkloadSpec(workload_type=workload_type, num_jobs=num_jobs, arrival_rate=arrival_rate, seed=seed)
-    scenario = ScenarioSpec(
-        workload=WorkloadSection.from_workload_spec(spec),
-        cluster=ClusterSection(config=size_cluster_for_workload(spec, applications, settings)),
-        settings=settings,
-    )
+    workload = WorkloadSection.closed_loop(workload_type.value, num_jobs, arrival_rate, seed)
+    scenario = ScenarioSpec(workload=workload, settings=settings)
     jcts: Dict[float, float] = {}
     for ratio in ratios:
-        result = run_scenario(
-            scenario.with_scheduler("llmsched", sampling_ratio=float(ratio)),
-            applications=applications, priors=priors, profiler=profiler,
-        )
+        result = run_scenario(scenario.with_scheduler("llmsched", sampling_ratio=float(ratio)))
         jcts[float(ratio)] = result.average_jct
     reference = jcts.get(settings.llmsched.sampling_ratio) or min(jcts.values())
     return {ratio: jct / reference for ratio, jct in jcts.items()}
@@ -106,11 +81,10 @@ def run_arrival_sweep(
     so lower / higher rates correspond to lightly / heavily loaded clusters.
     """
     settings = settings or ExperimentSettings()
-    applications, priors, profiler = _prepared(settings)
     result: Dict[str, Dict[float, float]] = {}
     for workload_type in workload_types:
-        sizing_spec = WorkloadSpec(workload_type=workload_type, num_jobs=num_jobs, arrival_rate=0.9, seed=seed)
-        cluster = size_cluster_for_workload(sizing_spec, applications, settings)
+        names = WorkloadSpec(workload_type=workload_type).application_names
+        cluster = prepared_cluster(0.9, names, settings)
         jcts: Dict[float, float] = {}
         for rate in arrival_rates:
             scenario = ScenarioSpec(
@@ -121,9 +95,7 @@ def run_arrival_sweep(
                 cluster=ClusterSection(config=cluster),
                 settings=settings,
             )
-            cell = run_scenario(
-                scenario, applications=applications, priors=priors, profiler=profiler
-            )
+            cell = run_scenario(scenario)
             jcts[float(rate)] = cell.average_jct
         reference = jcts.get(0.9) or min(jcts.values())
         result[workload_type.value] = {rate: jct / reference for rate, jct in jcts.items()}

@@ -165,14 +165,16 @@ def text(optional: bool = False, each: bool = False) -> Dict[str, Rule]:
     return {RULE: Rule(nonempty, optional, each)}
 
 
-def one_of(label: str, choices: Sequence[str], optional: bool = False) -> Dict[str, Rule]:
+def one_of(
+    label: str, choices: Sequence[str], optional: bool = False, each: bool = False
+) -> Dict[str, Rule]:
     """A str from the choice set named ``label`` (e.g. ``"job router"``)."""
 
     def check(value: object, name: str) -> None:
         if value not in choices:
             raise ValueError(f"unknown {label} {value!r}: {name} must be {_alternatives(choices)}")
 
-    return {RULE: Rule(check, optional)}
+    return {RULE: Rule(check, optional, each)}
 
 
 def member(kind: Type[enum.Enum]) -> Dict[str, Rule]:

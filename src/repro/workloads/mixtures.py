@@ -29,6 +29,7 @@ from repro.workloads.task_automation import TaskAutomationApplication
 from repro.workloads.web_search import WebSearchApplication
 
 __all__ = [
+    "APPLICATION_NAMES",
     "WorkloadType",
     "WorkloadSpec",
     "default_applications",
@@ -59,15 +60,18 @@ def default_applications() -> Dict[str, ApplicationTemplate]:
     return {app.name: app for app in applications}
 
 
+#: The names of the six default applications, in :func:`default_applications` order.
+APPLICATION_NAMES: List[str] = [
+    "sequence_sorting",
+    "document_merging",
+    "code_generation",
+    "web_search",
+    "task_automation",
+    "llm_compiler",
+]
+
 _WORKLOAD_APPS: Dict[WorkloadType, List[str]] = {
-    WorkloadType.MIXED: [
-        "sequence_sorting",
-        "document_merging",
-        "code_generation",
-        "web_search",
-        "task_automation",
-        "llm_compiler",
-    ],
+    WorkloadType.MIXED: APPLICATION_NAMES,
     WorkloadType.PREDEFINED: ["sequence_sorting", "document_merging"],
     WorkloadType.CHAIN: ["code_generation", "web_search"],
     WorkloadType.PLANNING: ["task_automation", "llm_compiler"],

@@ -187,15 +187,31 @@ class TestValidate:
                 },
                 ["view_refresh_intervl"],
             ),
+            ({"max_jobs": 5, "application_names": ["web_serch"], "process": _POISSON}, {},
+             ["application_names[0]", "'web_serch'"]),
+            (
+                {
+                    "max_jobs": 5,
+                    "process": {
+                        "kind": "bursty", "base_rate": 1.0, "burst_rate": 4.0,
+                        "mean_normal_duration": 60.0, "mean_burst_duration": 10.0,
+                    },
+                },
+                {},
+                ["cluster.nominal_rate", "'bursty'"],
+            ),
+            ({"process": {"kind": "take", "count": 5, "inner": _POISSON}}, {},
+             ["cluster.nominal_rate", "'take'"]),
         ],
         ids=["nan-trace-entry", "take-count-true", "take-without-count", "uncapped-poisson",
-             "misspelled-router-kwarg"],
+             "misspelled-router-kwarg", "unknown-application", "bursty-without-nominal-rate",
+             "take-without-nominal-rate"],
     )
     def test_validate_rejects_by_name_without_a_traceback(
         self, workload, cluster, names, tmp_path, capsys
     ):
-        # Each used to validate (and then hang, run a cast value or die after
-        # cluster sizing) or to end in a traceback.
+        # Each used to validate (and then hang, run a cast value, die in or
+        # after cluster sizing) or to end in a traceback.
         bad = tmp_path / "bad.json"
         doc = {"scheduler": {"name": "fcfs"}, "workload": {"mode": "open", **workload}}
         bad.write_text(json.dumps({**doc, "cluster": cluster} if cluster else doc))

@@ -1,15 +1,25 @@
-"""Offline preparation: settings validation, priors/profiler, cluster sizing."""
+"""Offline preparation: settings validation, priors/profiler, cluster sizing, the memo."""
+
+from dataclasses import replace
 
 import pytest
 
+from repro import api
 from repro.api import (
     PAPER_BASELINES,
+    ClusterSection,
     ExperimentSettings,
+    ScenarioSpec,
+    SchedulerSection,
+    WorkloadSection,
     build_priors,
     build_profiler,
-    size_cluster_for_workload,
+    dispatch,
+    prep,
+    size_cluster,
     split_cluster_config,
 )
+from repro.core.profiler import BayesianProfiler
 from repro.simulator.cluster import ClusterConfig
 from repro.workloads.mixtures import WorkloadSpec, WorkloadType, default_applications
 
@@ -68,23 +78,20 @@ class TestPreparation:
         assert set(profiler.applications) == set(applications)
 
     def test_cluster_sizing_grows_with_llm_heavy_mix(self, applications):
-        heavy = size_cluster_for_workload(
-            WorkloadSpec(WorkloadType.PREDEFINED, num_jobs=50, arrival_rate=0.9), applications, TINY
+        heavy = size_cluster(
+            0.9, WorkloadSpec(WorkloadType.PREDEFINED).application_names, applications, TINY
         )
-        light = size_cluster_for_workload(
-            WorkloadSpec(WorkloadType.PLANNING, num_jobs=50, arrival_rate=0.9), applications, TINY
+        light = size_cluster(
+            0.9, WorkloadSpec(WorkloadType.PLANNING).application_names, applications, TINY
         )
         # Predefined jobs carry far more LLM work per job than planning jobs.
         assert heavy.num_llm_executors > light.num_llm_executors
         assert light.num_regular_executors >= 2
 
     def test_cluster_sizing_grows_with_arrival_rate(self, applications):
-        slow = size_cluster_for_workload(
-            WorkloadSpec(WorkloadType.MIXED, num_jobs=50, arrival_rate=0.5), applications, TINY
-        )
-        fast = size_cluster_for_workload(
-            WorkloadSpec(WorkloadType.MIXED, num_jobs=50, arrival_rate=1.5), applications, TINY
-        )
+        mixed = WorkloadSpec(WorkloadType.MIXED).application_names
+        slow = size_cluster(0.5, mixed, applications, TINY)
+        fast = size_cluster(1.5, mixed, applications, TINY)
         assert fast.num_llm_executors >= slow.num_llm_executors
 
 
@@ -101,3 +108,86 @@ class TestSplitClusterConfig:
         total = ClusterConfig(num_regular_executors=10, num_llm_executors=5)
         with pytest.raises(ValueError, match="cannot split"):
             split_cluster_config(total, 6)  # only 5 LLM executors to go around
+
+
+class TestMemo:
+    """``api.run`` builds each offline artifact once per input, per process."""
+
+    CLUSTER = ClusterSection(config=ClusterConfig(num_regular_executors=3, num_llm_executors=2))
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Counts profile fits, priors builds and sizings, starting from an empty memo."""
+        prep._built.cache_clear()
+        counts = {"fit": 0, "priors": 0, "sizing": 0}
+
+        def counting(kind, original):
+            def counted(*args, **kwargs):
+                counts[kind] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(BayesianProfiler, "fit", counting("fit", BayesianProfiler.fit))
+        monkeypatch.setattr(prep, "build_priors", counting("priors", prep.build_priors))
+        monkeypatch.setattr(prep, "size_cluster", counting("sizing", prep.size_cluster))
+        return counts
+
+    def spec(self, scheduler, settings=TINY, cluster=CLUSTER, arrival_rate=1.0):
+        return ScenarioSpec(
+            scheduler=SchedulerSection(scheduler),
+            workload=WorkloadSection.closed_loop(
+                "planning", num_jobs=4, arrival_rate=arrival_rate, seed=3
+            ),
+            cluster=cluster,
+            settings=settings,
+        )
+
+    def test_equal_settings_fit_once(self, builds):
+        first = api.run(self.spec("llmsched"))
+        second = api.run(self.spec("llmsched"))
+        assert builds["fit"] == 1
+        assert first.job_completion_times == second.job_completion_times
+
+    def test_a_changed_fit_input_fits_again(self, builds):
+        api.run(self.spec("llmsched"))
+        # Inputs the fit does not read share its entry.
+        api.run(self.spec("llmsched", replace(TINY, prior_samples=16, target_load=0.8)))
+        assert builds["fit"] == 1
+        api.run(self.spec("llmsched", replace(TINY, profile_jobs=31)))
+        api.run(self.spec("llmsched", replace(TINY, profiler_seed=78)))
+        assert builds["fit"] == 3
+
+    def test_each_run_builds_only_what_its_scheduler_needs(self, builds):
+        api.run(self.spec("fcfs"))
+        assert builds == {"fit": 0, "priors": 0, "sizing": 0}
+        api.run(self.spec("sjf"))
+        api.run(self.spec("sjf"))
+        assert builds == {"fit": 0, "priors": 1, "sizing": 0}
+
+    def test_a_sized_cluster_is_sized_once_per_rate(self, builds):
+        sized = ClusterSection()
+        api.compare(self.spec("fcfs", cluster=sized), ["fcfs", "fair", "argus"])
+        assert builds["sizing"] == 1
+        api.run(self.spec("fcfs", cluster=sized, arrival_rate=1.5))
+        assert builds["sizing"] == 2
+
+    def test_each_run_gets_fresh_query_caches_over_the_shared_fit(self, builds, monkeypatch):
+        handed_out = []
+
+        def recording(settings):
+            profiler = prep.prepared_profiler(settings)
+            caches = (profiler._marginal_cache, profiler._moment_cache, profiler._reduction_cache)
+            handed_out.append((profiler, caches, [len(cache) for cache in caches]))
+            return profiler
+
+        monkeypatch.setattr(dispatch, "prepared_profiler", recording)
+        api.run(self.spec("llmsched"))
+        api.run(self.spec("llmsched"))
+        (first, first_caches, first_sizes), (second, second_caches, second_sizes) = handed_out
+        assert first_sizes == second_sizes == [0, 0, 0]
+        assert all(len(cache) > 0 for cache in first_caches)  # the first run filled its own
+        assert all(a is not b for a, b in zip(first_caches, second_caches, strict=True))
+        assert builds["fit"] == 1
+        for name in first.applications:
+            assert first.profile_for(name) is second.profile_for(name)

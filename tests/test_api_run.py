@@ -32,7 +32,6 @@ from repro.simulator.cluster import ClusterConfig
 from repro.simulator.federation import MigrationConfig
 from repro.simulator.pool import PoolSpec
 from repro.workloads.arrivals import DiurnalProcess, PoissonProcess
-from repro.workloads.mixtures import default_applications
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -42,26 +41,6 @@ GOLDEN_WORKLOAD = WorkloadSection.closed_loop("mixed", num_jobs=20, arrival_rate
 GOLDEN_CLUSTER = ClusterConfig(num_regular_executors=3, num_llm_executors=2, max_batch_size=4)
 
 TINY = ExperimentSettings(profile_jobs=30, prior_samples=15, llmsched=LLMSchedConfig(seed=0))
-
-
-@pytest.fixture(scope="module")
-def applications():
-    return default_applications()
-
-
-@pytest.fixture(scope="module")
-def golden_priors(applications):
-    return api.build_priors(applications, GOLDEN_SETTINGS)
-
-
-@pytest.fixture(scope="module")
-def golden_profiler(applications):
-    return api.build_profiler(applications, GOLDEN_SETTINGS)
-
-
-@pytest.fixture(scope="module")
-def tiny_prepared(applications):
-    return api.build_priors(applications, TINY), api.build_profiler(applications, TINY)
 
 
 def golden_scenario(name):
@@ -75,16 +54,9 @@ def golden_scenario(name):
 
 class TestGoldenIdentity:
     @pytest.mark.parametrize("name", available_schedulers(include_llmsched=True))
-    def test_api_run_matches_golden_trace(
-        self, name, applications, golden_priors, golden_profiler
-    ):
+    def test_api_run_matches_golden_trace(self, name):
         golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
-        result = api.run(
-            golden_scenario(name),
-            applications=applications,
-            priors=golden_priors,
-            profiler=golden_profiler,
-        )
+        result = api.run(golden_scenario(name))
         assert dict(sorted(result.metrics.job_completion_times.items())) == golden["jct"]
         assert result.metrics.makespan == golden["makespan"]
         assert result.metrics.num_tasks_executed == golden["num_tasks_executed"]
@@ -96,13 +68,11 @@ class TestGoldenIdentity:
         assert dict(sorted(result.metrics.job_completion_times.items())) == golden["jct"]
         assert result.metrics.makespan == golden["makespan"]
 
-    def test_spec_survives_json_roundtrip_bit_identically(
-        self, applications, golden_priors, golden_profiler
-    ):
+    def test_spec_survives_json_roundtrip_bit_identically(self):
         spec = golden_scenario("fcfs")
         replayed = ScenarioSpec.from_json(spec.to_json())
-        a = api.run(spec, applications=applications, priors=golden_priors)
-        b = api.run(replayed, applications=applications, priors=golden_priors)
+        a = api.run(spec)
+        b = api.run(replayed)
         assert a.metrics.job_completion_times == b.metrics.job_completion_times
         assert a.metrics.makespan == b.metrics.makespan
 
@@ -111,8 +81,7 @@ class TestLLMSchedVariants:
     @pytest.mark.parametrize(
         "name", ["llmsched", "llmsched_wo_bn", "llmsched_wo_uncertainty", "llmsched_wo_calibration"]
     )
-    def test_variant_runs_end_to_end(self, name, applications, tiny_prepared):
-        _, profiler = tiny_prepared
+    def test_variant_runs_end_to_end(self, name):
         result = api.run(
             ScenarioSpec(
                 scheduler=SchedulerSection(name),
@@ -121,8 +90,6 @@ class TestLLMSchedVariants:
                 ),
                 settings=TINY,
             ),
-            applications=applications,
-            profiler=profiler,
         )
         assert result.metrics.scheduler_name == name
         assert len(result.metrics.job_completion_times) == 12
@@ -142,8 +109,7 @@ class TestConflictBugfix:
 
 
 class TestGridAndResult:
-    def test_run_grid_matches_individual_runs(self, applications, tiny_prepared):
-        priors, _ = tiny_prepared
+    def test_run_grid_matches_individual_runs(self):
         base = ScenarioSpec(
             workload=WorkloadSection.closed_loop("mixed", num_jobs=8, arrival_rate=1.0, seed=6),
             settings=TINY,
@@ -161,8 +127,6 @@ class TestGridAndResult:
         ]
         solo = api.run(
             api.with_overrides(base, {"workload.arrival_rate": 1.6, "scheduler.name": "sjf"}),
-            applications=applications,
-            priors=priors,
         )
         assert rows[3][1].metrics.job_completion_times == solo.metrics.job_completion_times
 
@@ -184,15 +148,12 @@ class TestGridAndResult:
         with pytest.raises(ValueError, match="at least one override axis"):
             api.run_grid(base, {})
 
-    def test_result_schema(self, applications, tiny_prepared):
-        priors, _ = tiny_prepared
+    def test_result_schema(self):
         result = api.run(
             ScenarioSpec(
                 workload=WorkloadSection.closed_loop("mixed", num_jobs=6, arrival_rate=1.0),
                 settings=TINY,
             ),
-            applications=applications,
-            priors=priors,
         )
         payload = result.to_dict()
         assert payload["schema_version"] == api.SCHEMA_VERSION
@@ -204,30 +165,23 @@ class TestGridAndResult:
         lean = result.to_dict(include_spec=False)
         assert "spec" not in lean
 
-    def test_compare_shares_draw_and_cluster(self, applications, tiny_prepared):
-        priors, profiler = tiny_prepared
+    def test_compare_shares_draw_and_cluster(self):
         scenario = ScenarioSpec(
             workload=WorkloadSection.closed_loop("mixed", num_jobs=10, arrival_rate=1.2, seed=4),
             settings=TINY,
         )
-        comparison = api.compare(
-            scenario, ["fcfs", "sjf"], applications=applications,
-            priors=priors, profiler=profiler,
-        )
+        comparison = api.compare(scenario, ["fcfs", "sjf"])
         assert set(comparison.metrics) == {"fcfs", "sjf"}
         assert set(comparison.metrics["fcfs"].job_completion_times) == set(
             comparison.metrics["sjf"].job_completion_times
         )
 
-    def test_comparison_normalized_to_and_improvement_over(self, applications, tiny_prepared):
-        priors, _ = tiny_prepared
+    def test_comparison_normalized_to_and_improvement_over(self):
         scenario = ScenarioSpec(
             workload=WorkloadSection.closed_loop("mixed", num_jobs=18, arrival_rate=1.2, seed=4),
             settings=TINY,
         )
-        comparison = api.compare(
-            scenario, ["fcfs", "sjf"], applications=applications, priors=priors
-        )
+        comparison = api.compare(scenario, ["fcfs", "sjf"])
         assert set(comparison.average_jcts()) == {"fcfs", "sjf"}
         normalized = comparison.normalized_to("fcfs")
         assert normalized["fcfs"] == pytest.approx(1.0)
@@ -246,7 +200,7 @@ class TestGridAndResult:
         with pytest.raises(ValueError, match="router override only applies"):
             api.run(single, router=HashRouter())
 
-    def test_open_loop_run_sizes_cluster_from_process_rate(self, applications):
+    def test_open_loop_run_sizes_cluster_from_process_rate(self):
         result = api.run(
             ScenarioSpec(
                 workload=WorkloadSection.open_loop(
@@ -254,24 +208,21 @@ class TestGridAndResult:
                 ),
                 settings=TINY,
             ),
-            applications=applications,
         )
         assert result.metrics.workload_name == "open_loop"
         assert len(result.metrics.job_completion_times) == 15
         assert result.spec.cluster.config is not None  # auto-sized, recorded
 
     def test_open_loop_sizing_needs_rate(self):
-        spec = ScenarioSpec(
-            workload=WorkloadSection.open_loop(
-                PoissonProcess(rate=1.0, seed=5).take(5), seed=5
-            ),
-            settings=TINY,
-        )
         with pytest.raises(ValueError, match="nominal_rate"):
-            api.run(spec)
+            ScenarioSpec(
+                workload=WorkloadSection.open_loop(
+                    PoissonProcess(rate=1.0, seed=5).take(5), seed=5
+                ),
+                settings=TINY,
+            )
 
-    def test_placement_section_resolves(self, applications, tiny_prepared):
-        priors, _ = tiny_prepared
+    def test_placement_section_resolves(self):
         result = api.run(
             ScenarioSpec(
                 workload=WorkloadSection.closed_loop("mixed", num_jobs=8, arrival_rate=1.2, seed=6),
@@ -279,8 +230,6 @@ class TestGridAndResult:
                 placement=PlacementSection("best_fit"),
                 settings=TINY,
             ),
-            applications=applications,
-            priors=priors,
         )
         assert len(result.metrics.job_completion_times) == 8
 
@@ -302,8 +251,7 @@ class TestGridAndResult:
             assert result.spec.placement.name == overrides["placement.name"]
             assert len(result.metrics.job_completion_times) == 8
 
-    def test_decision_latency_grid_zero_is_synchronous(self, applications, tiny_prepared):
-        priors, _ = tiny_prepared
+    def test_decision_latency_grid_zero_is_synchronous(self):
         base = ScenarioSpec(
             workload=WorkloadSection.closed_loop("mixed", num_jobs=10, arrival_rate=1.0, seed=6),
             settings=TINY,
@@ -314,12 +262,12 @@ class TestGridAndResult:
         assert all(len(m.job_completion_times) == 10 for m in by_latency.values())
         assert by_latency[2.0].num_async_decisions > 0
         # Latency 0 is the synchronous engine bit for bit.
-        sync = api.run(base, applications=applications, priors=priors)
+        sync = api.run(base)
         assert by_latency[0.0].job_completion_times == sync.metrics.job_completion_times
         # Charged latency must not help.
         assert by_latency[2.0].average_jct >= by_latency[0.0].average_jct
 
-    def test_autoscaler_section_resizes_pools(self, applications):
+    def test_autoscaler_section_resizes_pools(self):
         pools = (
             PoolSpec("cpu", TaskType.REGULAR, 2, min_executors=2, max_executors=16),
             PoolSpec("gpu", TaskType.LLM, 1, max_batch_size=4, min_executors=1, max_executors=8),
@@ -334,13 +282,12 @@ class TestGridAndResult:
                 autoscaler=AutoscalerConfig(interval=15.0, step=2),
                 settings=TINY,
             ),
-            applications=applications,
         )
         assert result.metrics.workload_name == "diurnal"
         assert len(result.metrics.job_completion_times) == 25
         assert result.metrics.scale_events  # the diurnal peak resized the pools
 
-    def test_federated_run_reports_shards_and_router(self, applications):
+    def test_federated_run_reports_shards_and_router(self):
         result = api.run(
             ScenarioSpec(
                 workload=WorkloadSection.open_loop(
@@ -353,7 +300,6 @@ class TestGridAndResult:
                 ),
                 settings=TINY,
             ),
-            applications=applications,
         )
         assert result.is_federated
         assert set(result.metrics.shards) == {"shard-0", "shard-1"}
@@ -378,14 +324,13 @@ class TestGridAndResult:
         jobs = set(single.metrics.job_completion_times)
         assert len(jobs) == 24 and set(fleet.metrics.job_completion_times) == jobs
 
-    def test_async_section_resolves(self, applications):
+    def test_async_section_resolves(self):
         result = api.run(
             ScenarioSpec(
                 workload=WorkloadSection.closed_loop("mixed", num_jobs=8, arrival_rate=1.5, seed=6),
                 async_=AsyncSection(latency=1.0),
                 settings=TINY,
             ),
-            applications=applications,
         )
         assert result.metrics.num_async_decisions > 0
 
@@ -425,22 +370,20 @@ class TestSnapshotPolicyPlumbing:
             ),
         )
 
-    def test_policies_bit_identical_single(self, applications):
-        cow = api.run(self._async_spec("cow"), applications=applications)
-        deep = api.run(self._async_spec("deepcopy"), applications=applications)
+    def test_policies_bit_identical_single(self):
+        cow = api.run(self._async_spec("cow"))
+        deep = api.run(self._async_spec("deepcopy"))
         assert cow.metrics.job_completion_times == deep.metrics.job_completion_times
         assert cow.metrics.makespan == deep.metrics.makespan
         assert cow.metrics.num_async_decisions == deep.metrics.num_async_decisions
 
-    def test_policies_bit_identical_federated(self, applications):
-        cow = api.run(self._async_spec("cow", num_shards=2), applications=applications)
-        deep = api.run(
-            self._async_spec("deepcopy", num_shards=2), applications=applications
-        )
+    def test_policies_bit_identical_federated(self):
+        cow = api.run(self._async_spec("cow", num_shards=2))
+        deep = api.run(self._async_spec("deepcopy", num_shards=2))
         assert cow.metrics.job_completion_times == deep.metrics.job_completion_times
         assert cow.metrics.makespan == deep.metrics.makespan
 
-    def test_policy_reaches_the_engine(self, monkeypatch, applications):
+    def test_policy_reaches_the_engine(self, monkeypatch):
         # Guard against the plumbing silently falling back to the default:
         # capture the SimulationConfig the dispatcher builds.
         from repro.api import dispatch as dispatch_module
@@ -454,5 +397,5 @@ class TestSnapshotPolicyPlumbing:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(dispatch_module.SimulationEngine, "__init__", spy)
-        api.run(self._async_spec("deepcopy"), applications=applications)
+        api.run(self._async_spec("deepcopy"))
         assert seen["policy"] == "deepcopy"

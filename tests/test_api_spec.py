@@ -510,7 +510,8 @@ _PROCESS_DOCUMENT_CASES = [
     ),
 ]
 
-#: Processes that end by themselves, so an open workload needs no cap.
+#: Processes that end by themselves, so an open workload needs no cap.  None
+#: has a single rate, so an auto-sized cluster needs ``_NOMINAL``.
 _FINITE_PROCESSES = [
     {"kind": "trace", "trace": [1.0, 2.0]},
     {"kind": "take", "count": 3, "inner": _POISSON},
@@ -519,6 +520,7 @@ _FINITE_PROCESSES = [
         {"kind": "take", "count": 3, "inner": _POISSON}, {"kind": "trace", "trace": [1.0]}
     ]},
 ]
+_NOMINAL = {"nominal_rate": 1.0}
 
 
 def _fleet_doc(router_kwargs):
@@ -541,7 +543,9 @@ class TestArrivalProcessDocuments:
     def test_combinators_keep_their_values(self):
         take = {"kind": "take", "count": 3, "inner": _POISSON}
         process = {"kind": "until", "horizon": 7, "inner": take}
-        spec = ScenarioSpec.from_dict({"workload": {"mode": "open", "process": process}})
+        spec = ScenarioSpec.from_dict(
+            {"workload": {"mode": "open", "process": process}, "cluster": _NOMINAL}
+        )
         assert spec.to_dict()["workload"]["process"] == process
 
     def test_an_uncapped_endless_stream_is_rejected(self):
@@ -557,7 +561,8 @@ class TestArrivalProcessDocuments:
 
     @pytest.mark.parametrize("process", _FINITE_PROCESSES, ids=lambda p: p["kind"])
     def test_a_process_that_ends_by_itself_needs_no_cap(self, process):
-        ScenarioSpec.from_dict({"workload": {"mode": "open", "process": process}})
+        doc = {"workload": {"mode": "open", "process": process}, "cluster": _NOMINAL}
+        ScenarioSpec.from_dict(doc)
 
 
 class TestRouterKwargs:
@@ -918,7 +923,12 @@ def scenario_specs(draw):
         elif shape == "pools":
             cluster = ClusterSection(pools=draw(_pools))
         else:
-            cluster = ClusterSection(nominal_rate=draw(st.one_of(st.none(), _rates)))
+            # Sizing an open stream whose process has no rate needs a
+            # nominal_rate (validated), so the strategy draws it dependently.
+            process = workload.process
+            rateless = process is not None and getattr(process, "rate", None) is None
+            nominal = _rates if rateless else st.one_of(st.none(), _rates)
+            cluster = ClusterSection(nominal_rate=draw(nominal))
         placement = draw(
             st.one_of(st.none(), st.builds(PlacementSection, name=st.sampled_from(["greedy", "best_fit"])))
         )
