@@ -42,7 +42,7 @@ WORKLOAD = WorkloadSection.closed_loop("mixed", num_jobs=NUM_JOBS, arrival_rate=
 #: Small on purpose: decision latency only bites under contention.
 CLUSTER = ClusterConfig(num_regular_executors=3, num_llm_executors=2, max_batch_size=4)
 
-SCHEDULERS = available_schedulers(include_llmsched=True)
+SCHEDULERS = available_schedulers()
 
 
 def is_monotone_degradation(jcts):

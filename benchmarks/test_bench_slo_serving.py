@@ -39,7 +39,7 @@ OUTPUT_FILE = "BENCH_6.json"
 #: Deliberately tight: goodput only separates schedulers under contention.
 CLUSTER = ClusterConfig(num_regular_executors=3, num_llm_executors=2, max_batch_size=8)
 
-INCUMBENTS = available_schedulers(include_llmsched=True)
+INCUMBENTS = available_schedulers()
 MIXES = available_token_mixes()
 
 

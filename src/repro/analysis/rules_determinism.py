@@ -6,7 +6,7 @@ being deterministic functions of their seeds.  Two classes of hazard break
 that silently:
 
 * **REP002** — randomness outside the seeded-RNG plumbing
-  (:func:`repro.utils.rng.make_rng` / :func:`~repro.utils.rng.derive_rng`).
+  (:func:`repro.utils.rng.make_rng`).
   ``np.random.default_rng()`` with no seed, or any call through the
   module-level ``random`` / ``np.random`` global state, differs run to run
   and is invisible in a diff review.
@@ -51,7 +51,7 @@ class UnseededRandomnessRule(Rule):
     summary = (
         "np.random.default_rng() without a seed and module-level random./"
         "np.random.* calls are forbidden outside tests; use "
-        "repro.utils.rng.make_rng/derive_rng"
+        "repro.utils.rng.make_rng"
     )
 
     #: Seeded-constructor names on numpy.random that are fine to call.

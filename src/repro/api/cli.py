@@ -225,9 +225,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_list_schedulers(args: argparse.Namespace) -> int:
-    names = available_schedulers(
-        include_preemptive=True, include_ablations=True, include_serving=True
-    )
+    names = available_schedulers(every=True)
     print("schedulers:")
     for name in names:
         print(f"  {name}")

@@ -103,19 +103,8 @@ class ComparisonResult:
     workload: WorkloadSpec
     metrics: Dict[str, SimulationMetrics]
 
-    def average_jcts(self) -> Dict[str, float]:
-        return {name: m.average_jct for name, m in self.metrics.items()}
-
     def normalized_to(self, reference: str) -> Dict[str, float]:
         base = self.metrics[reference].average_jct
         if base <= 0:
             raise ValueError(f"reference scheduler {reference!r} has non-positive JCT")
         return {name: m.average_jct / base for name, m in self.metrics.items()}
-
-    def improvement_over(self, baseline: str, target: str = "llmsched") -> float:
-        """Relative JCT reduction of ``target`` vs ``baseline`` (paper's headline %)."""
-        base = self.metrics[baseline].average_jct
-        ours = self.metrics[target].average_jct
-        if base <= 0:
-            return 0.0
-        return 1.0 - ours / base

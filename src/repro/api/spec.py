@@ -349,12 +349,6 @@ class WorkloadSection:
             name=name,
         )
 
-    @classmethod
-    def from_workload_spec(cls, spec: WorkloadSpec) -> "WorkloadSection":
-        return cls.closed_loop(
-            spec.workload_type.value, spec.num_jobs, spec.arrival_rate, spec.seed
-        )
-
     # Resolution ---------------------------------------------------------- #
     def to_workload_spec(self) -> WorkloadSpec:
         if self.mode != "closed":

@@ -24,7 +24,6 @@ from repro.bayes.inference import VariableElimination
 from repro.bayes.information import (
     conditional_mutual_information,
     entropy_of_distribution,
-    factor_entropy,
     mutual_information,
 )
 from repro.bayes.learning import (
@@ -42,7 +41,6 @@ __all__ = [
     "Discretizer",
     "DiscretizationSpec",
     "entropy_of_distribution",
-    "factor_entropy",
     "mutual_information",
     "conditional_mutual_information",
     "fit_cpds",

@@ -156,11 +156,6 @@ class Discretizer:
         index = min(max(index, 0), n_intervals - 1)
         return offset + index
 
-    @staticmethod
-    def representative(state: int, spec: DiscretizationSpec) -> float:
-        """Representative duration of a state index."""
-        return float(spec.representatives[int(state)])
-
     def fit_transform(self, samples: Sequence[float]) -> tuple:
         """Fit a spec and return ``(spec, states)`` for the training samples."""
         spec = self.fit(samples)

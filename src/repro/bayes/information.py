@@ -20,7 +20,6 @@ from repro.bayes.network import DiscreteBayesianNetwork
 
 __all__ = [
     "entropy_of_distribution",
-    "factor_entropy",
     "mutual_information",
     "conditional_mutual_information",
     "binary_entropy",
@@ -53,11 +52,6 @@ def binary_entropy(p: float) -> float:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be within [0, 1], got {p}")
     return entropy_of_distribution([p, 1.0 - p])
-
-
-def factor_entropy(factor: DiscreteFactor) -> float:
-    """Joint entropy of the (normalised) distribution described by a factor."""
-    return entropy_of_distribution(factor.values.ravel())
 
 
 def mutual_information(

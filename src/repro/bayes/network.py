@@ -144,21 +144,12 @@ class DiscreteBayesianNetwork:
     def ancestors(self, node: str) -> Set[str]:
         return self._graph.ancestors(node)
 
-    def has_directed_path(self, source: str, target: str) -> bool:
-        """True when a directed path source → … → target exists.
-
-        This implements the paper's ``correlated(u, v)`` predicate (Eq. 1):
-        a stage u is considered correlated with v when a direct(ed) path
-        connects them in the learned network.
-        """
-        if source == target:
-            return False
-        return self._graph.has_path(source, target)
-
     def correlated_nodes(self, node: str) -> Set[str]:
         """All nodes reachable from ``node`` by a directed path (either way).
 
-        The profiler treats a stage as uncertainty-reducing when it is
+        This is the paper's ``correlated(u, v)`` predicate (Eq. 1): a stage
+        u is correlated with v when a directed path connects them in the
+        learned network.  The profiler treats a stage as uncertainty-reducing when it is
         correlated with at least one other stage; scheduling it informs every
         node it can reach and every node that can reach it.
         """

@@ -16,19 +16,13 @@
 
 from repro.core.calibration import BatchingAwareCalibrator
 from repro.core.profiler import ApplicationProfile, BayesianProfiler
-from repro.core.uncertainty import (
-    llm_stage_entropy,
-    regular_stage_entropy,
-    UncertaintyQuantifier,
-)
+from repro.core.uncertainty import UncertaintyQuantifier
 from repro.core.llmsched import LLMSchedConfig, LLMSchedScheduler
 
 __all__ = [
     "BatchingAwareCalibrator",
     "ApplicationProfile",
     "BayesianProfiler",
-    "regular_stage_entropy",
-    "llm_stage_entropy",
     "UncertaintyQuantifier",
     "LLMSchedConfig",
     "LLMSchedScheduler",

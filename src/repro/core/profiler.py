@@ -33,6 +33,14 @@ from repro.utils.rng import make_rng
 
 __all__ = ["ApplicationProfile", "BayesianProfiler", "RemainingEstimate"]
 
+#: Single-parent (tree) structures keep the fast forward-pass posterior
+#: exact and avoid sparse multi-parent CPD columns.
+STRUCTURE_CONFIG = StructureLearningConfig(correlation_threshold=0.3, max_parents=1)
+#: Duration intervals per stage variable (plus a zero state when needed).
+MAX_INTERVALS = 6
+#: Correlated targets an uncertainty reduction scores, largest range first.
+MAX_CORRELATED_TARGETS = 3
+
 
 @dataclass
 class ApplicationProfile:
@@ -90,23 +98,7 @@ class RemainingEstimate(NamedTuple):
 class BayesianProfiler:
     """Offline profiling plus online posterior queries for LLMSched."""
 
-    def __init__(
-        self,
-        structure_config: Optional[StructureLearningConfig] = None,
-        max_intervals: int = 6,
-        max_correlated_targets: int = 3,
-    ) -> None:
-        if max_intervals < 1:
-            raise ValueError("max_intervals must be >= 1")
-        if max_correlated_targets < 1:
-            raise ValueError("max_correlated_targets must be >= 1")
-        # Single-parent (tree) structures keep the fast forward-pass posterior
-        # exact and avoid sparse multi-parent CPD columns.
-        self.structure_config = structure_config or StructureLearningConfig(
-            correlation_threshold=0.3, max_parents=1
-        )
-        self.max_intervals = int(max_intervals)
-        self.max_correlated_targets = int(max_correlated_targets)
+    def __init__(self) -> None:
         self._profiles: Dict[str, ApplicationProfile] = {}
         # Memoised posterior marginals keyed by (application, evidence signature).
         self._marginal_cache: Dict[Tuple[str, Tuple[Tuple[str, int], ...]], Dict[str, np.ndarray]] = {}
@@ -141,9 +133,7 @@ class BayesianProfiler:
 
     def with_empty_caches(self) -> "BayesianProfiler":
         """A copy that shares this profiler's fitted profiles but no query cache."""
-        clone = BayesianProfiler(
-            self.structure_config, self.max_intervals, self.max_correlated_targets
-        )
+        clone = BayesianProfiler()
         clone._profiles = dict(self._profiles)
         return clone
 
@@ -161,7 +151,7 @@ class BayesianProfiler:
         for variable in variables:
             samples = traces[variable]
             needs_zero_state = any(v <= 1e-9 for v in samples)
-            discretizer = Discretizer(max_intervals=self.max_intervals, zero_state=needs_zero_state)
+            discretizer = Discretizer(max_intervals=MAX_INTERVALS, zero_state=needs_zero_state)
             spec, states = discretizer.fit_transform(samples)
             specs[variable] = spec
             discrete[variable] = states
@@ -174,7 +164,7 @@ class BayesianProfiler:
             cardinalities=cardinalities,
             state_labels=state_labels,
             variable_order=variables,
-            config=self.structure_config,
+            config=STRUCTURE_CONFIG,
             laplace_alpha=0.5,
             smoothing_prior="marginal",
         )
@@ -459,17 +449,6 @@ class BayesianProfiler:
             return set()
         return profile.network.correlated_nodes(variable)
 
-    def is_uncertainty_reducing(self, application: str, variable: str) -> bool:
-        """A stage is uncertainty-reducing when correlated with >= 1 stage."""
-        if not self.has_profile(application):
-            return False
-        profile = self.profile_for(application)
-        if variable in profile.dynamic_info:
-            return True
-        if any(variable == preceding for preceding, _, _ in profile.dynamic_info.values()):
-            return True
-        return bool(self.correlated_variables(application, variable))
-
     def uncertainty_reduction(
         self, job: Job, stage_profile_key: str, evidence: Optional[Mapping[str, int]] = None
     ) -> float:
@@ -500,7 +479,7 @@ class BayesianProfiler:
             if targets:
                 # Keep the largest-range targets to bound inference cost.
                 targets.sort(key=lambda v: profile.variable_range(v), reverse=True)
-                targets = targets[: self.max_correlated_targets]
+                targets = targets[:MAX_CORRELATED_TARGETS]
                 mi = conditional_mutual_information(
                     profile.network, targets, stage_profile_key, evidence
                 )

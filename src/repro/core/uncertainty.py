@@ -20,28 +20,12 @@ for users of the public API.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.bayes.information import binary_entropy, entropy_of_distribution
+from repro.bayes.information import entropy_of_distribution
 from repro.core.profiler import BayesianProfiler
 from repro.dag.job import Job
 from repro.dag.stage import Stage, StageType
 
-__all__ = ["regular_stage_entropy", "llm_stage_entropy", "UncertaintyQuantifier"]
-
-
-def regular_stage_entropy(execution_probability: float) -> float:
-    """Uncertainty of a regular stage: entropy of its execution indicator."""
-    return binary_entropy(execution_probability)
-
-
-def llm_stage_entropy(interval_probabilities: Sequence[float]) -> float:
-    """Uncertainty of an LLM stage.
-
-    ``interval_probabilities`` is the distribution over the k duration
-    intervals plus the non-execution (duration 0) state, i.e. k+1 values.
-    """
-    return entropy_of_distribution(interval_probabilities)
+__all__ = ["UncertaintyQuantifier"]
 
 
 class UncertaintyQuantifier:
@@ -77,6 +61,3 @@ class UncertaintyQuantifier:
     def uncertainty_reduction(self, job: Job, stage: Stage) -> float:
         """R(X) — Eq. 6 — of scheduling ``stage`` now."""
         return self._profiler.uncertainty_reduction(job, stage.profile_key)
-
-    def is_uncertainty_reducing(self, job: Job, stage: Stage) -> bool:
-        return self._profiler.is_uncertainty_reducing(job.application, stage.profile_key)

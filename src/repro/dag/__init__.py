@@ -16,7 +16,7 @@ simulator) and exposes the partially-revealed view that schedulers see.
 from repro.dag.stage import Stage, StageSpec, StageState, StageType
 from repro.dag.task import Task, TaskState, TaskType
 from repro.dag.job import Job
-from repro.dag.dynamic import DynamicPlan, StageCandidate
+from repro.dag.dynamic import StageCandidate
 from repro.dag.application import ApplicationTemplate, JobBuildError
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "TaskState",
     "TaskType",
     "Job",
-    "DynamicPlan",
     "StageCandidate",
     "ApplicationTemplate",
     "JobBuildError",

@@ -1,20 +1,22 @@
-"""Dynamic-stage support: candidate sets and realised plans.
+"""Dynamic-stage support: candidate sets and their uncertainty.
 
 A dynamic stage is a placeholder for stages an LLM planner generates at
 runtime.  The *candidate set* lists everything the planner may invoke (the
 paper's example: text translation, image segmentation, object detection for
-task automation).  A :class:`DynamicPlan` is the ground-truth realisation for
-one job: which candidates were selected and the dependencies among them.
+task automation).  An application template draws each job's selected
+candidates and their dependencies when it builds the job;
+:func:`dynamic_stage_entropy` is the uncertainty of the set before the
+planner runs (Eq. 4).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.bayes.information import binary_entropy
 
-__all__ = ["StageCandidate", "DynamicPlan", "dynamic_stage_entropy"]
+__all__ = ["StageCandidate", "dynamic_stage_entropy"]
 
 
 @dataclass(frozen=True)
@@ -36,44 +38,6 @@ class StageCandidate:
             raise ValueError("mean_duration must be >= 0")
         if not 0.0 <= self.selection_probability <= 1.0:
             raise ValueError("selection_probability must be within [0, 1]")
-
-
-@dataclass
-class DynamicPlan:
-    """Ground-truth realisation of a dynamic stage for one job.
-
-    Attributes
-    ----------
-    selected:
-        Names of the selected candidates, in execution order.
-    dependencies:
-        Edges between selected candidates (pairs of names).
-    durations:
-        Task duration for each selected candidate.
-    """
-
-    selected: List[str] = field(default_factory=list)
-    dependencies: List[Tuple[str, str]] = field(default_factory=list)
-    durations: Dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        selected = set(self.selected)
-        for parent, child in self.dependencies:
-            if parent not in selected or child not in selected:
-                raise ValueError(
-                    f"dependency ({parent!r}, {child!r}) references unselected candidates"
-                )
-        missing = [name for name in self.selected if name not in self.durations]
-        if missing:
-            raise ValueError(f"selected candidates without durations: {missing}")
-
-    @property
-    def num_stages(self) -> int:
-        return len(self.selected)
-
-    @property
-    def total_duration(self) -> float:
-        return float(sum(self.durations[name] for name in self.selected))
 
 
 def dynamic_stage_entropy(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import List, Mapping, Optional, Sequence
 
-__all__ = ["format_table", "format_series", "print_table"]
+__all__ = ["format_table", "format_series"]
 
 
 def format_table(
@@ -49,7 +49,3 @@ def format_series(
     """Render an (x -> y) mapping as a two-column table (figure data series)."""
     rows = [{key_name: k, value_name: v} for k, v in series.items()]
     return format_table(rows, columns=[key_name, value_name], float_format=float_format, title=title)
-
-
-def print_table(rows: Sequence[Mapping[str, object]], **kwargs) -> None:
-    print(format_table(rows, **kwargs))

@@ -12,7 +12,6 @@ from repro.schedulers.base import (
     SchedulingContext,
     SchedulingDecision,
     flatten_stage_tasks,
-    interleave_tasks,
 )
 from repro.schedulers.snapshot import CowSnapshotTracker
 from repro.schedulers.preemptive import PreemptiveSrtfScheduler
@@ -23,7 +22,7 @@ from repro.schedulers.slo import SloServingScheduler
 from repro.schedulers.srtf import SrtfScheduler
 from repro.schedulers.argus import ArgusScheduler
 from repro.schedulers.carbyne import CarbyneScheduler
-from repro.schedulers.decima import DecimaScheduler, DecimaPolicy, train_decima
+from repro.schedulers.decima import DecimaScheduler, DecimaPolicy
 from repro.schedulers.registry import available_schedulers, create_scheduler
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "PreemptiveSrtfScheduler",
     "CowSnapshotTracker",
     "flatten_stage_tasks",
-    "interleave_tasks",
     "FcfsScheduler",
     "FairScheduler",
     "SjfScheduler",
@@ -44,7 +42,6 @@ __all__ = [
     "CarbyneScheduler",
     "DecimaScheduler",
     "DecimaPolicy",
-    "train_decima",
     "available_schedulers",
     "create_scheduler",
 ]

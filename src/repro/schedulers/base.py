@@ -36,7 +36,6 @@ __all__ = [
     "PreemptionDirective",
     "Scheduler",
     "flatten_stage_tasks",
-    "interleave_tasks",
 ]
 
 
@@ -354,22 +353,4 @@ def flatten_stage_tasks(stages: Sequence[Stage]) -> List[Task]:
     tasks: List[Task] = []
     for stage in stages:
         tasks.extend(stage.pending_tasks())
-    return tasks
-
-
-def interleave_tasks(stages: Sequence[Stage]) -> List[Task]:
-    """True round-robin over stages: one pending task per stage per round.
-
-    The first pending task of every stage (in the given priority order),
-    then every second pending task, and so on — so no single wide stage can
-    starve the others while still respecting the priority order within each
-    round.  Use :func:`flatten_stage_tasks` when strict stage priority is
-    wanted instead.
-    """
-    queues = [stage.pending_tasks() for stage in stages]
-    tasks: List[Task] = []
-    for rank in range(max((len(q) for q in queues), default=0)):
-        for queue in queues:
-            if rank < len(queue):
-                tasks.append(queue[rank])
     return tasks

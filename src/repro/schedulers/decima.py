@@ -12,15 +12,16 @@ properties of Decima that drive its behaviour in the paper's comparison:
   why it under-utilises the cluster on planning workloads with many small
   parallel stages (the effect the paper reports).
 
-The policy is linear in the stage features and is trained with a
-cross-entropy method (a derivative-free policy search) directly against
-average JCT in the simulator — see :func:`train_decima`.
+The policy is linear in the stage features.  Its default weights were
+found offline by a cross-entropy method (a derivative-free policy search)
+run directly against average JCT in the simulator; the search itself is
+not part of the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -28,9 +29,8 @@ from repro.dag.job import Job
 from repro.dag.stage import Stage
 from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingDecision
 from repro.schedulers.priors import ApplicationPriors
-from repro.utils.rng import make_rng
 
-__all__ = ["DecimaPolicy", "DecimaScheduler", "train_decima"]
+__all__ = ["DecimaPolicy", "DecimaScheduler"]
 
 #: Feature order used by :meth:`DecimaPolicy.score`.
 FEATURE_NAMES = [
@@ -42,9 +42,9 @@ FEATURE_NAMES = [
     "stage_is_llm",
 ]
 
-#: Weights obtained by running :func:`train_decima` on the four workload
-#: types (seed 0, 12 CEM iterations); shipping them lets the scheduler work
-#: out of the box while remaining re-trainable.
+#: Weights found by the cross-entropy-method search on the four workload
+#: types (seed 0, 12 iterations); shipping them lets the scheduler work out
+#: of the box.
 DEFAULT_WEIGHTS = (-0.55, 0.25, -0.35, 0.45, 0.4, -0.1)
 
 
@@ -116,53 +116,3 @@ class DecimaScheduler(Scheduler):
         # highest-scoring stage per invocation.
         best_stage = scored[0][3]
         return SchedulingDecision.from_tasks(best_stage.pending_tasks())
-
-
-def train_decima(
-    evaluate: Callable[[DecimaPolicy], float],
-    iterations: int = 10,
-    population: int = 16,
-    elite_fraction: float = 0.25,
-    seed: int = 0,
-    initial_std: float = 0.5,
-) -> DecimaPolicy:
-    """Cross-entropy-method policy search minimising average JCT.
-
-    Parameters
-    ----------
-    evaluate:
-        Callback running the candidate policy on training workloads and
-        returning the average JCT (lower is better).  The experiment harness
-        provides one backed by the simulator.
-    iterations / population / elite_fraction:
-        Standard CEM knobs; the defaults train in a few minutes on the
-        paper-scale workloads.
-    """
-    if iterations < 1 or population < 2:
-        raise ValueError("iterations must be >= 1 and population >= 2")
-    if not 0.0 < elite_fraction <= 1.0:
-        raise ValueError("elite_fraction must be within (0, 1]")
-    rng = make_rng(seed)
-    dim = len(FEATURE_NAMES)
-    mean = np.asarray(DEFAULT_WEIGHTS, dtype=float)
-    std = np.full(dim, float(initial_std))
-    n_elite = max(1, int(round(population * elite_fraction)))
-
-    best_policy = DecimaPolicy(tuple(mean))
-    best_score = evaluate(best_policy)
-
-    for _ in range(iterations):
-        candidates = [mean + std * rng.standard_normal(dim) for _ in range(population)]
-        scores = []
-        for weights in candidates:
-            policy = DecimaPolicy(tuple(weights))
-            score = evaluate(policy)
-            scores.append(score)
-            if score < best_score:
-                best_score = score
-                best_policy = policy
-        elite_indices = np.argsort(scores)[:n_elite]
-        elite = np.stack([candidates[i] for i in elite_indices])
-        mean = elite.mean(axis=0)
-        std = elite.std(axis=0) + 1e-3
-    return best_policy

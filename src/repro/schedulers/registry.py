@@ -68,29 +68,18 @@ _SCHEDULER_CLASSES = {
 }
 
 
-def available_schedulers(
-    include_llmsched: bool = True,
-    include_preemptive: bool = False,
-    include_ablations: bool = False,
-    include_serving: bool = False,
-) -> List[str]:
+def available_schedulers(every: bool = False) -> List[str]:
     """Names accepted by :func:`create_scheduler`.
 
-    ``include_preemptive`` is off by default so harness code that sweeps
-    "the paper's schedulers" (all non-preemptive) is unaffected by the
-    preemptive extension; ``include_ablations`` appends the LLMSched
-    ablation variants of Fig. 10; ``include_serving`` appends the
-    SLO-aware serving scheduler (token-model runs only — it degenerates
-    to arrival order without token-annotated requests).
+    By default, the paper's schedulers (all non-preemptive), which harness
+    code sweeps.  ``every=True`` appends the preemptive SRTF, the SLO-aware
+    serving scheduler (token-model runs only — it degenerates to arrival
+    order without token-annotated requests) and the LLMSched ablation
+    variants of Fig. 10.
     """
-    names = list(PAPER_BASELINES) + ["srtf"]
-    if include_llmsched:
-        names.append("llmsched")
-    if include_preemptive:
-        names.append("srtf_preempt")
-    if include_serving:
-        names.append("slo_serving")
-    if include_llmsched and include_ablations:
+    names = list(PAPER_BASELINES) + ["srtf", "llmsched"]
+    if every:
+        names += ["srtf_preempt", "slo_serving"]
         names.extend(v for v in LLMSCHED_VARIANTS if v != "llmsched")
     return names
 
@@ -110,7 +99,7 @@ def scheduler_requirements(name: str) -> FrozenSet[str]:
         return frozenset()
     raise ValueError(
         f"unknown scheduler {name!r}; available: "
-        f"{available_schedulers(include_preemptive=True, include_ablations=True, include_serving=True)}"
+        f"{available_schedulers(every=True)}"
     )
 
 
@@ -202,7 +191,7 @@ def create_scheduler(
         return _create_llmsched(key, profiler, settings, **kwargs)
     raise ValueError(
         f"unknown scheduler {name!r}; available: "
-        f"{available_schedulers(include_preemptive=True, include_ablations=True, include_serving=True)}"
+        f"{available_schedulers(every=True)}"
     )
 
 

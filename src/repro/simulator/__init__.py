@@ -15,7 +15,7 @@ discrete-event engine:
 * :mod:`~repro.simulator.cluster` — composition of pools plus the capacity
   surface the engine uses,
 * :mod:`~repro.simulator.placement` — pluggable policies mapping scheduler
-  decisions onto pools (greedy first-fit, best-fit, pool affinity),
+  decisions onto pools (greedy first-fit, best-fit, prefill/decode),
 * :mod:`~repro.simulator.autoscaler` — threshold/target-load pool resizing
   at periodic scale events,
 * :mod:`~repro.simulator.engine` — the event loop driving jobs, executors,
@@ -35,7 +35,6 @@ from repro.simulator.placement import (
     BestFitPlacement,
     GreedyFirstFitPlacement,
     PlacementPolicy,
-    PoolAffinityPlacement,
     create_placement_policy,
 )
 from repro.simulator.autoscaler import AutoscalerConfig, ScaleEvent, ThresholdAutoscaler
@@ -78,7 +77,6 @@ __all__ = [
     "PlacementPolicy",
     "GreedyFirstFitPlacement",
     "BestFitPlacement",
-    "PoolAffinityPlacement",
     "create_placement_policy",
     "AutoscalerConfig",
     "ScaleEvent",

@@ -36,7 +36,7 @@ import abc
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.dag.job import Job
 from repro.dag.task import TaskType
@@ -490,16 +490,12 @@ class FederationMetrics:
 # --------------------------------------------------------------------------- #
 # The federated driver
 # --------------------------------------------------------------------------- #
-SchedulerSource = Union[Callable[[], Scheduler], Sequence[Scheduler]]
-
-
 class FederatedSimulationEngine:
     """Steps N shard engines through one shared event clock.
 
-    ``schedulers`` is either a zero-argument factory (one independent
-    scheduler instance is built per shard — schedulers carry state, so
-    shards must not share one) or an explicit sequence of instances, one
-    per shard.
+    ``schedulers`` is a zero-argument factory, called once per shard:
+    schedulers carry state, so shards must not share one, and a factory
+    that returns the same instance twice is rejected.
 
     The driver steps every shard it touches through the shard engine's own
     passes — :meth:`~SimulationEngine.schedule_pass`,
@@ -515,7 +511,7 @@ class FederatedSimulationEngine:
     def __init__(
         self,
         jobs: Iterable[Job],
-        schedulers: SchedulerSource,
+        schedulers: Callable[[], Scheduler],
         federation: FederatedCluster,
         config: Optional[SimulationConfig] = None,
         workload_name: str = "",
@@ -527,16 +523,9 @@ class FederatedSimulationEngine:
         self.migration = migration
         federation.router.reset()  # routers reused across runs drop stale views
         shards = federation.shards
-        if callable(schedulers):
-            instances = [schedulers() for _ in shards]
-        else:
-            instances = list(schedulers)
-            if len(instances) != len(shards):
-                raise ValueError(
-                    f"got {len(instances)} schedulers for {len(shards)} shards"
-                )
-            if len(set(map(id, instances))) != len(instances):
-                raise ValueError("each shard needs its own scheduler instance")
+        instances = [schedulers() for _ in shards]
+        if len(set(map(id, instances))) != len(instances):
+            raise ValueError("each shard needs its own scheduler instance")
         self.metrics = FederationMetrics(
             workload_name=workload_name,
             router_name=federation.router.name,

@@ -26,7 +26,6 @@ __all__ = [
     "PlacementPolicy",
     "GreedyFirstFitPlacement",
     "BestFitPlacement",
-    "PoolAffinityPlacement",
     "PrefillDecodePlacement",
     "available_placement_policies",
     "create_placement_policy",
@@ -92,38 +91,6 @@ class BestFitPlacement(PlacementPolicy):
         return best
 
 
-class PoolAffinityPlacement(PlacementPolicy):
-    """Route tasks to a preferred pool by name, falling back when full.
-
-    ``affinity`` maps a task to the name of its preferred pool (e.g. pin a
-    tenant's jobs to a dedicated pool, or LLM tasks of long jobs to the
-    high-batch pool); tasks with no preference — or whose preferred pool is
-    unknown, full or serves the wrong task type — fall back to ``fallback``
-    (greedy first-fit by default).
-    """
-
-    name = "affinity"
-
-    def __init__(
-        self,
-        affinity: Callable[[Task], Optional[str]],
-        fallback: Optional[PlacementPolicy] = None,
-    ) -> None:
-        self._affinity = affinity
-        self._fallback = fallback or GreedyFirstFitPlacement()
-
-    def select_pool(self, cluster: Cluster, task: Task) -> Optional[ExecutorPool]:
-        preferred = self._affinity(task)
-        if preferred is not None:
-            try:
-                pool = cluster.pool(preferred)
-            except KeyError:
-                pool = None  # stale pool name: degrade, don't abort the run
-            if pool is not None and pool.task_type is task.task_type and pool.free_slots > 0:
-                return pool
-        return self._fallback.select_pool(cluster, task)
-
-
 class PrefillDecodePlacement(PlacementPolicy):
     """Phase-aware routing for disaggregated prefill/decode LLM pools.
 
@@ -175,8 +142,7 @@ def available_placement_policies() -> list:
 
 
 def create_placement_policy(name: str) -> PlacementPolicy:
-    """Instantiate a placement policy by name (affinity needs a callable,
-    so it is constructed directly rather than through this factory)."""
+    """Instantiate a placement policy by name."""
     try:
         return _POLICIES[name.lower()]()
     except KeyError:

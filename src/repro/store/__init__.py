@@ -8,7 +8,7 @@ same seeded scenario hashes identically on any machine.  A
 :class:`~repro.store.store.RunStore` keeps records in sharded,
 atomically-written JSON files with an append-only journal (safe for
 concurrent ``run_grid`` workers) and a rebuildable index;
-:mod:`repro.store.query` answers filter/group/latest/pareto questions and
+:mod:`repro.store.query` answers filter and latest-version questions and
 :mod:`repro.store.report` regenerates the README tables and BENCH_*.json
 artifacts byte-for-byte from store contents alone.
 

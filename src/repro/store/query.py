@@ -7,16 +7,13 @@ the CLI, the report generator, and the regression gate's store view.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.store.record import RunRecord
 
 __all__ = [
     "filter_records",
-    "group_records",
     "latest_per_key",
-    "pareto_front",
-    "metric_of",
 ]
 
 _FIELD_FILTERS = (
@@ -73,17 +70,6 @@ def filter_records(
     return out
 
 
-def group_records(
-    store_or_records, key: Callable[[RunRecord], object] | str
-) -> Dict[object, List[RunRecord]]:
-    """Group records by a field name or key function (insertion-ordered)."""
-    key_fn = (lambda r, _name=key: getattr(r, _name)) if isinstance(key, str) else key
-    groups: Dict[object, List[RunRecord]] = {}
-    for record in _resolve(store_or_records):
-        groups.setdefault(key_fn(record), []).append(record)
-    return groups
-
-
 def latest_per_key(
     store_or_records, *, order: Optional[Mapping[str, int]] = None
 ) -> List[RunRecord]:
@@ -105,62 +91,3 @@ def latest_per_key(
         if incumbent is None or rank(record) > rank(incumbent):
             chosen[record.dedup_key] = record
     return sorted(chosen.values(), key=lambda r: r.record_id)
-
-
-def metric_of(record: RunRecord, metric: str) -> Optional[float]:
-    """A dotted-path scalar out of a record's merged payload.
-
-    ``metric_of(r, "metrics.average_jct")`` walks the payload; bare names
-    are tried under ``metrics.`` first, then at the top level.
-    """
-    payload = record.merged_payload()
-    for path in (metric, f"metrics.{metric}") if "." not in metric else (metric,):
-        node: object = payload
-        for part in path.split("."):
-            if isinstance(node, Mapping) and part in node:
-                node = node[part]
-            else:
-                break
-        else:
-            if isinstance(node, (int, float)) and not isinstance(node, bool):
-                return float(node)
-    return None
-
-
-def pareto_front(
-    store_or_records,
-    objectives: Sequence[str],
-    *,
-    maximize: Sequence[bool] | None = None,
-) -> List[Tuple[RunRecord, Tuple[float, ...]]]:
-    """Records on the Pareto front of the given metric objectives.
-
-    Records missing any objective are excluded.  ``maximize`` defaults to
-    all-True; pass ``False`` per objective to minimize it (e.g. JCT).
-    Returns ``(record, objective_values)`` pairs sorted by record id.
-    """
-    if maximize is None:
-        maximize = [True] * len(objectives)
-    if len(maximize) != len(objectives):
-        raise ValueError("maximize must match objectives in length")
-
-    scored: List[Tuple[RunRecord, Tuple[float, ...]]] = []
-    for record in _resolve(store_or_records):
-        values = [metric_of(record, objective) for objective in objectives]
-        if any(v is None for v in values):
-            continue
-        oriented = tuple(
-            v if up else -v for v, up in zip(values, maximize, strict=True)
-        )
-        scored.append((record, oriented))
-
-    front = []
-    for record, oriented in scored:
-        dominated = any(
-            all(o >= s for o, s in zip(other, oriented, strict=True)) and other != oriented
-            for _, other in scored
-        )
-        if not dominated:
-            values = tuple(v if up else -v for v, up in zip(oriented, maximize, strict=True))
-            front.append((record, values))
-    return sorted(front, key=lambda pair: pair[0].record_id)

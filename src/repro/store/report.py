@@ -53,7 +53,7 @@ def _section_payload(records: Sequence[RunRecord], section: str) -> Mapping[str,
 def _scheduler_order(present: Sequence[str]) -> List[str]:
     from repro.schedulers.registry import available_schedulers
 
-    known = available_schedulers(include_llmsched=True)
+    known = available_schedulers()
     ordered = [name for name in known if name in present]
     return ordered + sorted(set(present) - set(known))
 

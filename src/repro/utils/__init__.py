@@ -1,6 +1,6 @@
 """Shared utilities: deterministic RNG management, statistics, validation."""
 
-from repro.utils.rng import RngMixin, derive_rng, make_rng
+from repro.utils.rng import make_rng
 from repro.utils.stats import (
     OnlineStats,
     histogram_probabilities,
@@ -10,8 +10,6 @@ from repro.utils.stats import (
 )
 
 __all__ = [
-    "RngMixin",
-    "derive_rng",
     "make_rng",
     "OnlineStats",
     "histogram_probabilities",

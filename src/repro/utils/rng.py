@@ -8,7 +8,7 @@ experiment is reproducible from a single integer seed.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -25,40 +25,3 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def derive_rng(rng: np.random.Generator, *keys: object) -> np.random.Generator:
-    """Derive an independent child generator from ``rng`` and a key tuple.
-
-    Used to give each job / application / executor its own stream so that
-    adding one more consumer of randomness does not perturb the draws seen by
-    the others (important when comparing schedulers on an identical workload).
-    """
-    # Hash the keys into a stable 32-bit value and fold it with fresh words
-    # from the parent stream.
-    key_hash = abs(hash(tuple(str(k) for k in keys))) % (2**32)
-    words = rng.integers(0, 2**32, size=4, dtype=np.uint64)
-    seed_seq = np.random.SeedSequence([int(w) for w in words] + [key_hash])
-    return np.random.default_rng(seed_seq)
-
-
-class RngMixin:
-    """Mixin giving a class a lazily-created private generator.
-
-    Subclasses may set ``self._seed`` in ``__init__``; the generator is
-    created on first use and cached.
-    """
-
-    _seed: SeedLike = None
-    _rng: Optional[np.random.Generator] = None
-
-    @property
-    def rng(self) -> np.random.Generator:
-        if self._rng is None:
-            self._rng = make_rng(self._seed)
-        return self._rng
-
-    def reseed(self, seed: SeedLike) -> None:
-        """Reset the generator to a new seed (used between repetitions)."""
-        self._seed = seed
-        self._rng = make_rng(seed)

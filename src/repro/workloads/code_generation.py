@@ -11,7 +11,7 @@ and unexecuted stages take duration 0.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -48,8 +48,8 @@ class CodeGenerationApplication(ApplicationTemplate):
     _CODE_EXEC = LatentScaledDuration(base=0.15, scale_per_unit=0.002, noise_sigma=0.2)
     _REFLEX = LatentScaledDuration(base=0.8, scale_per_unit=0.020, noise_sigma=0.15)
 
-    def __init__(self, dataset: Optional[MbppLikeDataset] = None) -> None:
-        self.dataset = dataset or MbppLikeDataset()
+    def __init__(self) -> None:
+        self.dataset = MbppLikeDataset()
 
     # ------------------------------------------------------------------ #
     # Static structure (padded chain)

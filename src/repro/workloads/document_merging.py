@@ -8,7 +8,7 @@ in the durations, which scale with the combined document length.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -64,8 +64,8 @@ class DocumentMergingApplication(ApplicationTemplate):
         ("dm_aggregate", "dm_score_final"),
     ]
 
-    def __init__(self, dataset: Optional[SyntheticSequenceDataset] = None) -> None:
-        self.dataset = dataset or _DocumentDataset(size=400, seed=11)
+    def __init__(self) -> None:
+        self.dataset = _DocumentDataset(size=400, seed=11)
 
     # ------------------------------------------------------------------ #
     def profile_variables(self) -> List[str]:

@@ -10,7 +10,7 @@ Decima-style one-stage-at-a-time schedulers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -47,8 +47,8 @@ class LlmCompilerApplication(ApplicationTemplate):
     _PLAN = LatentScaledDuration(base=1.2, scale_per_unit=0.35, noise_sigma=0.4)
     _JOIN = LatentScaledDuration(base=1.0, scale_per_unit=0.30, noise_sigma=0.4)
 
-    def __init__(self, dataset: Optional[HotpotQaLikeDataset] = None) -> None:
-        self.dataset = dataset or HotpotQaLikeDataset(seed=5)
+    def __init__(self) -> None:
+        self.dataset = HotpotQaLikeDataset(seed=5)
 
     # ------------------------------------------------------------------ #
     def profile_variables(self) -> List[str]:

@@ -10,7 +10,7 @@ paper's Fig. 5a).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -81,8 +81,8 @@ class SequenceSortingApplication(ApplicationTemplate):
         ("ss_refine", "ss_score_final"),
     ]
 
-    def __init__(self, dataset: Optional[SyntheticSequenceDataset] = None) -> None:
-        self.dataset = dataset or SyntheticSequenceDataset()
+    def __init__(self) -> None:
+        self.dataset = SyntheticSequenceDataset()
 
     # ------------------------------------------------------------------ #
     def profile_variables(self) -> List[str]:

@@ -10,7 +10,7 @@ planner may invoke.  The number of generated stages per job matches the
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -56,8 +56,8 @@ class TaskAutomationApplication(ApplicationTemplate):
     # for a 15 s-mean application).
     _PLAN = LatentScaledDuration(base=0.8, scale_per_unit=0.3, noise_sigma=0.35)
 
-    def __init__(self, dataset: Optional[TaskBenchLikeDataset] = None) -> None:
-        self.dataset = dataset or TaskBenchLikeDataset()
+    def __init__(self) -> None:
+        self.dataset = TaskBenchLikeDataset()
 
     # ------------------------------------------------------------------ #
     def profile_variables(self) -> List[str]:

@@ -9,7 +9,7 @@ take duration 0.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -34,8 +34,8 @@ class WebSearchApplication(ApplicationTemplate):
     _THINK = LatentScaledDuration(base=0.8, scale_per_unit=0.5, noise_sigma=0.4)
     _SEARCH = LatentScaledDuration(base=0.4, scale_per_unit=0.05, noise_sigma=0.25)
 
-    def __init__(self, dataset: Optional[HotpotQaLikeDataset] = None) -> None:
-        self.dataset = dataset or HotpotQaLikeDataset()
+    def __init__(self) -> None:
+        self.dataset = HotpotQaLikeDataset()
 
     # ------------------------------------------------------------------ #
     def profile_variables(self) -> List[str]:

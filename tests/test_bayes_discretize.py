@@ -76,7 +76,7 @@ class TestTransform:
     def test_representative_lookup(self):
         discretizer = Discretizer(max_intervals=3)
         spec = discretizer.fit([1.0, 2.0, 3.0, 10.0, 11.0, 12.0])
-        rep = Discretizer.representative(0, spec)
+        rep = spec.representatives[0]
         assert rep > 0
 
 

@@ -30,7 +30,8 @@ from repro.bayes.inference import VariableElimination
 from repro.bayes.information import conditional_mutual_information
 from repro.bayes.learning import StructureLearningConfig
 from repro.bayes.network import DiscreteBayesianNetwork
-from repro.core.profiler import BayesianProfiler, RemainingEstimate
+from repro.core import profiler as profiler_module
+from repro.core.profiler import MAX_CORRELATED_TARGETS, BayesianProfiler, RemainingEstimate
 from repro.workloads.mixtures import default_applications
 from tests.test_ready_index import partial_jobs
 
@@ -197,7 +198,7 @@ def old_uncertainty_reduction(profiler, job, key):
         ]
         if targets:
             targets.sort(key=lambda v: profile.variable_range(v), reverse=True)
-            targets = targets[: profiler.max_correlated_targets]
+            targets = targets[:MAX_CORRELATED_TARGETS]
             mi = old_cmi(profile.network, targets, key, evidence)
             reduction += mi * sum(profile.variable_range(v) for v in targets)
     for preceding, entropy, duration_range in profile.dynamic_info.values():
@@ -299,9 +300,9 @@ class TestHypothesisNetworks:
 @pytest.fixture(scope="module", params=[1, 2], ids=["one_parent", "two_parents"])
 def profiler(request):
     config = StructureLearningConfig(correlation_threshold=0.3, max_parents=request.param)
-    return BayesianProfiler(structure_config=config).fit(
-        default_applications().values(), n_profile_jobs=60, seed=5
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(profiler_module, "STRUCTURE_CONFIG", config)
+        return BayesianProfiler().fit(default_applications().values(), n_profile_jobs=60, seed=5)
 
 
 class TestFittedProfiles:

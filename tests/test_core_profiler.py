@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core import profiler as profiler_module
 from repro.core.calibration import BatchingAwareCalibrator
-from repro.core.profiler import BayesianProfiler
+from repro.core.profiler import (
+    MAX_CORRELATED_TARGETS,
+    MAX_INTERVALS,
+    STRUCTURE_CONFIG,
+    BayesianProfiler,
+)
 from repro.simulator.latency import DecodingLatencyProfile
 from repro.utils.rng import make_rng
 from repro.workloads import (
@@ -72,10 +78,26 @@ class TestFitting:
     def test_invalid_fit_parameters(self):
         with pytest.raises(ValueError):
             BayesianProfiler().fit([SequenceSortingApplication()], n_profile_jobs=1)
-        with pytest.raises(ValueError):
-            BayesianProfiler(max_intervals=0)
-        with pytest.raises(ValueError):
-            BayesianProfiler(max_correlated_targets=0)
+
+    def test_learned_structures_respect_the_parent_limit(self, fitted_profiler):
+        """Single-parent structures keep the forward-pass posterior exact."""
+        assert STRUCTURE_CONFIG.max_parents == 1
+        for name in fitted_profiler.applications:
+            network = fitted_profiler.profile_for(name).network
+            assert all(len(network.parents(v)) <= 1 for v in network.nodes), name
+        assert any(
+            fitted_profiler.profile_for(name).network.edges
+            for name in fitted_profiler.applications
+        )
+
+    def test_each_variable_has_at_most_max_intervals_duration_states(self, fitted_profiler):
+        cardinalities = []
+        for name in fitted_profiler.applications:
+            for variable, spec in fitted_profiler.profile_for(name).specs.items():
+                # The "not executed" state comes on top of the duration intervals.
+                assert spec.cardinality - spec.has_zero_state <= MAX_INTERVALS, variable
+                cardinalities.append(spec.cardinality - spec.has_zero_state)
+        assert max(cardinalities) == MAX_INTERVALS
 
 
 class TestEvidence:
@@ -213,9 +235,32 @@ class TestUncertaintyReduction:
         assert correlated  # the split stage drives the downstream LLM stages
 
     def test_uncertainty_reducing_flags(self, fitted_profiler):
-        assert fitted_profiler.is_uncertainty_reducing("sequence_sorting", "ss_split")
-        assert fitted_profiler.is_uncertainty_reducing("task_automation", "ta_plan")
-        assert not fitted_profiler.is_uncertainty_reducing("unknown_app", "x")
+        """A correlated stage and a planner reduce uncertainty; a stage the
+        profile does not know cannot."""
+        sorting = SequenceSortingApplication().sample_job("j0", 0.0, make_rng(9))
+        automation = TaskAutomationApplication().sample_job("j1", 0.0, make_rng(9))
+        assert fitted_profiler.uncertainty_reduction(sorting, "ss_split") > 0
+        assert fitted_profiler.uncertainty_reduction(automation, "ta_plan") > 0
+        assert fitted_profiler.uncertainty_reduction(sorting, "not_a_stage") == 0.0
+
+    def test_reduction_scores_at_most_max_correlated_targets(self, fitted_profiler, monkeypatch):
+        """The largest-range targets bound the inference cost of one R(X)."""
+        scored = []
+        score = profiler_module.conditional_mutual_information
+
+        def recording(network, targets, source, evidence):
+            scored.append(len(targets))
+            return score(network, targets, source, evidence)
+
+        monkeypatch.setattr(profiler_module, "conditional_mutual_information", recording)
+        profiler = fitted_profiler.with_empty_caches()
+        job = CodeGenerationApplication().sample_job("j0", 0.0, make_rng(10))
+        keys = {stage.profile_key for stage in job.stages.values()}
+        widest = max(len(profiler.correlated_variables("code_generation", k)) for k in keys)
+        assert widest > MAX_CORRELATED_TARGETS
+        for key in keys:
+            profiler.uncertainty_reduction(job, key)
+        assert max(scored) == MAX_CORRELATED_TARGETS
 
     def test_planner_reduction_dominated_by_dynamic_bonus(self, fitted_profiler):
         app = TaskAutomationApplication()

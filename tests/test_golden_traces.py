@@ -43,7 +43,7 @@ UPDATE = os.environ.get("REPRO_UPDATE_GOLDEN") == "1"
 SPEC = WorkloadSpec(workload_type=WorkloadType.MIXED, num_jobs=20, arrival_rate=1.2, seed=7)
 CLUSTER = ClusterConfig(num_regular_executors=3, num_llm_executors=2, max_batch_size=4)
 
-SCHEDULER_NAMES = available_schedulers(include_llmsched=True)
+SCHEDULER_NAMES = available_schedulers()
 
 
 @pytest.fixture(scope="module")

@@ -42,7 +42,7 @@ from repro.simulator.federation import (
     HashRouter,
     MigrationConfig,
 )
-from repro.simulator.placement import PoolAffinityPlacement, create_placement_policy
+from repro.simulator.placement import create_placement_policy
 from repro.simulator.pool import PoolSpec
 from repro.simulator.reference import ReferenceSimulationEngine
 from repro.utils.rng import make_rng
@@ -264,12 +264,9 @@ class TestIndexOracle:
         )
         assert len(metrics.job_completion_times) == 60
 
-    @pytest.mark.parametrize("policy", ["greedy", "best_fit", "prefill_decode", "affinity"])
+    @pytest.mark.parametrize("policy", ["greedy", "best_fit", "prefill_decode"])
     def test_multi_pool_placement(self, policy):
-        if policy == "affinity":
-            placement = PoolAffinityPlacement(lambda task: "gpu-b" if task.is_llm else "cpu-b")
-        else:
-            placement = create_placement_policy(policy)
+        placement = create_placement_policy(policy)
         jobs = mixed_jobs()
         attach_token_model(jobs, "chat", seed=3)
         engine = SimulationEngine(

@@ -9,7 +9,6 @@ from repro.schedulers.base import (
     SchedulingContext,
     SchedulingDecision,
     flatten_stage_tasks,
-    interleave_tasks,
 )
 from repro.schedulers.priors import ApplicationPriors
 from repro.workloads import SequenceSortingApplication, WebSearchApplication
@@ -85,7 +84,7 @@ class TestSchedulingContext:
         tasks = flatten_stage_tasks(stages)
         assert [t.job_id for t in tasks] == ["a", "b"]
 
-    def test_interleave_tasks_round_robins_across_stages(self):
+    def test_flatten_stage_tasks_puts_a_wide_stage_first(self):
         job_a = Job("a", "app", 0.0)
         job_a.add_stage(Stage(StageSpec("wide", StageType.REGULAR), "a", [1.0, 1.0, 1.0]))
         job_a.finalize()
@@ -93,10 +92,7 @@ class TestSchedulingContext:
         job_b.add_stage(Stage(StageSpec("narrow", StageType.REGULAR), "b", [1.0]))
         job_b.finalize()
         stages = job_a.schedulable_stages() + job_b.schedulable_stages()
-        # flatten: all of a's tasks first; interleave: one per stage per round.
         assert [t.job_id for t in flatten_stage_tasks(stages)] == ["a", "a", "a", "b"]
-        assert [t.job_id for t in interleave_tasks(stages)] == ["a", "b", "a", "a"]
-        assert interleave_tasks([]) == []
 
 
 class TestApplicationPriors:

@@ -7,7 +7,7 @@ from repro.dag.stage import Stage, StageSpec, StageType
 from repro.schedulers.argus import ArgusScheduler
 from repro.schedulers.base import SchedulingContext
 from repro.schedulers.carbyne import CarbyneScheduler
-from repro.schedulers.decima import DecimaPolicy, DecimaScheduler, train_decima
+from repro.schedulers.decima import DecimaPolicy, DecimaScheduler
 from repro.schedulers.fair import FairScheduler
 from repro.schedulers.fcfs import FcfsScheduler
 from repro.schedulers.priors import ApplicationPriors
@@ -144,22 +144,6 @@ class TestDecima:
     def test_policy_weight_validation(self):
         with pytest.raises(ValueError):
             DecimaPolicy(weights=(1.0, 2.0))
-
-    def test_cem_training_improves_or_matches_default(self):
-        """Train on a tiny synthetic evaluation function and check the API."""
-        target = (-1.0, 0.5, -0.5, 0.3, 0.2, 0.0)
-
-        def evaluate(policy):
-            return float(sum((w - t) ** 2 for w, t in zip(policy.weights, target, strict=False)))
-
-        trained = train_decima(evaluate, iterations=5, population=12, seed=0)
-        assert evaluate(trained) <= evaluate(DecimaPolicy())
-
-    def test_train_decima_validation(self):
-        with pytest.raises(ValueError):
-            train_decima(lambda p: 0.0, iterations=0)
-        with pytest.raises(ValueError):
-            train_decima(lambda p: 0.0, elite_fraction=0.0)
 
 
 class TestRegistry:

@@ -52,8 +52,24 @@ class TestRegistry:
         ]
 
     def test_serving_flag_exposes_slo_scheduler(self):
-        names = available_schedulers(include_serving=True)
+        names = available_schedulers(every=True)
         assert "slo_serving" in names
+
+    def test_full_lineup_appends_the_extensions_in_order(self):
+        assert available_schedulers(every=True) == available_schedulers() + [
+            "srtf_preempt",
+            "slo_serving",
+            "llmsched_wo_bn",
+            "llmsched_wo_uncertainty",
+            "llmsched_wo_calibration",
+        ]
+
+    def test_unknown_name_lists_the_full_lineup(self):
+        with pytest.raises(ValueError) as error:
+            scheduler_requirements("no_such_scheduler")
+        assert str(available_schedulers(every=True)) in str(error.value)
+        for name in available_schedulers(every=True):
+            scheduler_requirements(name)
 
     def test_create_and_requirements(self):
         scheduler = create_scheduler("slo_serving", slo_targets=TARGETS)

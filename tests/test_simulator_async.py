@@ -151,7 +151,7 @@ class TestLatencyZeroIdentity:
     to the synchronous engine — verified against the committed golden traces
     for every registered scheduler."""
 
-    @pytest.mark.parametrize("name", available_schedulers(include_llmsched=True))
+    @pytest.mark.parametrize("name", available_schedulers())
     def test_matches_golden_trace(self, name, priors, profiler, applications):
         golden_path = GOLDEN_DIR / f"{name}.json"
         assert golden_path.exists(), f"missing golden trace {golden_path}"

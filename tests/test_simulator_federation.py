@@ -50,7 +50,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 SPEC = WorkloadSpec(workload_type=WorkloadType.MIXED, num_jobs=20, arrival_rate=1.2, seed=7)
 CLUSTER = ClusterConfig(num_regular_executors=3, num_llm_executors=2, max_batch_size=4)
 
-SCHEDULER_NAMES = available_schedulers(include_llmsched=True)
+SCHEDULER_NAMES = available_schedulers()
 
 
 @pytest.fixture(scope="module")
@@ -236,12 +236,19 @@ class TestFleetConstruction:
         shared = FcfsScheduler()
         fleet = two_shard_fleet()
         with pytest.raises(ValueError, match="its own scheduler"):
-            FederatedSimulationEngine(stream(max_jobs=5), [shared, shared], fleet)
+            FederatedSimulationEngine(stream(max_jobs=5), lambda: shared, fleet)
 
-    def test_scheduler_count_must_match_shards(self):
+    def test_factory_builds_one_scheduler_per_shard(self):
+        built = []
+
+        def factory():
+            built.append(FcfsScheduler())
+            return built[-1]
+
         fleet = two_shard_fleet()
-        with pytest.raises(ValueError, match="schedulers for"):
-            FederatedSimulationEngine(stream(max_jobs=5), [FcfsScheduler()], fleet)
+        FederatedSimulationEngine(stream(max_jobs=5), factory, fleet)
+        assert [shard.engine.scheduler for shard in fleet.shards] == built
+        assert len(built) == len(fleet.shards) == 2
 
     def test_duplicate_job_ids_across_stream_rejected(self, applications):
         jobs = generate_workload(SPEC, applications=applications)

@@ -34,7 +34,7 @@ from repro.workloads.mixtures import (
 SPEC = WorkloadSpec(workload_type=WorkloadType.MIXED, num_jobs=40, arrival_rate=1.5, seed=13)
 CLUSTER = ClusterConfig(num_regular_executors=4, num_llm_executors=2, max_batch_size=4)
 
-SCHEDULER_NAMES = available_schedulers(include_llmsched=True)
+SCHEDULER_NAMES = available_schedulers()
 
 #: Decima intentionally schedules one stage per invocation (see
 #: DecimaScheduler.schedule), so the point-wise work-conservation property

@@ -32,25 +32,13 @@ class TestLinearProfile:
         profile = DecodingLatencyProfile(slope=0.0)
         assert profile.latency(32) == pytest.approx(1.0)
 
-
-class TestTableProfile:
-    def test_table_interpolation(self):
-        profile = DecodingLatencyProfile(table={1: 0.02, 4: 0.03, 8: 0.05})
-        assert profile.latency(1) == pytest.approx(1.0)
-        assert profile.latency(4) == pytest.approx(1.5)
-        assert profile.latency(2) == pytest.approx((1.0 + 1.5) / 2, rel=0.1)
-
-    def test_table_must_include_batch_one(self):
-        with pytest.raises(ValueError):
-            DecodingLatencyProfile(table={2: 0.03})
-
-    def test_table_rejects_invalid_entries(self):
-        with pytest.raises(ValueError):
-            DecodingLatencyProfile(table={1: 0.02, 0: 0.01})
-        with pytest.raises(ValueError):
-            DecodingLatencyProfile(table={1: -0.02})
-        with pytest.raises(ValueError):
-            DecodingLatencyProfile(table={})
+    @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=1, max_value=256))
+    @settings(max_examples=60)
+    def test_latency_is_the_linear_model_exactly(self, slope, batch_size):
+        """Simulated timings rest on this expression, bit for bit."""
+        assert DecodingLatencyProfile(slope=slope).latency(batch_size) == 1.0 + slope * (
+            batch_size - 1
+        )
 
 
 class TestCalibration:

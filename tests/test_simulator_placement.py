@@ -11,7 +11,6 @@ from repro.simulator.engine import SimulationEngine
 from repro.simulator.placement import (
     BestFitPlacement,
     GreedyFirstFitPlacement,
-    PoolAffinityPlacement,
     PrefillDecodePlacement,
     available_placement_policies,
     create_placement_policy,
@@ -90,35 +89,6 @@ class TestBestFit:
         assert policy.select_pool(cluster, llm_task()).name == "gpu-a"
 
 
-class TestPoolAffinity:
-    def test_prefers_named_pool(self):
-        cluster = two_llm_pool_cluster()
-        policy = PoolAffinityPlacement(lambda task: "gpu-b")
-        assert policy.select_pool(cluster, llm_task()).name == "gpu-b"
-
-    def test_falls_back_when_preferred_full(self):
-        cluster = two_llm_pool_cluster()
-        policy = PoolAffinityPlacement(lambda task: "gpu-b")
-        for _ in range(4):
-            cluster.pool("gpu-b").assign(llm_task(), 0.0)
-        assert policy.select_pool(cluster, llm_task()).name == "gpu-a"
-
-    def test_wrong_type_preference_ignored(self):
-        cluster = two_llm_pool_cluster()
-        policy = PoolAffinityPlacement(lambda task: "cpu")
-        assert policy.select_pool(cluster, llm_task()).name == "gpu-a"
-
-    def test_no_preference_uses_fallback(self):
-        cluster = two_llm_pool_cluster()
-        policy = PoolAffinityPlacement(lambda task: None)
-        assert policy.select_pool(cluster, regular_task()).name == "cpu"
-
-    def test_unknown_pool_name_falls_back(self):
-        cluster = two_llm_pool_cluster()
-        policy = PoolAffinityPlacement(lambda task: "h800-does-not-exist")
-        assert policy.select_pool(cluster, llm_task()).name == "gpu-a"
-
-
 class TestPrefillDecode:
     def disaggregated_cluster(self):
         return Cluster(
@@ -185,19 +155,12 @@ class TestEngineIntegration:
         assert implicit.job_completion_times == explicit.job_completion_times
         assert implicit.makespan == explicit.makespan
 
-    @pytest.mark.parametrize("policy_name", ["greedy", "best_fit"])
+    @pytest.mark.parametrize("policy_name", available_placement_policies())
     def test_policies_complete_on_heterogeneous_cluster(self, policy_name):
         metrics = self.run_with(create_placement_policy(policy_name), two_llm_pool_cluster())
         assert len(metrics.job_completion_times) == self.SPEC.num_jobs
         # Multi-pool runs report per-pool utilization by name.
         assert set(metrics.pool_utilization) == {"cpu", "gpu-a", "gpu-b"}
-
-    def test_affinity_routes_on_heterogeneous_cluster(self):
-        metrics = self.run_with(
-            PoolAffinityPlacement(lambda task: "gpu-b"), two_llm_pool_cluster()
-        )
-        assert len(metrics.job_completion_times) == self.SPEC.num_jobs
-        assert metrics.pool_utilization["gpu-b"] >= metrics.pool_utilization["gpu-a"]
 
 
 class TestPlacementContract:
@@ -216,16 +179,6 @@ class TestPlacementContract:
         "greedy": GreedyFirstFitPlacement,
         "best_fit": BestFitPlacement,
         "prefill_decode": PrefillDecodePlacement,
-        # Affinity: preferred pools that exist, that do not, and that serve
-        # the other task type; the fill levels below make existing ones full
-        # in some examples.
-        "affinity": lambda: PoolAffinityPlacement(
-            lambda task: "cpu-b" if task.task_type is TaskType.REGULAR else "pre"
-        ),
-        "affinity_unknown": lambda: PoolAffinityPlacement(lambda task: "h800"),
-        "affinity_wrong_type": lambda: PoolAffinityPlacement(
-            lambda task: "gpu" if task.task_type is TaskType.REGULAR else "cpu-a"
-        ),
     }
 
     @staticmethod
@@ -263,7 +216,7 @@ class TestPlacementContract:
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     def test_full_preferred_pool_still_places(self, policy):
         cluster = Cluster(pools=self.POOLS)
-        for name in ("cpu-b", "pre"):  # the affinity policy's preferred pools
+        for name in ("cpu-b", "pre"):  # "pre" is a prefilling task's preferred pool
             pool = cluster.pool(name)
             filler = regular_task if pool.task_type is TaskType.REGULAR else llm_task
             while pool.free_slots:

@@ -390,7 +390,7 @@ class TestVictimFloor:
 class TestRegistry:
     def test_preemptive_name_behind_flag(self):
         assert "srtf_preempt" not in available_schedulers()
-        assert "srtf_preempt" in available_schedulers(include_preemptive=True)
+        assert "srtf_preempt" in available_schedulers(every=True)
 
     def test_factory_builds_preemptive_srtf(self):
         from repro.schedulers.priors import ApplicationPriors

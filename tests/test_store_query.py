@@ -5,13 +5,7 @@ from pathlib import Path
 import pytest
 
 from repro.store import RunStore
-from repro.store.query import (
-    filter_records,
-    group_records,
-    latest_per_key,
-    metric_of,
-    pareto_front,
-)
+from repro.store.query import filter_records, latest_per_key
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,6 +33,7 @@ class TestFilter:
 
     def test_filter_accepts_record_lists(self, bench_store):
         records = bench_store.records()
+        assert {r.bench_file for r in records} == {"BENCH_4.json", "BENCH_6.json"}
         assert filter_records(records, kind="section") == filter_records(
             bench_store, kind="section"
         )
@@ -52,16 +47,7 @@ class TestFilter:
             filter_records(bench_store, flavor="spicy")
 
 
-class TestGroupAndLatest:
-    def test_group_by_field_name(self, bench_store):
-        groups = group_records(bench_store, "bench_file")
-        assert set(groups) == {"BENCH_4.json", "BENCH_6.json"}
-        assert sum(len(v) for v in groups.values()) == len(bench_store)
-
-    def test_group_by_callable(self, bench_store):
-        groups = group_records(bench_store, lambda r: r.kind)
-        assert set(groups) == {"result", "section"}
-
+class TestLatest:
     def test_latest_per_key_prefers_journal_order(self, bench_store):
         records = bench_store.records()
         # With no duplicate dedup keys, latest == all.
@@ -76,35 +62,3 @@ class TestGroupAndLatest:
         order = {old.record_id: 0, new.record_id: 1}
         assert latest_per_key([old, new], order=order) == [new]
         assert latest_per_key([new, old], order=order) == [new]
-
-
-class TestMetricsAndPareto:
-    def test_metric_of_dotted_and_bare(self, bench_store):
-        (rec,) = filter_records(
-            bench_store, kind="result", label="fcfs@0s",
-            section="async_latency_degradation",
-        )
-        dotted = metric_of(rec, "metrics.average_jct")
-        assert dotted is not None and dotted > 0
-        assert metric_of(rec, "average_jct") == dotted
-        assert metric_of(rec, "metrics.no_such_metric") is None
-
-    def test_pareto_front_minimizing_jct(self, bench_store):
-        zero_latency = filter_records(
-            bench_store,
-            kind="result",
-            section="async_latency_degradation",
-            predicate=lambda r: r.label.endswith("@0s"),
-        )
-        front = pareto_front(
-            zero_latency, ["metrics.average_jct"], maximize=[False]
-        )
-        # Single minimized objective: the front is exactly the argmin.
-        values = {r.label: metric_of(r, "metrics.average_jct") for r in zero_latency}
-        best = min(values.values())
-        assert [v for _, (v,) in front] == [best]
-        assert values[front[0][0].label] == best
-
-    def test_pareto_front_requires_matching_lengths(self, bench_store):
-        with pytest.raises(ValueError, match="maximize"):
-            pareto_front(bench_store, ["a", "b"], maximize=[True])
