@@ -26,11 +26,7 @@ from repro.api.prep import (
 from repro.api.results import ComparisonResult, Result
 from repro.api.spec import ScenarioSpec, SchedulerSection, SpecError
 from repro.schedulers.base import Scheduler
-from repro.schedulers.registry import (
-    LLMSCHED_VARIANTS,
-    create_scheduler,
-    scheduler_requirements,
-)
+from repro.schedulers.registry import create_scheduler, scheduler_requirements
 from repro.simulator.async_sched import AsyncSchedulerBackend
 from repro.simulator.autoscaler import ThresholdAutoscaler
 from repro.simulator.cluster import Cluster, ClusterConfig
@@ -50,12 +46,6 @@ __all__ = ["run", "compare"]
 
 def _make_scheduler(spec: ScenarioSpec, priors, profiler) -> Scheduler:
     section = spec.scheduler
-    if section.name.lower() in LLMSCHED_VARIANTS:
-        # LLMSched kwargs override Algorithm 1 config fields declaratively.
-        settings = spec.settings
-        if section.kwargs:
-            settings = replace(settings, llmsched=replace(settings.llmsched, **section.kwargs))
-        return create_scheduler(section.name, profiler=profiler, settings=settings)
     if section.name.lower() == "slo_serving":
         # The SLO scheduler reads the scenario's declarative targets and the
         # settings' latency slope unless the kwargs override them explicitly.

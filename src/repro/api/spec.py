@@ -247,6 +247,13 @@ class SchedulerSection:
         return cls(**_check_keys(data, cls, "scheduler section"))
 
 
+#: Per workload mode, the fields only the other mode reads.
+_FIELDS_OF_THE_OTHER_MODE = {
+    "closed": ("application_names", "max_jobs", "horizon", "name"),
+    "open": ("workload_type", "num_jobs", "arrival_rate"),
+}
+
+
 @dataclass(frozen=True)
 class WorkloadSection:
     """The workload: a closed-loop draw or an open-loop arrival process.
@@ -293,6 +300,12 @@ class WorkloadSection:
             object.__setattr__(self, "application_names", tuple(self.application_names))
         if self.token_seed is not None and self.token_mix is None:
             raise SpecError("workload token_seed has no effect without a token_mix")
+        ignored = [
+            f.name for f in dataclasses.fields(self)
+            if f.name in _FIELDS_OF_THE_OTHER_MODE[self.mode] and getattr(self, f.name) != f.default
+        ]
+        if ignored:
+            raise SpecError(f"{self.mode}-loop workloads do not read workload field(s) {ignored}")
         if self.mode == "closed":
             if self.process is not None:
                 raise SpecError(
@@ -301,6 +314,13 @@ class WorkloadSection:
                 )
         elif self.process is None:
             raise SpecError('an open-loop workload needs a "process" section')
+        elif self.token_mix is not None:
+            raise SpecError(
+                "token-level serving metrics are single-cluster and closed-loop for now: "
+                "attaching token streams materializes the job list, which would drain an "
+                "open-loop stream before the run (drop workload.token_mix or use "
+                'mode="closed")'
+            )
         elif self.max_jobs is None and self.horizon is None and not _is_finite(self.process):
             raise SpecError(
                 "an open-loop workload needs `max_jobs` or `horizon` unless its process ends "
@@ -445,7 +465,17 @@ class ClusterSection:
                 "cluster section sets both `config` and `pools`: pass either a homogeneous "
                 "ClusterConfig or an explicit heterogeneous pool layout, not both"
             )
-        if self.num_shards > 1:
+        if self.num_shards == 1:
+            if self.router != "least_loaded" or self.router_kwargs:
+                raise SpecError(
+                    "cluster `router` and `router_kwargs` route jobs across shards; they "
+                    "require num_shards > 1"
+                )
+            if self.migration is not None:
+                raise SpecError(
+                    "cluster `migration` is cross-shard rebalancing; it requires num_shards > 1"
+                )
+        else:
             if self.pools is not None:
                 raise SpecError(
                     "federated clusters (num_shards > 1) are built by splitting a total "
@@ -455,11 +485,9 @@ class ClusterSection:
             try:
                 create_job_router(self.router, **self.router_kwargs)
             except (TypeError, ValueError) as exc:
-                raise SpecError(f"invalid cluster router_kwargs: {exc}") from None
-        elif self.migration is not None:
-            raise SpecError(
-                "cluster `migration` is cross-shard rebalancing; it requires num_shards > 1"
-            )
+                raise SpecError(
+                    f"invalid cluster router_kwargs {sorted(self.router_kwargs)}: {exc}"
+                ) from None
 
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {}
@@ -469,7 +497,6 @@ class ClusterSection:
             out["pools"] = [_config_to_dict(p) for p in self.pools]
         if self.num_shards != 1:
             out["num_shards"] = self.num_shards
-        if self.num_shards != 1 or self.router != "least_loaded":
             out["router"] = self.router
         if self.router_kwargs:
             out["router_kwargs"] = dict(self.router_kwargs)
@@ -751,12 +778,6 @@ class ScenarioSpec:
                 raise SpecError(
                     "per-shard placement policies are not supported yet; drop the "
                     "placement section or set num_shards=1"
-                )
-            if self.workload.token_mix is not None:
-                raise SpecError(
-                    "token-level serving metrics are single-cluster for now: "
-                    "FederationMetrics does not aggregate per-request token streams "
-                    "(drop workload.token_mix or set num_shards=1)"
                 )
         cluster, process = self.cluster, self.workload.process
         if (

@@ -71,21 +71,6 @@ class TabularCPD:
 
     # ------------------------------------------------------------------ #
     @classmethod
-    def uniform(
-        cls,
-        variable: str,
-        cardinality: int,
-        parents: Optional[Sequence[str]] = None,
-        parent_cardinalities: Optional[Mapping[str, int]] = None,
-    ) -> "TabularCPD":
-        """Uniform CPD — used as a fallback when no training data exists."""
-        parents = list(parents or [])
-        cards = {p: int((parent_cardinalities or {})[p]) for p in parents}
-        cols = int(np.prod([cards[p] for p in parents])) if parents else 1
-        table = np.full((cardinality, cols), 1.0 / cardinality)
-        return cls(variable, cardinality, table, parents, cards)
-
-    @classmethod
     def from_marginal(cls, variable: str, probabilities: Sequence[float]) -> "TabularCPD":
         """Root-node CPD from a marginal distribution."""
         probs = np.asarray(probabilities, dtype=float)
@@ -102,19 +87,6 @@ class TabularCPD:
             (self.cardinality,)
         )
         return DiscreteFactor(variables, cards, values.reshape(shape))
-
-    def column_for(self, parent_assignment: Mapping[str, int]) -> np.ndarray:
-        """Distribution of the child given a full parent assignment."""
-        if not self.parents:
-            return self.table[:, 0].copy()
-        index = 0
-        for parent in self.parents:
-            card = self.parent_cardinalities[parent]
-            state = int(parent_assignment[parent])
-            if not 0 <= state < card:
-                raise ValueError(f"state {state} out of range for parent {parent!r}")
-            index = index * card + state
-        return self.table[:, index].copy()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TabularCPD({self.variable!r} | {self.parents})"

@@ -7,7 +7,7 @@ during variable elimination, and posterior marginals are all factors.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence
 
 import numpy as np
 
@@ -69,19 +69,9 @@ class DiscreteFactor:
     # Constructors
     # ------------------------------------------------------------------ #
     @classmethod
-    def uniform(cls, variables: Sequence[str], cardinalities: Mapping[str, int]) -> "DiscreteFactor":
-        """Uniform (all-equal, normalised) factor over the given variables."""
-        shape = tuple(int(cardinalities[v]) for v in variables)
-        total = float(np.prod(shape))
-        return cls(variables, cardinalities, np.full(shape, 1.0 / total))
-
-    @classmethod
     def identity(cls) -> "DiscreteFactor":
         """The scalar factor 1 — neutral element of factor product."""
         return cls([], {}, np.asarray(1.0))
-
-    def copy(self) -> "DiscreteFactor":
-        return DiscreteFactor(self.variables, self.cardinalities, self.values.copy())
 
     # ------------------------------------------------------------------ #
     # Core operations
@@ -158,32 +148,6 @@ class DiscreteFactor:
     def normalize(self) -> "DiscreteFactor":
         """Return a copy scaled by :func:`normalized`."""
         return DiscreteFactor(self.variables, self.cardinalities, normalized(self.values))
-
-    def marginal(self, variable: str) -> np.ndarray:
-        """1-D normalised marginal distribution of a single variable."""
-        others = [v for v in self.variables if v != variable]
-        factor = self.marginalize(others).normalize()
-        return factor.values.copy()
-
-    # ------------------------------------------------------------------ #
-    # Introspection helpers
-    # ------------------------------------------------------------------ #
-    def get(self, assignment: Mapping[str, int]) -> float:
-        """Value of the factor at a full assignment of its variables."""
-        index = tuple(int(assignment[v]) for v in self.variables)
-        return float(self.values[index])
-
-    def assignments(self) -> Iterable[Tuple[Dict[str, int], float]]:
-        """Iterate over (assignment, value) pairs."""
-        if not self.variables:
-            yield {}, float(self.values)
-            return
-        for index in np.ndindex(*self.values.shape):
-            yield dict(zip(self.variables, (int(i) for i in index), strict=True)), float(self.values[index])
-
-    @property
-    def total(self) -> float:
-        return float(self.values.sum())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DiscreteFactor(variables={self.variables}, shape={self.values.shape})"

@@ -84,25 +84,6 @@ class VariableElimination:
             values = values.transpose([scope.index(v) for v in query_vars])
         return DiscreteFactor(query_vars, cards, normalized(values))
 
-    def posterior_marginals(
-        self,
-        variables: Sequence[str],
-        evidence: Optional[Mapping[str, int]] = None,
-    ) -> Dict[str, np.ndarray]:
-        """Per-variable posterior marginals (computed one query per variable)."""
-        marginals: Dict[str, np.ndarray] = {}
-        evidence = dict(evidence or {})
-        for variable in variables:
-            if variable in evidence:
-                card = self._network.cardinality(variable)
-                point_mass = np.zeros(card)
-                point_mass[int(evidence[variable])] = 1.0
-                marginals[variable] = point_mass
-                continue
-            factor = self.query([variable], evidence)
-            marginals[variable] = factor.values.copy()
-        return marginals
-
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #

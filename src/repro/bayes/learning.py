@@ -153,7 +153,6 @@ def build_network_from_samples(
     continuous_samples: Mapping[str, Sequence[float]],
     discrete_samples: Mapping[str, Sequence[int]],
     cardinalities: Mapping[str, int],
-    state_labels: Mapping[str, Sequence[object]],
     variable_order: Sequence[str],
     config: Optional[StructureLearningConfig] = None,
     laplace_alpha: float = 1.0,
@@ -163,11 +162,11 @@ def build_network_from_samples(
 
     This is the one-call entry point used by the profiler: it takes the raw
     duration traces (for correlation-based edge selection), their discretised
-    counterparts (for CPD fitting), and per-variable metadata.
+    counterparts (for CPD fitting), and each variable's cardinality.
     """
     network = DiscreteBayesianNetwork()
     for variable in variable_order:
-        network.add_node(variable, cardinalities[variable], state_labels[variable])
+        network.add_node(variable, cardinalities[variable])
     for parent, child in learn_structure_from_correlations(
         continuous_samples, variable_order, config
     ):

@@ -17,7 +17,7 @@ next query sees the edited network.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -67,8 +67,7 @@ class CompiledNetwork:
 class DiscreteBayesianNetwork:
     """A Bayesian network over named discrete variables.
 
-    The network stores the DAG structure, per-variable cardinalities and state
-    labels (e.g. the duration-interval midpoints used by the profiler), and a
+    The network stores the DAG structure, per-variable cardinalities and a
     :class:`TabularCPD` for every node.
     """
 
@@ -76,35 +75,19 @@ class DiscreteBayesianNetwork:
         self._graph = DiGraph()
         self._cpds: Dict[str, TabularCPD] = {}
         self._cardinalities: Dict[str, int] = {}
-        self._state_labels: Dict[str, List[object]] = {}
         self._compiled: Optional[CompiledNetwork] = None
 
     # ------------------------------------------------------------------ #
     # Structure
     # ------------------------------------------------------------------ #
-    def add_node(
-        self,
-        name: str,
-        cardinality: int,
-        state_labels: Optional[Sequence[object]] = None,
-    ) -> None:
-        """Add a variable with the given number of states.
-
-        ``state_labels`` optionally attaches a human-meaningful label to each
-        state index (for durations these are interval representative values).
-        """
+    def add_node(self, name: str, cardinality: int) -> None:
+        """Add a variable with the given number of states."""
         if name in self._cardinalities:
             raise ValueError(f"node {name!r} already exists")
         if cardinality <= 0:
             raise ValueError(f"cardinality of {name!r} must be positive")
-        labels = list(state_labels) if state_labels is not None else list(range(cardinality))
-        if len(labels) != cardinality:
-            raise ValueError(
-                f"{name!r}: got {len(labels)} state labels for cardinality {cardinality}"
-            )
         self._graph.add_node(name)
         self._cardinalities[name] = int(cardinality)
-        self._state_labels[name] = labels
         self._compiled = None
 
     def add_edge(self, parent: str, child: str) -> None:
@@ -126,14 +109,8 @@ class DiscreteBayesianNetwork:
     def parents(self, node: str) -> List[str]:
         return sorted(self._graph.predecessors(node))
 
-    def children(self, node: str) -> List[str]:
-        return sorted(self._graph.successors(node))
-
     def cardinality(self, node: str) -> int:
         return self._cardinalities[node]
-
-    def state_labels(self, node: str) -> List[object]:
-        return list(self._state_labels[node])
 
     def topological_order(self) -> List[str]:
         return self._graph.topological_order()
@@ -210,30 +187,6 @@ class DiscreteBayesianNetwork:
         for factor in self.factors():
             joint = joint.product(factor)
         return joint.normalize()
-
-    def sample(self, rng, n_samples: int = 1) -> List[Dict[str, int]]:
-        """Ancestral sampling of complete assignments."""
-        self.check_model()
-        order = self.topological_order()
-        samples: List[Dict[str, int]] = []
-        for _ in range(n_samples):
-            assignment: Dict[str, int] = {}
-            for node in order:
-                cpd = self._cpds[node]
-                probs = cpd.column_for(assignment) if cpd.parents else cpd.table[:, 0]
-                assignment[node] = int(rng.choice(len(probs), p=probs / probs.sum()))
-            samples.append(assignment)
-        return samples
-
-    def copy(self) -> "DiscreteBayesianNetwork":
-        clone = DiscreteBayesianNetwork()
-        for node in self.nodes:
-            clone.add_node(node, self._cardinalities[node], self._state_labels[node])
-        for parent, child in self.edges:
-            clone.add_edge(parent, child)
-        for cpd in self._cpds.values():
-            clone.set_cpd(cpd)
-        return clone
 
     def __contains__(self, node: str) -> bool:
         return node in self._cardinalities

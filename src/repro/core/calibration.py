@@ -14,6 +14,10 @@ from repro.simulator.latency import DecodingLatencyProfile
 
 __all__ = ["BatchingAwareCalibrator"]
 
+#: The batch size at which the historical durations were recorded (the
+#: paper profiles applications with batch size 1).
+PROFILED_BATCH_SIZE = 1
+
 
 class BatchingAwareCalibrator:
     """Rescales LLM duration estimates to the cluster's current batch size.
@@ -24,20 +28,10 @@ class BatchingAwareCalibrator:
         The measured batch-size → decoding-latency profile.  Defaults to the
         same profile the simulator uses, which corresponds to the paper's
         setup where the profiling pass and the simulator share measurements.
-    profiled_batch_size:
-        The batch size at which the historical durations were recorded
-        (the paper profiles applications with batch size 1).
     """
 
-    def __init__(
-        self,
-        latency_profile: Optional[DecodingLatencyProfile] = None,
-        profiled_batch_size: int = 1,
-    ) -> None:
-        if profiled_batch_size < 1:
-            raise ValueError("profiled_batch_size must be >= 1")
+    def __init__(self, latency_profile: Optional[DecodingLatencyProfile] = None) -> None:
         self.latency_profile = latency_profile or DecodingLatencyProfile()
-        self.profiled_batch_size = int(profiled_batch_size)
 
     # ------------------------------------------------------------------ #
     def calibrate(self, duration: float, target_batch_size: float) -> float:
@@ -45,9 +39,7 @@ class BatchingAwareCalibrator:
         if duration < 0:
             raise ValueError("duration must be >= 0")
         target = max(1, int(round(target_batch_size)))
-        return self.latency_profile.calibrate(duration, self.profiled_batch_size, target)
+        return self.latency_profile.calibrate(duration, PROFILED_BATCH_SIZE, target)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BatchingAwareCalibrator(profiled_batch_size={self.profiled_batch_size})"
-        )
+        return f"BatchingAwareCalibrator({self.latency_profile!r})"

@@ -157,12 +157,10 @@ class BayesianProfiler:
             discrete[variable] = states
 
         cardinalities = {v: specs[v].cardinality for v in variables}
-        state_labels = {v: list(specs[v].representatives) for v in variables}
         network = build_network_from_samples(
             continuous_samples=traces,
             discrete_samples=discrete,
             cardinalities=cardinalities,
-            state_labels=state_labels,
             variable_order=variables,
             config=STRUCTURE_CONFIG,
             laplace_alpha=0.5,
@@ -246,10 +244,6 @@ class BayesianProfiler:
         if application not in self._profiles:
             raise KeyError(f"no profile for application {application!r}")
         return self._profiles[application]
-
-    @property
-    def applications(self) -> List[str]:
-        return list(self._profiles)
 
     # ------------------------------------------------------------------ #
     # Online evidence handling

@@ -94,10 +94,6 @@ class Task:
 
     # ------------------------------------------------------------------ #
     @property
-    def is_llm(self) -> bool:
-        return self.task_type is TaskType.LLM
-
-    @property
     def remaining_work(self) -> float:
         """Batch-size-1-equivalent seconds of work still to do."""
         return max(0.0, self.work - self.progress)

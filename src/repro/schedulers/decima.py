@@ -99,10 +99,6 @@ class DecimaScheduler(Scheduler):
         self._priors = priors
         self._policy = policy or DecimaPolicy()
 
-    @property
-    def policy(self) -> DecimaPolicy:
-        return self._policy
-
     def schedule(self, context: SchedulingContext) -> SchedulingDecision:
         scored: List[tuple] = []
         for job in context.jobs:

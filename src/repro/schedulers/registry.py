@@ -95,7 +95,7 @@ def scheduler_requirements(name: str) -> FrozenSet[str]:
         return frozenset({"priors"})
     if key in LLMSCHED_VARIANTS:
         return frozenset({"profiler"})
-    if key in {"fcfs", "fair", "argus", "slo_serving"}:
+    if key in _SCHEDULER_CLASSES:
         return frozenset()
     raise ValueError(
         f"unknown scheduler {name!r}; available: "

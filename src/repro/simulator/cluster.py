@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dag.task import Task, TaskType
 from repro.simulator.executor import LLMExecutor, RegularExecutor
-from repro.simulator.latency import DecodingLatencyProfile
 from repro.simulator.pool import AnyExecutor, ExecutorPool, PoolSpec
 from repro.utils.validation import check_fields, integer, real
 
@@ -54,9 +53,6 @@ class ClusterConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
-
-    def latency_profile(self) -> DecodingLatencyProfile:
-        return DecodingLatencyProfile(slope=self.latency_slope)
 
     def pool_specs(self) -> Tuple[PoolSpec, PoolSpec]:
         """The equivalent two-pool layout (ids match the pre-pool cluster)."""
@@ -298,7 +294,7 @@ class Cluster:
         return self.pool_of_executor(executor.executor_id).finish_regular_task(executor, time)
 
     def finish_llm_task(
-        self, executor: LLMExecutor, task: Task, time: float, eps: float = 1e-6
+        self, executor: LLMExecutor, task: Task, time: float, *, eps: float
     ) -> Task:
         """Complete ``task`` on ``executor`` and free its batch slot."""
         return self.pool_of_executor(executor.executor_id).finish_llm_task(executor, task, time, eps=eps)

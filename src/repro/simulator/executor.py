@@ -230,7 +230,7 @@ class LLMExecutor:
         rate = self._rate()
         return self._last_update + task.remaining_work / rate
 
-    def finish_task(self, task: Task, time: float, eps: float = 1e-6) -> None:
+    def finish_task(self, task: Task, time: float, *, eps: float) -> None:
         """Complete ``task`` at ``time`` and remove it from the batch.
 
         ``eps`` is the remaining-work tolerance below which a task counts as

@@ -190,7 +190,7 @@ class StaleLeastLoadedRouter(JobRouter):
         return min(capable, key=lambda i: (loads[i], i))
 
 
-class TypeAffinityRouter(JobRouter):
+class TypeAffinityRouter(LeastLoadedRouter):
     """Route jobs toward shards with free capacity of their dominant type.
 
     A job whose LLM stages carry more than half its total work prefers the
@@ -203,11 +203,6 @@ class TypeAffinityRouter(JobRouter):
 
     name = "type_affinity"
 
-    def __init__(self, fallback: Optional[JobRouter] = None) -> None:
-        if fallback is not None and not isinstance(fallback, JobRouter):
-            raise ValueError(f"fallback must be a JobRouter, got {fallback!r}")
-        self._fallback = fallback or LeastLoadedRouter()
-
     def select_shard(self, shards: Sequence["FederatedShard"], job: Job) -> int:
         llm_work = sum(s.duration for s in job.stages.values() if s.is_llm)  # repro: REP005-exempt -- insertion-ordered stage dict; sorting would change float-summation order and the golden traces
         total_work = sum(s.duration for s in job.stages.values())  # repro: REP005-exempt -- insertion-ordered stage dict; sorting would change float-summation order and the golden traces
@@ -216,7 +211,7 @@ class TypeAffinityRouter(JobRouter):
         best = max(capable, key=lambda i: (shards[i].free_slots(dominant), -shards[i].load(), -i))
         if shards[best].free_slots(dominant) > 0:
             return best
-        return self._fallback.select_shard(shards, job)
+        return super().select_shard(shards, job)
 
 
 _ROUTERS: Dict[str, Callable[..., JobRouter]] = {
@@ -566,10 +561,6 @@ class FederatedSimulationEngine:
     @property
     def current_time(self) -> float:
         return self._time
-
-    @property
-    def shards(self) -> List[FederatedShard]:
-        return self.federation.shards
 
     def run(self) -> FederationMetrics:
         """Execute the workload fleet-wide and return aggregated metrics."""

@@ -255,7 +255,7 @@ class ExecutorPool:
         return task
 
     def finish_llm_task(
-        self, executor: LLMExecutor, task: Task, time: float, eps: float = 1e-6
+        self, executor: LLMExecutor, task: Task, time: float, *, eps: float
     ) -> Task:
         executor.finish_task(task, time, eps=eps)
         self._release(executor)
@@ -392,12 +392,6 @@ class ExecutorPool:
     # ------------------------------------------------------------------ #
     # Time keeping and accounting
     # ------------------------------------------------------------------ #
-    def advance_to(self, time: float) -> None:
-        if self.spec.task_type is not TaskType.LLM:
-            return
-        for executor in self.executors:
-            executor.advance_to(time)
-
     def busy_time(self) -> float:
         return sum(e.busy_time for e in self.executors)
 

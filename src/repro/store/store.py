@@ -113,9 +113,6 @@ class RunStore:
                 + "\n",
             )
 
-    def exists(self) -> bool:
-        return self.records_dir.is_dir()
-
     def check_format(self) -> None:
         format_path = self.root / _FORMAT_FILE
         if not format_path.exists():

@@ -1,16 +1,15 @@
 """Small statistics helpers used across the library.
 
 The heatmap experiment (paper Fig. 5) needs Pearson correlation matrices, the
-profiler needs empirical histograms, and the metrics module needs streaming
-mean/percentile summaries.  Everything here operates on plain sequences or
+profiler needs empirical histograms, and the metrics module needs a streaming
+mean and percentile summaries.  Everything here operates on plain sequences or
 numpy arrays and has no dependency on the rest of the package.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -86,53 +85,14 @@ def histogram_probabilities(
 
 @dataclass
 class OnlineStats:
-    """Streaming mean/variance/min/max accumulator (Welford's algorithm)."""
+    """Streaming count and mean."""
 
     count: int = 0
     mean: float = 0.0
-    _m2: float = 0.0
-    minimum: float = math.inf
-    maximum: float = -math.inf
-    _values: List[float] = field(default_factory=list)
 
     def add(self, value: float) -> None:
-        value = float(value)
         self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
-        self._values.append(value)
-
-    def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.add(value)
-
-    @property
-    def variance(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
-
-    def percentile(self, q: float) -> float:
-        """q-th percentile (q in [0, 100]) of all values seen so far."""
-        if not self._values:
-            raise ValueError("no values recorded")
-        return float(np.percentile(np.asarray(self._values), q))
-
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "count": float(self.count),
-            "mean": self.mean,
-            "std": self.std,
-            "min": self.minimum if self.count else float("nan"),
-            "max": self.maximum if self.count else float("nan"),
-        }
+        self.mean += (float(value) - self.mean) / self.count
 
 
 def percentile_summary(

@@ -223,11 +223,11 @@ def superpose(*processes: ArrivalProcess) -> ArrivalProcess:
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class OpenLoopSpec:
-    """A picklable description of an open-loop workload cell.
+    """A description of an open-loop workload cell.
 
     Mirrors :class:`repro.workloads.mixtures.WorkloadSpec` for streaming
-    runs: the parallel experiment runner ships these to worker processes,
-    which rebuild the generator locally via :func:`open_loop_jobs`.
+    runs: an open-loop :class:`~repro.api.spec.WorkloadSection` resolves into
+    one, and :meth:`jobs` builds the lazy job stream via :func:`open_loop_jobs`.
     """
 
     process: ArrivalProcess

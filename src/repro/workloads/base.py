@@ -87,7 +87,3 @@ class LatentScaledDuration:
         if mean <= 0:
             return 0.0
         return sample_lognormal(rng, mean, self.noise_sigma)
-
-    def mean(self, latent: float = 0.0) -> float:
-        """Expected duration for the given latent factor (noise averages out)."""
-        return self.base + self.scale_per_unit * latent

@@ -64,10 +64,6 @@ class _SyntheticDataset:
     def _generate(self, size: int, rng: np.random.Generator) -> List[Query]:
         raise NotImplementedError
 
-    @property
-    def queries(self) -> List[Query]:
-        return list(self._queries)
-
     def __len__(self) -> int:
         return len(self._queries)
 

@@ -585,17 +585,70 @@ class TestRouterKwargs:
             ScenarioSpec.from_dict(_fleet_doc({"view_refresh_interval": value}))
 
     def test_a_router_kwarg_with_no_json_form_fails_at_validation(self):
-        # A JSON fallback name used to validate, then crash the run the
-        # first time type_affinity fell back.
+        # type_affinity takes no kwargs: it always falls back to least_loaded.
         doc = _fleet_doc({"fallback": "hash"})
         doc["cluster"]["router"] = "type_affinity"
-        with pytest.raises(SpecError, match="fallback must be a JobRouter, got 'hash'"):
+        with pytest.raises(SpecError, match=r"router_kwargs \['fallback'\].*takes no arguments"):
             ScenarioSpec.from_dict(doc)
 
-    def test_single_shard_router_kwargs_are_not_built(self):
-        doc = _fleet_doc({"view_refresh_intervl": 5.0})
-        doc["cluster"].update(num_shards=1, migration=None)
-        ScenarioSpec.from_dict(doc)
+
+# --------------------------------------------------------------------------- #
+# Fields the spec's shape never reads are rejected, not dropped
+# --------------------------------------------------------------------------- #
+_OPEN_WORKLOAD = {"mode": "open", "process": {"kind": "poisson", "rate": 1.0}, "max_jobs": 5}
+
+
+class TestFieldsWithoutEffect:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_jobs", 3), ("horizon", 100.0), ("name", "stream"),
+         ("application_names", ["web_search"])],
+    )
+    def test_closed_workload_rejects_open_loop_fields(self, field, value):
+        # A closed workload used to accept and drop them: max_jobs=3 did not
+        # survive the JSON round trip, and a grid axis over it ran equal cells.
+        doc = {"workload": {"mode": "closed", "num_jobs": 4, field: value}}
+        with pytest.raises(SpecError, match=rf"closed-loop workloads do not read .*'{field}'"):
+            ScenarioSpec.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "field, value", [("workload_type", "chain"), ("num_jobs", 10), ("arrival_rate", 2.0)]
+    )
+    def test_open_workload_rejects_closed_loop_fields(self, field, value):
+        doc = {"workload": {**_OPEN_WORKLOAD, field: value}}
+        with pytest.raises(SpecError, match=rf"open-loop workloads do not read .*'{field}'"):
+            ScenarioSpec.from_dict(doc)
+
+    def test_open_workload_rejects_token_mix(self):
+        # Attaching token streams used to drain the lazy job stream: the run
+        # completed zero jobs.
+        with pytest.raises(SpecError, match="closed-loop.*workload.token_mix"):
+            WorkloadSection(
+                mode="open", process=PoissonProcess(rate=1.0, seed=3), max_jobs=20,
+                token_mix="chat",
+            )
+
+    @pytest.mark.parametrize(
+        "cluster",
+        [{"router": "hash"}, {"router_kwargs": {"bogus": 1, "view_refresh_interval": -3}}],
+        ids=["router", "router_kwargs"],
+    )
+    def test_single_cluster_rejects_router_fields(self, cluster):
+        # A single cluster never builds its router, so these used to validate.
+        doc = {"cluster": cluster}
+        with pytest.raises(SpecError, match="router.*require num_shards > 1"):
+            ScenarioSpec.from_dict(doc)
+
+    def test_a_grid_axis_over_a_field_without_effect_fails(self):
+        spec = ScenarioSpec(workload=WorkloadSection.closed_loop(num_jobs=4))
+        with pytest.raises(SpecError, match="max_jobs"):
+            with_overrides(spec, {"workload.max_jobs": 2})
+
+    def test_defaults_of_the_other_mode_are_accepted(self):
+        closed = WorkloadSection(mode="closed", name="open_loop", max_jobs=None)
+        assert ScenarioSpec.from_dict(ScenarioSpec(workload=closed).to_dict()).workload == closed
+        open_ = WorkloadSection.from_dict({**_OPEN_WORKLOAD, "num_jobs": 300})
+        assert open_.num_jobs == 300
 
 
 # --------------------------------------------------------------------------- #

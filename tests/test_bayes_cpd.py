@@ -35,37 +35,9 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TabularCPD("a", 2, np.ones((2, 3)) / 2, parents=["b"], parent_cardinalities={"b": 2})
 
-    def test_uniform_constructor(self):
-        cpd = TabularCPD.uniform("a", 4, parents=["b"], parent_cardinalities={"b": 3})
-        assert cpd.table.shape == (4, 3)
-        assert np.allclose(cpd.table, 0.25)
-
     def test_from_marginal(self):
         cpd = TabularCPD.from_marginal("a", [0.2, 0.8])
         assert cpd.table[:, 0] == pytest.approx([0.2, 0.8])
-
-
-class TestColumnFor:
-    def test_root_column(self):
-        cpd = TabularCPD.from_marginal("a", [0.2, 0.8])
-        assert cpd.column_for({}) == pytest.approx([0.2, 0.8])
-
-    def test_parent_indexing_row_major(self):
-        # parents = [b, c], b has card 2, c has card 3; column = b * 3 + c
-        table = np.zeros((2, 6))
-        for col in range(6):
-            table[0, col] = col / 10.0
-            table[1, col] = 1.0 - col / 10.0
-        cpd = TabularCPD(
-            "a", 2, table, parents=["b", "c"], parent_cardinalities={"b": 2, "c": 3}
-        )
-        assert cpd.column_for({"b": 1, "c": 2})[0] == pytest.approx(0.5)
-        assert cpd.column_for({"b": 0, "c": 1})[0] == pytest.approx(0.1)
-
-    def test_out_of_range_parent_state_raises(self):
-        cpd = TabularCPD.uniform("a", 2, parents=["b"], parent_cardinalities={"b": 2})
-        with pytest.raises(ValueError):
-            cpd.column_for({"b": 5})
 
 
 class TestToFactor:
@@ -73,9 +45,9 @@ class TestToFactor:
         table = np.array([[0.9, 0.2], [0.1, 0.8]])
         cpd = TabularCPD("a", 2, table, parents=["b"], parent_cardinalities={"b": 2})
         factor = cpd.to_factor()
-        assert set(factor.variables) == {"a", "b"}
-        assert factor.get({"a": 0, "b": 0}) == pytest.approx(0.9)
-        assert factor.get({"a": 1, "b": 1}) == pytest.approx(0.8)
+        assert factor.variables == ["a", "b"]
+        assert factor.values[0, 0] == pytest.approx(0.9)
+        assert factor.values[1, 1] == pytest.approx(0.8)
 
     def test_root_factor(self):
         cpd = TabularCPD.from_marginal("a", [0.25, 0.75])

@@ -1,7 +1,5 @@
 """Tests for variable-elimination inference."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -37,6 +35,11 @@ def build_sprinkler_network():
     return net
 
 
+def in_order(factor, variables):
+    """The factor's values with their axes in the order of ``variables``."""
+    return factor.values.transpose([factor.variables.index(v) for v in variables])
+
+
 def brute_force_posterior(net, query_vars, evidence):
     """Enumerate the full joint to compute reference posteriors."""
     joint = net.joint_distribution()
@@ -61,8 +64,7 @@ class TestQueriesAgainstBruteForce:
         engine = VariableElimination(net)
         result = engine.query(query_vars, evidence)
         reference = brute_force_posterior(net, query_vars, evidence)
-        for assignment, _ in reference.assignments():
-            assert result.get(assignment) == pytest.approx(reference.get(assignment), abs=1e-9)
+        assert result.values == pytest.approx(in_order(reference, result.variables), abs=1e-9)
 
     def test_known_sprinkler_posterior(self):
         # P(rain=1 | grass_wet=1) for this parameterisation is ~0.3577.
@@ -89,14 +91,6 @@ class TestQueryValidation:
             engine.query(["rain"], {"rain": 1})
 
 
-class TestDerivedQueries:
-    def test_posterior_marginals_with_evidence_point_mass(self):
-        engine = VariableElimination(build_sprinkler_network())
-        marginals = engine.posterior_marginals(["rain", "grass_wet"], {"grass_wet": 1})
-        assert marginals["grass_wet"] == pytest.approx([0.0, 1.0])
-        assert marginals["rain"].sum() == pytest.approx(1.0)
-
-
 class TestLargerNetwork:
     def test_chain_of_five_posterior_consistency(self):
         # a -> b -> c -> d -> e with noisy copies; conditioning on e=1 should
@@ -120,8 +114,6 @@ class TestLargerNetwork:
         net = build_sprinkler_network()
         engine = VariableElimination(net)
         joint = engine.query(["rain", "sprinkler", "grass_wet"])
-        assert joint.total == pytest.approx(1.0)
+        assert joint.values.sum() == pytest.approx(1.0)
         reference = net.joint_distribution()
-        for assignment in itertools.product(range(2), repeat=3):
-            mapping = dict(zip(["rain", "sprinkler", "grass_wet"], assignment, strict=True))
-            assert joint.get(mapping) == pytest.approx(reference.get(mapping), abs=1e-9)
+        assert joint.values == pytest.approx(in_order(reference, joint.variables), abs=1e-9)

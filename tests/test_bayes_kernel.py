@@ -42,7 +42,8 @@ from tests.test_ready_index import partial_jobs
 def old_normalize(factor):
     total = float(factor.values.sum())
     if total <= 0.0:
-        return DiscreteFactor.uniform(factor.variables, factor.cardinalities)
+        uniform = np.full(factor.values.shape, 1.0 / float(factor.values.size))
+        return DiscreteFactor(factor.variables, factor.cardinalities, uniform)
     return DiscreteFactor(factor.variables, factor.cardinalities, factor.values / total)
 
 
@@ -81,7 +82,7 @@ def old_query(network, variables, evidence):
     evidence = dict(evidence)
     query_vars = [v for v in variables if v not in evidence]
     factors = [network.get_cpd(node).to_factor().reduce(evidence) for node in network.nodes]
-    factors = [f for f in factors if f.variables or f.total != 1.0]
+    factors = [f for f in factors if f.variables or float(f.values.sum()) != 1.0]
     to_eliminate = [n for n in network.nodes if n not in query_vars and n not in evidence]
     for var in old_elimination_order(to_eliminate, factors):
         factors = old_eliminate(var, factors)

@@ -79,8 +79,8 @@ class TestFitCpds:
         y = np.where(flip, 1 - x, x)
         fit_cpds(net, {"x": x, "y": y}, laplace_alpha=0.0)
         cpd_y = net.get_cpd("y")
-        assert cpd_y.column_for({"x": 0})[0] == pytest.approx(0.9, abs=0.03)
-        assert cpd_y.column_for({"x": 1})[1] == pytest.approx(0.9, abs=0.03)
+        assert cpd_y.table[0, 0] == pytest.approx(0.9, abs=0.03)
+        assert cpd_y.table[1, 1] == pytest.approx(0.9, abs=0.03)
 
     def test_laplace_smoothing_avoids_zero_probabilities(self):
         net = self.build_net()
@@ -90,7 +90,7 @@ class TestFitCpds:
         cpd_y = net.get_cpd("y")
         assert np.all(cpd_y.table > 0)
         # Unseen parent configuration (x=1) falls back to uniform.
-        assert cpd_y.column_for({"x": 1})[0] == pytest.approx(0.5)
+        assert cpd_y.table[0, 1] == pytest.approx(0.5)
 
     def test_out_of_range_state_rejected(self):
         net = self.build_net()
@@ -125,7 +125,6 @@ class TestBuildNetworkFromSamples:
             continuous_samples=continuous,
             discrete_samples=discrete,
             cardinalities={"s0": 2, "s1": 2, "s2": 2},
-            state_labels={"s0": [0, 1], "s1": [0, 1], "s2": [0, 1]},
             variable_order=["s0", "s1", "s2"],
         )
         assert ("s0", "s1") in net.edges

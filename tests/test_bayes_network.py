@@ -5,7 +5,6 @@ import pytest
 
 from repro.bayes.cpd import TabularCPD
 from repro.bayes.network import DiscreteBayesianNetwork
-from repro.utils.rng import make_rng
 
 
 def build_chain_network():
@@ -55,11 +54,6 @@ class TestStructure:
         with pytest.raises(ValueError):
             net.add_edge("a", "missing")
 
-    def test_state_label_length_checked(self):
-        net = DiscreteBayesianNetwork()
-        with pytest.raises(ValueError):
-            net.add_node("a", 3, state_labels=[1.0, 2.0])
-
     def test_topological_order(self):
         net = build_chain_network()
         order = net.topological_order()
@@ -103,25 +97,10 @@ class TestDistributions:
     def test_joint_distribution_normalised(self):
         net = build_chain_network()
         joint = net.joint_distribution()
-        assert joint.total == pytest.approx(1.0)
+        assert joint.values.sum() == pytest.approx(1.0)
         assert set(joint.variables) == {"a", "b", "c"}
 
     def test_joint_marginal_matches_root_cpd(self):
         net = build_chain_network()
         joint = net.joint_distribution()
-        assert joint.marginal("a") == pytest.approx([0.6, 0.4])
-
-    def test_sampling_respects_marginal(self):
-        net = build_chain_network()
-        rng = make_rng(0)
-        samples = net.sample(rng, 4000)
-        freq_a1 = sum(s["a"] for s in samples) / len(samples)
-        assert freq_a1 == pytest.approx(0.4, abs=0.05)
-
-    def test_copy_is_independent(self):
-        net = build_chain_network()
-        clone = net.copy()
-        assert clone.nodes == net.nodes
-        assert clone.edges == net.edges
-        clone.add_node("d", 2)
-        assert "d" not in net.nodes
+        assert joint.marginalize(["b", "c"]).values == pytest.approx([0.6, 0.4])

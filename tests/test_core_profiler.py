@@ -22,6 +22,10 @@ from repro.workloads.mixtures import default_applications
 from tests.test_ready_index import partial_jobs
 
 
+#: The applications ``fitted_profiler`` profiles.
+FITTED = ("sequence_sorting", "code_generation", "task_automation")
+
+
 @pytest.fixture(scope="module")
 def fitted_profiler():
     """One profiler fitted on three representative applications."""
@@ -40,12 +44,7 @@ def fitted_profiler():
 
 class TestFitting:
     def test_profiles_registered(self, fitted_profiler):
-        assert set(fitted_profiler.applications) == {
-            "sequence_sorting",
-            "code_generation",
-            "task_automation",
-        }
-        assert fitted_profiler.has_profile("sequence_sorting")
+        assert all(fitted_profiler.has_profile(name) for name in FITTED)
         assert not fitted_profiler.has_profile("unknown_app")
 
     def test_unknown_profile_lookup_raises(self, fitted_profiler):
@@ -72,7 +71,7 @@ class TestFitting:
         assert duration_range > 0
 
     def test_mean_total_duration_positive(self, fitted_profiler):
-        for app_name in fitted_profiler.applications:
+        for app_name in FITTED:
             assert fitted_profiler.profile_for(app_name).mean_total_duration > 0
 
     def test_invalid_fit_parameters(self):
@@ -82,17 +81,17 @@ class TestFitting:
     def test_learned_structures_respect_the_parent_limit(self, fitted_profiler):
         """Single-parent structures keep the forward-pass posterior exact."""
         assert STRUCTURE_CONFIG.max_parents == 1
-        for name in fitted_profiler.applications:
+        for name in FITTED:
             network = fitted_profiler.profile_for(name).network
             assert all(len(network.parents(v)) <= 1 for v in network.nodes), name
         assert any(
             fitted_profiler.profile_for(name).network.edges
-            for name in fitted_profiler.applications
+            for name in FITTED
         )
 
     def test_each_variable_has_at_most_max_intervals_duration_states(self, fitted_profiler):
         cardinalities = []
-        for name in fitted_profiler.applications:
+        for name in FITTED:
             for variable, spec in fitted_profiler.profile_for(name).specs.items():
                 # The "not executed" state comes on top of the duration intervals.
                 assert spec.cardinality - spec.has_zero_state <= MAX_INTERVALS, variable

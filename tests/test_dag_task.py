@@ -25,10 +25,6 @@ class TestConstruction:
         task = Task(job_id="jobA", stage_id="stage3", task_type=TaskType.REGULAR, work=1.0, index=2)
         assert task.key() == "jobA/stage3/2"
 
-    def test_is_llm(self):
-        assert make_task(task_type=TaskType.LLM).is_llm
-        assert not make_task(task_type=TaskType.REGULAR).is_llm
-
 
 class TestLifecycle:
     def test_normal_lifecycle(self):

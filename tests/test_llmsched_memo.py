@@ -147,7 +147,7 @@ class TestMemoOracle:
             ),
         )
         while engine.step():
-            for shard in engine.shards:
+            for shard in engine.federation.shards:
                 check(shard.engine)
         assert len(engine.finalize().job_completion_times) == 60
         assert check.reusable > 0

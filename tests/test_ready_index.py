@@ -380,7 +380,7 @@ class TestIndexOracle:
             ),
         )
         while engine.step():
-            for shard in engine.shards:
+            for shard in engine.federation.shards:
                 assert_engine_matches(shard.engine)
         metrics = engine.finalize()
         assert len(metrics.job_completion_times) == 40
@@ -517,12 +517,12 @@ class TestRunningSet:
             ),
         )
         while engine.step():
-            for shard in engine.shards:
+            for shard in engine.federation.shards:
                 assert_engine_matches(shard.engine)
         metrics = engine.finalize()
         assert len(metrics.job_completion_times) == 40
         assert metrics.num_migrations > 0
-        assert sum(shard.engine.metrics.num_preemptions for shard in engine.shards) > 0
+        assert sum(shard.engine.metrics.num_preemptions for shard in engine.federation.shards) > 0
 
 
 # --------------------------------------------------------------------------- #

@@ -48,7 +48,7 @@ class TestSchedulingContext:
         stages = context.schedulable_stages()
         assert [s.stage_id for s in stages] == ["llm"]
         tasks = context.schedulable_tasks()
-        assert len(tasks) == 1 and tasks[0].is_llm
+        assert len(tasks) == 1 and tasks[0].task_type is TaskType.LLM
 
     def test_job_of(self):
         job = make_job()

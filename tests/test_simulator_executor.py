@@ -54,7 +54,7 @@ class TestLLMExecutorSingleTask:
         assert finishing_task is task
         assert finish_time == pytest.approx(5.0)
         executor.advance_to(5.0)
-        executor.finish_task(task, 5.0)
+        executor.finish_task(task, 5.0, eps=1e-9)
         assert executor.is_idle
         assert task.is_finished
 
@@ -74,7 +74,7 @@ class TestLLMExecutorSingleTask:
         executor.add_task(task, 0.0)
         executor.advance_to(1.0)
         with pytest.raises(RuntimeError):
-            executor.finish_task(task, 1.0)
+            executor.finish_task(task, 1.0, eps=1e-9)
 
     def test_time_cannot_move_backwards(self):
         executor = LLMExecutor("l0", 4)
@@ -121,7 +121,7 @@ class TestLLMExecutorBatching:
         executor.add_task(b, 0.0)
         # a finishes after 4 seconds of wall clock (2 work at half speed).
         executor.advance_to(4.0)
-        executor.finish_task(a, 4.0)
+        executor.finish_task(a, 4.0, eps=1e-9)
         # b has 2 work left and now runs at full speed.
         finish_time, task = executor.next_completion()
         assert task is b

@@ -308,7 +308,7 @@ class TestMigration:
         finished_regular = sum(t.work for t in finished if t.task_type is TaskType.REGULAR)
         busy = sum(
             e.busy_time
-            for shard in engine.shards
+            for shard in engine.federation.shards
             for e in shard.cluster.regular_executors
         )
         assert busy == pytest.approx(finished_regular, rel=1e-9)

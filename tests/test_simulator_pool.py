@@ -198,7 +198,7 @@ class TestElasticity:
         assert pool.free_slots == 0
         executor = pool.executors[pool._local_index[task.executor_id]]
         executor.advance_to(20.0)
-        pool.finish_llm_task(executor, task, 20.0)
+        pool.finish_llm_task(executor, task, 20.0, eps=1e-9)
         assert pool.num_active_executors == 0
         assert pool.free_slots == 0
 

@@ -192,7 +192,7 @@ class TestMemoOracle:
         assert oracle.entries_checked > oracle.calls > 0
         job_of_uid = {task.uid: job.job_id for job in jobs for task in all_tasks([job])}
         kept = 0
-        for shard in engine.shards:
+        for shard in engine.federation.shards:
             scheduler = shard.engine.scheduler
             left = moved.get(shard.name, set())
             assert {job_of_uid[uid] for uid in scheduler._memo} <= left

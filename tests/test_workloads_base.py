@@ -72,11 +72,6 @@ class TestTruncatedGeometric:
 
 
 class TestLatentScaledDuration:
-    def test_mean_scales_with_latent(self):
-        model = LatentScaledDuration(base=1.0, scale_per_unit=0.5)
-        assert model.mean(0.0) == 1.0
-        assert model.mean(10.0) == 6.0
-
     def test_samples_correlate_with_latent(self):
         model = LatentScaledDuration(base=0.5, scale_per_unit=1.0, noise_sigma=0.2)
         rng = make_rng(0)
@@ -125,23 +120,23 @@ class TestDatasets:
     def test_deterministic_generation(self):
         a = SyntheticSequenceDataset(size=50, seed=7)
         b = SyntheticSequenceDataset(size=50, seed=7)
-        assert [q.size for q in a.queries] == [q.size for q in b.queries]
+        assert [q.size for q in a] == [q.size for q in b]
 
     def test_sequence_lengths_in_paper_range(self):
         dataset = SyntheticSequenceDataset()
-        sizes = [q.size for q in dataset.queries]
+        sizes = [q.size for q in dataset]
         assert min(sizes) >= 16
         assert max(sizes) <= 64
 
     def test_taskbench_plan_sizes_in_range(self):
         dataset = TaskBenchLikeDataset()
-        sizes = [q.size for q in dataset.queries]
+        sizes = [q.size for q in dataset]
         assert min(sizes) >= 1
         assert max(sizes) <= 8
 
     def test_hotpot_hops_in_range(self):
         dataset = HotpotQaLikeDataset()
-        sizes = [q.size for q in dataset.queries]
+        sizes = [q.size for q in dataset]
         assert min(sizes) >= 2
         assert max(sizes) <= 6
 
