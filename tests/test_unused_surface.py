@@ -21,7 +21,8 @@ a class decorated with ``@register_rule`` counts as used.
   or ``pathlib.Path`` counts only through such a qualified reference, or
   through an entry in :data:`REVIEWED_CALLERS` that names the ``src/``
   function calling it: a bare ``x.get(...)`` is far more often
-  ``dict.get`` than the method.
+  ``dict.get`` than the method, and a perfbench string such as the unit
+  ``"count"`` names no method.
 
 A name that two ``src/`` classes define is still matched by name when the
 receiver is not qualified, so the scan errs towards keeping a definition,
@@ -309,7 +310,7 @@ def _counts(use: Use, definition: Definition) -> bool:
         return False
     if use.classes is not None:
         return definition.owner in use.classes
-    return use.kind == "string" or definition.name not in BUILTIN_METHODS
+    return definition.name not in BUILTIN_METHODS
 
 
 def _calls(caller: Optional[Definition], name: str, found: Mapping[str, List[Use]]) -> bool:
@@ -524,7 +525,7 @@ def methods_tree(tmp_path):
             drain([store]), unrelated([])
         """,
         "benchmarks/bench.py": "",
-        "perfbench/tracer.py": "",
+        "perfbench/tracer.py": "UNITS = ['count', 'get']\n",
     })
 
 
