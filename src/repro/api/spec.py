@@ -300,6 +300,11 @@ class WorkloadSection:
             object.__setattr__(self, "application_names", tuple(self.application_names))
         if self.token_seed is not None and self.token_mix is None:
             raise SpecError("workload token_seed has no effect without a token_mix")
+        if self.mode == "closed" and self.process is not None:
+            raise SpecError(
+                'a closed-loop workload draws its own Poisson arrivals; use mode="open" '
+                "to run an explicit arrival process"
+            )
         ignored = [
             f.name for f in dataclasses.fields(self)
             if f.name in _FIELDS_OF_THE_OTHER_MODE[self.mode] and getattr(self, f.name) != f.default
@@ -307,21 +312,17 @@ class WorkloadSection:
         if ignored:
             raise SpecError(f"{self.mode}-loop workloads do not read workload field(s) {ignored}")
         if self.mode == "closed":
-            if self.process is not None:
-                raise SpecError(
-                    'a closed-loop workload draws its own Poisson arrivals; use mode="open" '
-                    "to run an explicit arrival process"
-                )
-        elif self.process is None:
+            return
+        if self.process is None:
             raise SpecError('an open-loop workload needs a "process" section')
-        elif self.token_mix is not None:
+        if self.token_mix is not None:
             raise SpecError(
                 "token-level serving metrics are single-cluster and closed-loop for now: "
                 "attaching token streams materializes the job list, which would drain an "
                 "open-loop stream before the run (drop workload.token_mix or use "
                 'mode="closed")'
             )
-        elif self.max_jobs is None and self.horizon is None and not _is_finite(self.process):
+        if self.max_jobs is None and self.horizon is None and not _is_finite(self.process):
             raise SpecError(
                 "an open-loop workload needs `max_jobs` or `horizon` unless its process ends "
                 "by itself (a trace, take or until, or a superpose of those)"

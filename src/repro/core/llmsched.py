@@ -129,6 +129,10 @@ class LLMSchedScheduler(Scheduler):
             estimates[job.job_id] = estimate
         return estimates
 
+    def estimate_remaining(self, job: Job, context: SchedulingContext) -> float:
+        """Posterior (or historical) remaining duration, batch-calibrated."""
+        return self._estimate(job).calibrated(context.average_llm_batch_size, self.calibrator)
+
     # ------------------------------------------------------------------ #
     # Algorithm 1
     # ------------------------------------------------------------------ #

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.dag.stage import Stage, StageState
 from repro.dag.task import Task
@@ -145,8 +145,14 @@ class Job:
             self._positions = {sid: i for i, sid in enumerate(self._stages)}
         return self._positions[stage_id]
 
+    def parents(self, stage_id: str) -> List[str]:
+        return sorted(self._graph.predecessors(stage_id))
+
     def children(self, stage_id: str) -> List[str]:
         return sorted(self._graph.successors(stage_id))
+
+    def edges(self) -> List[Tuple[str, str]]:
+        return self._graph.edges()
 
     def topological_order(self) -> List[str]:
         if self._topo_cache is None:

@@ -461,18 +461,6 @@ class TestValidation:
         with pytest.raises(SpecError, match="at least one tier"):
             SLOSection(tiers={})
 
-    def test_federation_rejects_token_mix(self):
-        with pytest.raises(SpecError, match="single-cluster.*token"):
-            ScenarioSpec(
-                workload=WorkloadSection(
-                    mode="open",
-                    process=PoissonProcess(rate=1.0),
-                    max_jobs=5,
-                    token_mix="chat",
-                ),
-                cluster=ClusterSection(config=ClusterConfig(), num_shards=2),
-            ).validate()
-
 
 _POISSON = {"kind": "poisson", "rate": 1.0, "seed": 1}
 #: (arrival process a JSON spec may carry, the error it must raise): each used
@@ -627,6 +615,12 @@ class TestFieldsWithoutEffect:
                 mode="open", process=PoissonProcess(rate=1.0, seed=3), max_jobs=20,
                 token_mix="chat",
             )
+
+    def test_an_open_document_without_its_mode_gets_the_mode_hint(self):
+        # The process, not the open-loop cap, is what says the mode is missing.
+        doc = {"workload": {"process": {"kind": "poisson", "rate": 1.0}, "max_jobs": 20}}
+        with pytest.raises(SpecError, match='draws its own Poisson arrivals; use mode="open"'):
+            ScenarioSpec.from_dict(doc)
 
     @pytest.mark.parametrize(
         "cluster",

@@ -12,15 +12,6 @@ def make_factor(variables, cards, values):
     return DiscreteFactor(variables, cards, np.asarray(values, dtype=float))
 
 
-def value_at(factor, assignment):
-    """The factor's value at a full assignment of its variables."""
-    return float(factor.values[tuple(assignment[v] for v in factor.variables)])
-
-
-def total(factor):
-    return float(factor.values.sum())
-
-
 class TestConstruction:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -48,7 +39,7 @@ class TestConstruction:
     def test_identity(self):
         identity = DiscreteFactor.identity()
         assert identity.variables == []
-        assert total(identity) == pytest.approx(1.0)
+        assert identity.values.sum() == pytest.approx(1.0)
 
 
 class TestProduct:
@@ -62,25 +53,22 @@ class TestProduct:
         fa = make_factor(["a"], {"a": 2}, [0.3, 0.7])
         fb = make_factor(["b"], {"b": 2}, [0.4, 0.6])
         result = fa.product(fb)
-        assert set(result.variables) == {"a", "b"}
-        assert value_at(result, {"a": 0, "b": 1}) == pytest.approx(0.3 * 0.6)
-        assert value_at(result, {"a": 1, "b": 0}) == pytest.approx(0.7 * 0.4)
+        assert result.variables == ["a", "b"]
+        assert result.values == pytest.approx(np.outer([0.3, 0.7], [0.4, 0.6]))
 
     def test_product_shared_variable(self):
         fa = make_factor(["a", "b"], {"a": 2, "b": 2}, [[1.0, 2.0], [3.0, 4.0]])
         fb = make_factor(["b"], {"b": 2}, [10.0, 100.0])
         result = fa.product(fb)
-        assert value_at(result, {"a": 0, "b": 0}) == pytest.approx(10.0)
-        assert value_at(result, {"a": 1, "b": 1}) == pytest.approx(400.0)
+        assert result.variables == ["a", "b"]
+        assert result.values == pytest.approx(np.array([[10.0, 200.0], [30.0, 400.0]]))
 
     def test_product_axis_order_independent(self):
         fa = make_factor(["a", "b"], {"a": 2, "b": 3}, np.arange(6).reshape(2, 3) + 1.0)
         fb = make_factor(["b", "a"], {"b": 3, "a": 2}, np.arange(6).reshape(3, 2) + 1.0)
         result = fa.product(fb)
-        for a in range(2):
-            for b in range(3):
-                expected = value_at(fa, {"a": a, "b": b}) * value_at(fb, {"a": a, "b": b})
-                assert value_at(result, {"a": a, "b": b}) == pytest.approx(expected)
+        assert result.variables == ["a", "b"]
+        assert result.values == pytest.approx(fa.values * fb.values.T)
 
     def test_cardinality_mismatch_raises(self):
         fa = make_factor(["a"], {"a": 2}, [0.5, 0.5])
@@ -122,7 +110,7 @@ class TestNormalize:
     def test_normalize_sums_to_one(self):
         factor = make_factor(["a"], {"a": 3}, [1.0, 2.0, 7.0])
         result = factor.normalize()
-        assert total(result) == pytest.approx(1.0)
+        assert result.values.sum() == pytest.approx(1.0)
         assert result.values[2] == pytest.approx(0.7)
 
     def test_normalize_zero_factor_returns_uniform(self):
@@ -156,13 +144,15 @@ class TestFactorProperties:
             fb.values,
         )
         product = fa.product(renamed)
-        assert total(product) == pytest.approx(total(fa) * total(renamed), rel=1e-6, abs=1e-9)
+        assert product.values.sum() == pytest.approx(
+            fa.values.sum() * renamed.values.sum(), rel=1e-6, abs=1e-9
+        )
 
     @given(random_factor())
     @settings(max_examples=50, deadline=None)
     def test_marginalize_preserves_total(self, factor):
         result = factor.marginalize(factor.variables[:1])
-        assert total(result) == pytest.approx(total(factor), rel=1e-9, abs=1e-9)
+        assert result.values.sum() == pytest.approx(factor.values.sum(), rel=1e-9, abs=1e-9)
 
     @given(random_factor())
     @settings(max_examples=50, deadline=None)

@@ -40,12 +40,6 @@ def make_context(jobs, time=0.0):
     )
 
 
-def remaining(scheduler, job, context):
-    """The batch-calibrated remaining duration LLMSched ranks ``job`` by."""
-    estimate = scheduler._estimates([job], context)[job.job_id]
-    return estimate.calibrated(context.average_llm_batch_size, scheduler.calibrator)
-
-
 class TestConfig:
     def test_defaults_valid(self):
         config = LLMSchedConfig()
@@ -116,7 +110,8 @@ class TestSchedulingBehaviour:
         job.add_stage(Stage(StageSpec("s", StageType.LLM), "x", [1.0]))
         job.finalize()
         scheduler = LLMSchedScheduler(profiler)
-        assert remaining(scheduler, job, make_context([job])) > 0
+        estimate = scheduler.estimate_remaining(job, make_context([job]))
+        assert estimate > 0
         decision = scheduler.schedule(make_context([job]))
         assert decision.total_tasks == 1
 
@@ -148,7 +143,7 @@ class TestSchedulingBehaviour:
         # Without BN the estimates equal the historical application mean.
         job = jobs[0]
         mean_total = profiler.profile_for("sequence_sorting").mean_total_duration
-        assert remaining(no_bn, job, make_context(jobs)) == pytest.approx(
+        assert no_bn.estimate_remaining(job, make_context(jobs)) == pytest.approx(
             mean_total, rel=1e-6
         )
 

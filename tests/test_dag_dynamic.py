@@ -81,7 +81,7 @@ class TestRealisedPlan:
     def test_planner_reveals_and_dynamic_stage_awaits_each_selected_stage(self, planning_app):
         for job in sampled_jobs(planning_app):
             for stage in generated_stages(job):
-                assert planning_app.PLAN_KEY in job._graph.predecessors(stage.stage_id)
+                assert planning_app.PLAN_KEY in job.parents(stage.stage_id)
                 assert planning_app.DYNAMIC_KEY in job.children(stage.stage_id)
 
     def test_dependency_on_unselected_rejected(self, planning_app):

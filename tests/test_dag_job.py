@@ -47,10 +47,10 @@ class TestConstruction:
         job.add_dependency("b", "c")
         job.add_dependency("a", "c")  # a shortcut closes no cycle
         job.add_dependency("a", "b")  # nor does a repeated edge
-        edges = sorted(job._graph.edges())
+        edges = sorted(job.edges())
         with pytest.raises(ValueError, match="'c' -> 'a' would create a cycle"):
             job.add_dependency("c", "a")
-        assert sorted(job._graph.edges()) == edges == [("a", "b"), ("a", "c"), ("b", "c")]
+        assert sorted(job.edges()) == edges == [("a", "b"), ("a", "c"), ("b", "c")]
 
     def test_self_dependency_rejected(self):
         job = Job("j", "app", 0.0)

@@ -116,9 +116,9 @@ def test_application_jobs_match_a_networkx_rebuild(seed, monkeypatch):
             oracle.add_nodes_from(job.stages)
             oracle.add_edges_from(added.get(job.job_id, []))
             assert job.topological_order() == list(nx.topological_sort(oracle))
-            assert job._graph.edges() == list(oracle.edges)
+            assert job.edges() == list(oracle.edges)
             for stage_id in job.stages:
-                assert sorted(job._graph.predecessors(stage_id)) == sorted(oracle.predecessors(stage_id))
+                assert job.parents(stage_id) == sorted(oracle.predecessors(stage_id))
                 assert job.children(stage_id) == sorted(oracle.successors(stage_id))
                 assert job.stage_depth(stage_id) == _depth_oracle(oracle, stage_id)
 

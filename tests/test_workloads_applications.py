@@ -232,7 +232,7 @@ class TestLlmCompilerCharacteristics:
     def test_join_runs_after_all_calls(self):
         app = LlmCompilerApplication()
         job = app.sample_job("j0", 0.0, make_rng(1))
-        parents_of_join = set(job._graph.predecessors(app.JOIN_KEY))
+        parents_of_join = set(job.parents(app.JOIN_KEY))
         assert app.DYNAMIC_KEY in parents_of_join
 
     def test_plan_and_join_are_llm_stages(self):

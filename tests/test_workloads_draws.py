@@ -48,8 +48,8 @@ def test_a_built_draw_is_the_sampled_job(name, seed):
         draw = app.sample_draw(draw_rng)
         built = app.build_job(f"j{i}", 1.5, draw)
         assert _stages(built) == _stages(job)
-        assert built._graph.edges() == job._graph.edges()  # no public view of the edges
-        assert set(built._graph.edges()) == set(draw.edges)
+        assert built.edges() == job.edges()
+        assert set(built.edges()) == set(draw.edges)
         assert built._reveals == job._reveals  # no public view of pending reveals
         assert [s.spec.stage_id for s in draw.stages] == list(job.stages)
         for stage_draw, stage in zip(draw.stages, job.stages.values(), strict=True):
