@@ -2,11 +2,14 @@
 
 Benchmarks print human-readable evidence with ``-s``; this module
 additionally persists the numbers so performance is tracked across PRs.
-Each benchmark records a named section; sections accumulate in one JSON
-file (default ``BENCH_2.json`` in the repo root, override with the
-``BENCH_OUTPUT`` environment variable).  CI uploads the file as a workflow
-artifact and the regression gate (``benchmarks/check_regression.py``)
-compares smoke-scale regenerations against ``benchmarks/baselines/``.
+Each benchmark records named sections into its BENCH file (``BENCH_2.json``
+unless it names another).  The files land in the directory named by the
+``BENCH_OUTPUT`` environment variable, by default the git-ignored
+``bench-out/`` in the repo root, so a test run never rewrites the committed
+``BENCH_*.json`` artifacts; copy a fresh file over a committed one to
+publish it.  CI uploads the directory as a workflow artifact and the
+regression gate (``benchmarks/check_regression.py --current-dir``) compares
+smoke-scale regenerations against ``benchmarks/baselines/``.
 
 Benchmarks that run through :func:`repro.api.run` should persist
 :class:`repro.api.Result` objects via :func:`record_results` instead of
@@ -29,6 +32,7 @@ from typing import Dict, Mapping, Optional
 __all__ = ["record_bench_section", "record_results", "bench_output_path"]
 
 _DEFAULT_FILENAME = "BENCH_2.json"
+_DEFAULT_DIR = "bench-out"
 
 
 def _record_into_store(path: str, section: str, payload: Dict[str, object], store) -> None:
@@ -44,11 +48,13 @@ def _record_into_store(path: str, section: str, payload: Dict[str, object], stor
 
 
 def bench_output_path(filename: str = None) -> str:
-    override = os.environ.get("BENCH_OUTPUT")
-    if override:
-        return override
-    repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    return os.path.join(repo_root, filename or _DEFAULT_FILENAME)
+    """``filename`` (default ``BENCH_2.json``) in the output directory, created on demand."""
+    directory = os.environ.get("BENCH_OUTPUT")
+    if not directory:
+        repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        directory = os.path.join(repo_root, _DEFAULT_DIR)
+    os.makedirs(directory, exist_ok=True)
+    return os.path.join(directory, filename or _DEFAULT_FILENAME)
 
 
 def record_bench_section(
@@ -62,9 +68,9 @@ def record_bench_section(
     Read-modify-write keeps sections from independent benchmark runs; the
     scale tag records whether a section came from a smoke (CI) or full run.
     ``filename`` targets a different per-PR results file (e.g. the
-    federation benchmark writes ``BENCH_3.json``); the ``BENCH_OUTPUT``
-    environment variable overrides both.  The section also lands in the
-    run store named by ``store`` or ``BENCH_STORE`` (see module docstring).
+    federation benchmark writes ``BENCH_3.json``) in the same output
+    directory.  The section also lands in the run store named by ``store``
+    or ``BENCH_STORE`` (see module docstring).
     """
     path = bench_output_path(filename)
     data: Dict[str, object] = {}

@@ -11,7 +11,7 @@ records in ``benchmarks/baselines/store/``:
   a real behavior change.  Intentional changes regenerate the baselines,
   exactly like the golden traces: run the smoke benchmarks, then ingest
   the fresh files with ``python -m repro store ingest
-  benchmarks/baselines/store BENCH_*.json`` and update
+  benchmarks/baselines/store bench-out/BENCH_*.json`` and update
   ``benchmarks/baselines/calibration.json`` with the printed machine speed.
 * **Throughput numbers** (``*_per_sec``) may not drop below
   ``--min-throughput-ratio`` (default 0.75, i.e. a >25% drop fails) after

@@ -46,16 +46,12 @@ __all__ = ["run", "compare"]
 
 def _make_scheduler(spec: ScenarioSpec, priors, profiler) -> Scheduler:
     section = spec.scheduler
+    kwargs = dict(section.kwargs)
     if section.name.lower() == "slo_serving":
-        # The SLO scheduler reads the scenario's declarative targets and the
-        # settings' latency slope unless the kwargs override them explicitly.
-        kwargs = dict(section.kwargs)
-        if spec.slo is not None and "slo_targets" not in kwargs:
-            kwargs["slo_targets"] = spec.slo.targets()
-        kwargs.setdefault("latency_slope", spec.settings.latency_slope)
-        return create_scheduler(section.name, **kwargs)
+        # The SLO scheduler chases the targets goodput is metered against.
+        kwargs.update(slo_targets=_serving_targets(spec), latency_slope=spec.settings.latency_slope)
     return create_scheduler(
-        section.name, priors=priors, profiler=profiler, settings=spec.settings, **section.kwargs
+        section.name, priors=priors, profiler=profiler, settings=spec.settings, **kwargs
     )
 
 
@@ -121,7 +117,9 @@ def run(
     total_config = _resolve_total_config(spec)
     resolved = spec
     if total_config is not None and spec.cluster.config is None:
-        resolved = replace(spec, cluster=replace(spec.cluster, config=total_config))
+        resolved = replace(
+            spec, cluster=replace(spec.cluster, config=total_config, nominal_rate=None)
+        )
 
     applications = default_applications()
     started = time.perf_counter()  # repro: REP003-exempt -- meters the Result wall-clock field, outside the simulation

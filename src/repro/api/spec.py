@@ -438,8 +438,11 @@ class ClusterSection:
 
     * ``config`` — an explicit homogeneous two-pool sizing;
     * ``pools`` — an explicit heterogeneous pool layout;
-    * neither — the cluster is sized from the workload (closed-loop rate,
-      or ``nominal_rate`` for open-loop processes without a ``rate``).
+    * neither — the cluster is sized from the workload: a closed loop's
+      ``arrival_rate``, or an open stream's ``nominal_rate`` (required for
+      processes without a ``rate``, else the process rate).  ``nominal_rate``
+      is read nowhere else, so it is rejected beside ``config`` or ``pools``
+      and on a closed-loop workload.
 
     ``num_shards > 1`` federates the fleet: the (explicit or sized) total
     ``config`` is split evenly across shards, jobs are routed by ``router``
@@ -465,6 +468,11 @@ class ClusterSection:
             raise SpecError(
                 "cluster section sets both `config` and `pools`: pass either a homogeneous "
                 "ClusterConfig or an explicit heterogeneous pool layout, not both"
+            )
+        if self.nominal_rate is not None and (self.config is not None or self.pools is not None):
+            raise SpecError(
+                "cluster `nominal_rate` sizes a cluster for an open-loop stream; it has no "
+                "effect beside an explicit `config` or `pools`"
             )
         if self.num_shards == 1:
             if self.router != "least_loaded" or self.router_kwargs:
@@ -781,6 +789,11 @@ class ScenarioSpec:
                     "placement section or set num_shards=1"
                 )
         cluster, process = self.cluster, self.workload.process
+        if cluster.nominal_rate is not None and self.workload.mode == "closed":
+            raise SpecError(
+                "cluster `nominal_rate` has no effect on a closed-loop workload, whose "
+                "cluster is sized from workload.arrival_rate"
+            )
         if (
             process is not None
             and cluster.config is None

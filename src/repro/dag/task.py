@@ -18,7 +18,7 @@ if TYPE_CHECKING:
 __all__ = ["TaskType", "TaskState", "Task"]
 
 _task_counter = itertools.count()
-_INDEX = attrgetter("index")
+_TASK_ORDER = attrgetter("index")
 
 
 class TaskType(enum.Enum):
@@ -194,7 +194,7 @@ class Task:
         self.executor_id = None
         self.num_preemptions += 1
         if self._stage is not None:
-            bisect.insort(self._stage._pending, self, key=_INDEX)
+            bisect.insort(self._stage._pending, self, key=_TASK_ORDER)
         return wasted
 
     def mark_finished(self, time: float) -> None:

@@ -21,7 +21,7 @@ not part of the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -91,13 +91,9 @@ class DecimaScheduler(Scheduler):
 
     name = "decima"
 
-    def __init__(
-        self,
-        priors: ApplicationPriors,
-        policy: Optional[DecimaPolicy] = None,
-    ) -> None:
+    def __init__(self, priors: ApplicationPriors) -> None:
         self._priors = priors
-        self._policy = policy or DecimaPolicy()
+        self._policy = DecimaPolicy()
 
     def schedule(self, context: SchedulingContext) -> SchedulingDecision:
         scored: List[tuple] = []

@@ -12,7 +12,7 @@ construction.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, FrozenSet, List, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Mapping, Optional
 
 from repro.schedulers.argus import ArgusScheduler
 from repro.schedulers.base import Scheduler
@@ -54,8 +54,13 @@ LLMSCHED_VARIANTS = (
 #: Schedulers that estimate durations from per-application priors.
 _NEEDS_PRIORS = frozenset({"sjf", "srtf", "srtf_preempt", "carbyne", "decima"})
 
+#: ``slo_serving`` parameters the spec layer fills from the ``slo`` section
+#: and ``settings.latency_slope``, so that the scheduler chases the targets
+#: goodput is metered against; a spec's kwargs may not set them.
+_FROM_THE_SPEC = ("slo_targets", "latency_slope")
+
 #: Constructor classes per baseline name (kwargs validation + forwarding).
-_SCHEDULER_CLASSES = {
+_SCHEDULER_CLASSES: Dict[str, Callable[..., Scheduler]] = {
     "fcfs": FcfsScheduler,
     "fair": FairScheduler,
     "sjf": SjfScheduler,
@@ -128,15 +133,21 @@ def check_scheduler_kwargs(name: str, kwargs: Mapping[str, object]) -> None:
         if cls is None:
             scheduler_requirements(key)  # raises the unknown-scheduler error
             return
+        supplied = sorted(set(kwargs) & set(_FROM_THE_SPEC))
+        if supplied:
+            raise ValueError(
+                f"scheduler {name!r} does not take kwargs {supplied}: it reads its SLO "
+                "targets from the spec's `slo` section and its latency slope from "
+                "`settings.latency_slope`"
+            )
         import inspect
 
-        # ``priors`` is supplied by create_scheduler itself; a trained
-        # Decima ``policy`` and an SRTF ``remaining_estimator`` (a
-        # function) have no JSON form.
+        # ``priors`` is supplied by create_scheduler itself, and an SRTF
+        # ``remaining_estimator`` (a function) has no JSON form.
         valid = {
             p
-            for p in inspect.signature(cls.__init__).parameters
-            if p not in ("self", "priors", "policy", "remaining_estimator")
+            for p in inspect.signature(cls).parameters
+            if p not in ("priors", "remaining_estimator", *_FROM_THE_SPEC)
         }
     unknown = sorted(set(kwargs) - valid)
     if unknown:
@@ -169,30 +180,19 @@ def create_scheduler(
     config.
     """
     key = name.lower()
-    if key == "fcfs":
-        return FcfsScheduler(**kwargs)
-    if key == "fair":
-        return FairScheduler(**kwargs)
-    if key == "sjf":
-        return SjfScheduler(_require_priors(key, priors), **kwargs)
-    if key == "srtf":
-        return SrtfScheduler(priors=_require_priors(key, priors), **kwargs)
-    if key == "srtf_preempt":
-        return PreemptiveSrtfScheduler(priors=_require_priors(key, priors), **kwargs)
-    if key == "argus":
-        return ArgusScheduler(**kwargs)
-    if key == "slo_serving":
-        return SloServingScheduler(**kwargs)
-    if key == "carbyne":
-        return CarbyneScheduler(_require_priors(key, priors), **kwargs)
-    if key == "decima":
-        return DecimaScheduler(_require_priors(key, priors), **kwargs)
     if key in LLMSCHED_VARIANTS:
         return _create_llmsched(key, profiler, settings, **kwargs)
-    raise ValueError(
-        f"unknown scheduler {name!r}; available: "
-        f"{available_schedulers(every=True)}"
-    )
+    cls = _SCHEDULER_CLASSES.get(key)
+    if cls is None:
+        raise ValueError(
+            f"unknown scheduler {name!r}; available: "
+            f"{available_schedulers(every=True)}"
+        )
+    if key in _NEEDS_PRIORS:
+        if priors is None:
+            raise ValueError(f"scheduler {key!r} requires application priors")
+        return cls(priors=priors, **kwargs)
+    return cls(**kwargs)
 
 
 def _create_llmsched(
@@ -230,9 +230,3 @@ def _create_llmsched(
     if key != "llmsched":
         scheduler.name = key
     return scheduler
-
-
-def _require_priors(name: str, priors: Optional[ApplicationPriors]) -> ApplicationPriors:
-    if priors is None:
-        raise ValueError(f"scheduler {name!r} requires application priors")
-    return priors

@@ -70,11 +70,13 @@ class SloServingScheduler(Scheduler):
     slo_targets:
         Per-tier targets ``{tier: {"ttft": s, "tpot": s}}``; defaults to
         :data:`~repro.workloads.serving.DEFAULT_SLO_TARGETS`.  The spec
-        layer injects a scenario's ``SLOSection`` here.
+        layer always passes the targets the run's goodput is metered
+        against (the scenario's ``slo`` section, else the defaults).
     latency_slope:
         Slope of the decode latency profile (matches
         :class:`~repro.simulator.latency.DecodingLatencyProfile`), used by
-        the TPOT admission cap.
+        the TPOT admission cap.  The spec layer passes
+        ``settings.latency_slope``.
     slack_margin:
         A blocked task only triggers preemption when its deadline is
         within ``slack_margin`` seconds; the victim must hold at least

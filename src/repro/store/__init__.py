@@ -5,10 +5,12 @@ summary section persists as one frozen
 :class:`~repro.store.record.RunRecord` whose id is the SHA-256 of its
 deterministic content — wall-clock-derived leaves are segregated so the
 same seeded scenario hashes identically on any machine.  A
-:class:`~repro.store.store.RunStore` keeps records in sharded,
-atomically-written JSON files with an append-only journal (safe for
-concurrent ``run_grid`` workers) and a rebuildable index;
-:mod:`repro.store.query` answers filter and latest-version questions and
+:class:`~repro.store.store.RunStore` root holds three things: a
+``FORMAT.json`` stamp, the records in sharded, atomically-written JSON
+files under ``records/``, and an append-only ``journal.jsonl`` (safe for
+concurrent ``run_grid`` workers) that is both the ingest order and the
+version history; :mod:`repro.store.query` answers filter and
+latest-version questions and
 :mod:`repro.store.report` regenerates the README tables and BENCH_*.json
 artifacts byte-for-byte from store contents alone.
 

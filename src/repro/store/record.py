@@ -25,12 +25,9 @@ of the same seeded scenario on different machines produce the *same*
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.utils.canonical import canonical_json, content_hash
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.results import Result
 
 __all__ = [
     "RecordError",
@@ -217,42 +214,16 @@ class RunRecord:
 
     # Constructors --------------------------------------------------------- #
     @classmethod
-    def from_result(
-        cls,
-        result: "Result",
-        *,
-        bench_file: Optional[str] = None,
-        section: Optional[str] = None,
-        label: Optional[str] = None,
-        provenance: Optional[Mapping[str, object]] = None,
-    ) -> "RunRecord":
-        """Wrap a live :class:`~repro.api.results.Result` (spec included)."""
-        det, timing = split_timing(result.to_dict(include_spec=True))
-        return cls(
-            kind="result",
-            payload=det,
-            timing=timing,
-            spec_hash=result.spec.content_hash(),
-            seed=result.seed,
-            scheduler=result.spec.scheduler.name,
-            schema_version=result.spec.schema_version,
-            bench_file=bench_file,
-            section=section,
-            label=label,
-            provenance=dict(provenance or {}),
-        )
-
-    @classmethod
     def result_record(
         cls,
         payload: Mapping[str, object],
         *,
-        bench_file: Optional[str],
-        section: Optional[str],
-        label: Optional[str],
-        provenance: Optional[Mapping[str, object]] = None,
+        bench_file: Optional[str] = None,
+        section: Optional[str] = None,
+        label: Optional[str] = None,
     ) -> "RunRecord":
-        """Wrap a ``Result.to_dict``-shaped payload (e.g. from a BENCH file)."""
+        """Wrap a ``Result.to_dict``-shaped payload: a live run's
+        ``result.to_dict()`` (spec included) or one read from a BENCH file."""
         if not looks_like_result_payload(payload):
             raise RecordError(
                 f"payload under {section!r}/{label!r} does not look like a "
@@ -274,7 +245,6 @@ class RunRecord:
             bench_file=bench_file,
             section=section,
             label=label,
-            provenance=dict(provenance or {}),
         )
 
     @classmethod
@@ -284,7 +254,6 @@ class RunRecord:
         *,
         bench_file: Optional[str],
         section: str,
-        provenance: Optional[Mapping[str, object]] = None,
     ) -> "RunRecord":
         """Wrap a benchmark summary section (its ``results`` hoisted out)."""
         det, timing = split_timing(dict(payload))
@@ -294,7 +263,6 @@ class RunRecord:
             timing=timing,
             bench_file=bench_file,
             section=section,
-            provenance=dict(provenance or {}),
         )
 
     # Views ---------------------------------------------------------------- #

@@ -1,12 +1,11 @@
 """:class:`RunStore`: a directory of sharded, atomically-written records.
 
-Layout (everything JSON, everything regenerable from ``records/`` alone)::
+Layout (everything JSON)::
 
     <root>/
       FORMAT.json        # store format version + creating package version
       records/<aa>/<record_id>.json   # one canonical record per file
-      journal.jsonl      # append-only ingest log (ordering + audit trail)
-      index.json         # rebuildable summary cache (rebuild_index())
+      journal.jsonl      # append-only ingest log (ordering + version history)
 
 Durability rules:
 
@@ -15,17 +14,15 @@ Durability rules:
   every reader ignores (and which a later ingest of the same record simply
   replaces).
 * **Append-only journal** — one JSON line per accepted record, written with
-  ``O_APPEND`` so concurrent ``run_grid`` workers interleave whole lines;
-  the journal is the store's ordering (``latest`` queries) and audit trail,
-  never its source of truth.
+  ``O_APPEND`` so concurrent ``run_grid`` workers interleave whole lines.
+  The journal is both the store's ordering (``latest`` queries) and its
+  version history (each line's ``dedup_key`` and ``supersedes``), never its
+  source of truth: the records are.
 * **Content-addressed dedup** — a record's filename *is* its identity hash,
   so re-ingesting identical data is a no-op; a record with the same
   :attr:`~repro.store.record.RunRecord.dedup_key` but different content is
-  accepted as a new version (the journal notes what it supersedes) and
-  ``latest``-style queries pick the newest.
-* **Rebuildable index** — ``index.json`` is a pure cache; deleting it (or
-  racing workers clobbering it) loses nothing: :meth:`rebuild_index`
-  reconstructs it from the record files alone.
+  accepted as a new version (its journal line lists the journaled versions
+  it supersedes) and ``latest``-style queries pick the newest.
 """
 
 from __future__ import annotations
@@ -46,19 +43,6 @@ STORE_FORMAT_VERSION = 1
 _FORMAT_FILE = "FORMAT.json"
 _RECORDS_DIR = "records"
 _JOURNAL_FILE = "journal.jsonl"
-_INDEX_FILE = "index.json"
-
-#: Index summary fields (a subset of the record, for cheap listing/queries).
-_INDEX_FIELDS = (
-    "kind",
-    "spec_hash",
-    "seed",
-    "scheduler",
-    "schema_version",
-    "bench_file",
-    "section",
-    "label",
-)
 
 
 class StoreError(RuntimeError):
@@ -89,10 +73,6 @@ class RunStore:
     @property
     def journal_path(self) -> Path:
         return self.root / _JOURNAL_FILE
-
-    @property
-    def index_path(self) -> Path:
-        return self.root / _INDEX_FILE
 
     def _record_path(self, record_id: str) -> Path:
         return self.records_dir / record_id[:2] / f"{record_id}.json"
@@ -135,7 +115,7 @@ class RunStore:
 
         Identical content (same ``record_id``) dedupes to a no-op.  Same
         ``dedup_key`` with different content is stored as a new version and
-        journaled with the ids it supersedes.
+        journaled with the ids of the journaled versions it supersedes.
         """
         self._ensure_layout()
         self.check_format()
@@ -146,18 +126,21 @@ class RunStore:
         path = self._record_path(record.record_id)
         if path.exists():
             return record, False
+        dedup_key = [_jsonable(part) for part in record.dedup_key]
         supersedes = sorted(
-            rid
-            for rid, entry in self._index_snapshot().items()
-            if tuple(entry.get("dedup_key", ())) == tuple(map(_jsonable, record.dedup_key))
-            and rid != record.record_id
+            {
+                entry["record_id"]
+                for entry in self.journal_entries()
+                if entry.get("dedup_key") == dedup_key
+                and entry.get("record_id") != record.record_id
+            }
         )
         path.parent.mkdir(parents=True, exist_ok=True)
         _atomic_write_text(path, record.to_json())
         journal_entry: Dict[str, object] = {
             "event": "add",
             "record_id": record.record_id,
-            "dedup_key": [_jsonable(part) for part in record.dedup_key],
+            "dedup_key": dedup_key,
         }
         if source:
             journal_entry["source"] = source
@@ -165,12 +148,12 @@ class RunStore:
             journal_entry["supersedes"] = supersedes
         with open(self.journal_path, "a", encoding="utf-8") as handle:
             handle.write(canonical_json(journal_entry) + "\n")
-        self._update_index(record)
         return record, True
 
-    def add_result(self, result, *, source: Optional[str] = None, **meta) -> Tuple[RunRecord, bool]:
-        """Persist a live :class:`~repro.api.results.Result`."""
-        return self.add(RunRecord.from_result(result, **meta), source=source or "api.run")
+    def add_result(self, result) -> Tuple[RunRecord, bool]:
+        """Persist a live :class:`~repro.api.results.Result` (spec included)."""
+        record = RunRecord.result_record(result.to_dict(include_spec=True))
+        return self.add(record, source="api.run")
 
     # Ingestion ------------------------------------------------------------- #
     def ingest_bench_payload(
@@ -312,62 +295,6 @@ class RunStore:
             if isinstance(rid, str) and rid not in order:
                 order[rid] = position
         return order
-
-    # Index ----------------------------------------------------------------- #
-    def _index_entry(self, record: RunRecord) -> Dict[str, object]:
-        entry: Dict[str, object] = {
-            name: getattr(record, name)
-            for name in _INDEX_FIELDS
-            if getattr(record, name) is not None
-        }
-        entry["dedup_key"] = [_jsonable(part) for part in record.dedup_key]
-        return entry
-
-    def _index_snapshot(self) -> Dict[str, Dict[str, object]]:
-        if self.index_path.exists():
-            try:
-                data = json.loads(self.index_path.read_text(encoding="utf-8"))
-                if (
-                    isinstance(data, Mapping)
-                    and data.get("format_version") == STORE_FORMAT_VERSION
-                    and isinstance(data.get("records"), Mapping)
-                ):
-                    return dict(data["records"])
-            except (OSError, ValueError):
-                pass  # stale/corrupt cache: fall through to rebuild
-        return {
-            record.record_id: self._index_entry(record) for record in self.records()
-        }
-
-    def _update_index(self, record: RunRecord) -> None:
-        # Best-effort cache refresh: concurrent writers may clobber each
-        # other's entries, which is fine — rebuild_index() restores from the
-        # record files, and queries never *trust* the index for correctness.
-        try:
-            snapshot = self._index_snapshot()
-            snapshot[record.record_id] = self._index_entry(record)
-            self._write_index(snapshot)
-        except OSError:  # pragma: no cover - index is advisory
-            pass
-
-    def _write_index(self, snapshot: Mapping[str, Mapping[str, object]]) -> None:
-        payload = {
-            "format_version": STORE_FORMAT_VERSION,
-            "num_records": len(snapshot),
-            "records": {rid: snapshot[rid] for rid in sorted(snapshot)},
-        }
-        _atomic_write_text(
-            self.index_path, json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-
-    def rebuild_index(self) -> Dict[str, Dict[str, object]]:
-        """Reconstruct ``index.json`` from the record files alone."""
-        snapshot = {
-            record.record_id: self._index_entry(record) for record in self.records()
-        }
-        self._ensure_layout()
-        self._write_index(snapshot)
-        return snapshot
 
     # Convenience views ------------------------------------------------------ #
     def latest_records(self, *, verify: bool = False) -> List[RunRecord]:

@@ -211,6 +211,20 @@ class TestGridAndResult:
         assert len(result.metrics.job_completion_times) == 15
         assert result.spec.cluster.config is not None  # auto-sized, recorded
 
+    def test_open_loop_run_sizes_cluster_from_nominal_rate(self):
+        # The resolved spec records the sized config in place of the rate
+        # that chose it, so it stays a valid spec that round-trips.
+        spec = ScenarioSpec(
+            workload=WorkloadSection.open_loop(PoissonProcess(rate=1.0, seed=5).take(5), seed=5),
+            cluster=ClusterSection(nominal_rate=1.0),
+            settings=TINY,
+        )
+        result = api.run(spec)
+        assert len(result.metrics.job_completion_times) == 5
+        assert result.spec.cluster.config is not None
+        assert result.spec.cluster.nominal_rate is None
+        assert ScenarioSpec.from_dict(result.spec.to_dict()) == result.spec
+
     def test_open_loop_sizing_needs_rate(self):
         with pytest.raises(ValueError, match="nominal_rate"):
             ScenarioSpec(

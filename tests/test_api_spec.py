@@ -633,6 +633,27 @@ class TestFieldsWithoutEffect:
         with pytest.raises(SpecError, match="router.*require num_shards > 1"):
             ScenarioSpec.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "cluster",
+        [{"config": {"num_regular_executors": 2, "num_llm_executors": 1}},
+         {"pools": [{"name": "cpu", "task_type": "regular", "num_executors": 2},
+                    {"name": "gpu", "task_type": "llm", "num_executors": 1}]}],
+        ids=["config", "pools"],
+    )
+    def test_nominal_rate_beside_an_explicit_cluster_fails(self, cluster):
+        # Sizing returns an explicit config or pools first, so the rate
+        # used to validate and change only the spec's hash.
+        doc = {"workload": _OPEN_WORKLOAD, "cluster": {**cluster, "nominal_rate": 3.0}}
+        with pytest.raises(SpecError, match="nominal_rate.*no effect beside"):
+            ScenarioSpec.from_dict(doc)
+
+    def test_nominal_rate_on_a_closed_workload_fails(self):
+        # A closed workload is sized from its arrival_rate: two specs that
+        # differed only in nominal_rate ran alike under distinct hashes.
+        doc = {"workload": {"mode": "closed", "num_jobs": 5}, "cluster": {"nominal_rate": 3.0}}
+        with pytest.raises(SpecError, match="nominal_rate.*no effect on a closed-loop"):
+            ScenarioSpec.from_dict(doc)
+
     def test_a_grid_axis_over_a_field_without_effect_fails(self):
         spec = ScenarioSpec(workload=WorkloadSection.closed_loop(num_jobs=4))
         with pytest.raises(SpecError, match="max_jobs"):
@@ -970,11 +991,16 @@ def scenario_specs(draw):
         elif shape == "pools":
             cluster = ClusterSection(pools=draw(_pools))
         else:
-            # Sizing an open stream whose process has no rate needs a
-            # nominal_rate (validated), so the strategy draws it dependently.
+            # A nominal_rate sizes only an open stream (validated): sizing one
+            # whose process has no rate needs it, and a closed workload sizes
+            # from its arrival_rate, so the strategy draws it dependently.
             process = workload.process
-            rateless = process is not None and getattr(process, "rate", None) is None
-            nominal = _rates if rateless else st.one_of(st.none(), _rates)
+            if process is None:
+                nominal = st.none()
+            elif getattr(process, "rate", None) is None:
+                nominal = _rates
+            else:
+                nominal = st.one_of(st.none(), _rates)
             cluster = ClusterSection(nominal_rate=draw(nominal))
         placement = draw(
             st.one_of(st.none(), st.builds(PlacementSection, name=st.sampled_from(["greedy", "best_fit"])))

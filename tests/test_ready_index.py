@@ -18,6 +18,11 @@ Four oracles:
 * The job walk of a bare context is what a preemptive scheduler's live
   context must list as its running set after every step (same objects,
   same order), and what its snapshot must list, by key, from its own jobs.
+
+After every step of the same runs, a recount over each pool's active
+executors is also what its free-slot count must equal, and its idle heap
+must hold every idle active regular executor; the engine's admission
+numbers must rise in the order of its active jobs.
 """
 
 import pytest
@@ -132,9 +137,28 @@ def assert_dag_state_matches(engine):
         assert_job_state_matches(job)
 
 
+def assert_capacity_matches(engine):
+    """Each pool's free slots equal a recount over its active executors, each
+    idle active regular executor is in its pool's idle heap (which may also
+    hold stale entries), and admission numbers rise in ``_active_jobs`` order."""
+    for pool in engine.cluster.pools:
+        active = [e for e in pool.executors if pool.is_active(e.executor_id)]
+        if pool.task_type is TaskType.REGULAR:
+            assert pool.free_slots == sum(e.is_idle for e in active), pool.name
+            heaped = set(pool._idle_heap)
+            idle = [pool._local_index[e.executor_id] for e in active if e.is_idle]
+            assert heaped.issuperset(idle), pool.name
+        else:
+            assert pool.free_slots == sum(e.free_slots for e in active), pool.name
+    assert list(engine._admitted) == list(engine._active_jobs)
+    numbers = list(engine._admitted.values())
+    assert all(a < b for a, b in zip(numbers, numbers[1:]))
+
+
 def assert_engine_matches(engine):
     assert_index_matches(engine)
     assert_dag_state_matches(engine)
+    assert_capacity_matches(engine)
     if engine.scheduler.preemptive:
         assert_running_matches(engine)
 
@@ -142,10 +166,11 @@ def assert_engine_matches(engine):
 def step_checked(engine, every=1):
     """Step ``engine`` to the end, checking it after every ``every`` steps.
 
-    The ready index and the jobs' kept DAG state are always checked, and a
-    preemptive scheduler's running set too.  Reading the index re-files the
-    jobs touched since the last read, so a larger ``every`` checks changes
-    that piled up over several steps.
+    The ready index, the jobs' kept DAG state, the pools' capacity state and
+    the admission numbers are always checked, and a preemptive scheduler's
+    running set too.  Reading the index re-files the jobs touched since the
+    last read, so a larger ``every`` checks changes that piled up over
+    several steps.
     """
     assert_engine_matches(engine)
     context = engine._build_context()

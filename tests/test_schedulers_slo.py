@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from repro.api.dispatch import _make_scheduler, _serving_targets
+from repro.api.spec import ScenarioSpec, SpecError
 from repro.dag.job import Job
 from repro.dag.stage import Stage, StageSpec, StageType
 from repro.schedulers.base import SchedulingContext
@@ -94,6 +96,43 @@ class TestConstructorValidation:
     def test_defaults_to_default_targets(self):
         scheduler = SloServingScheduler()
         assert scheduler._targets == DEFAULT_SLO_TARGETS
+
+
+#: A closed chat workload small enough to validate and run in a test.
+CHAT_DOC = {
+    "scheduler": {"name": "slo_serving"},
+    "workload": {"mode": "closed", "num_jobs": 5, "token_mix": "chat"},
+}
+
+
+class TestTargetsFromTheSpec:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"slo_targets": {"default": {"ttft": "soon"}}},
+            {"slo_targets": {"interactive": {"ttft": 1.0, "tpot": 0.01}}},
+            {"latency_slope": 0.2},
+        ],
+        ids=["bad-targets", "targets", "slope"],
+    )
+    def test_target_and_slope_kwargs_are_rejected(self, kwargs):
+        # A string target used to validate and then stop the run; a good one
+        # set targets that goodput was not metered against.
+        doc = {**CHAT_DOC, "scheduler": {"name": "slo_serving", "kwargs": kwargs}}
+        with pytest.raises(SpecError, match=r"`slo` section.*`settings\.latency_slope`"):
+            ScenarioSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("slo", [None, {"tiers": {"interactive": {"ttft": 2.0}}}])
+    def test_the_scheduler_chases_the_metered_targets(self, slo):
+        doc = {**CHAT_DOC, "settings": {"latency_slope": 0.1}}
+        if slo is not None:
+            doc["slo"] = slo
+        spec = ScenarioSpec.from_dict(doc)
+        scheduler = _make_scheduler(spec, None, None)
+        assert scheduler._targets == _serving_targets(spec)
+        assert scheduler._slope == 0.1
+        expected = spec.slo.targets() if slo is not None else DEFAULT_SLO_TARGETS
+        assert scheduler._targets == expected
 
 
 class TestDeadlinesAndCaps:

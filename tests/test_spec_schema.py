@@ -68,7 +68,6 @@ DOCUMENTS = {
                 "num_regular_executors": 2, "num_llm_executors": 1, "max_batch_size": 4,
                 "latency_slope": 0.06,
             },
-            "nominal_rate": 1.0,
         },
         "placement": {"name": "greedy"},
         "async": {"kind": "fixed", "latency": 1.0, "pipelined": True, "max_in_flight": 3},
@@ -115,7 +114,7 @@ DOCUMENTS = {
             "process": {"kind": "poisson", "rate": 3.0, "seed": 9},
         },
         "cluster": {
-            "config": {"num_regular_executors": 6, "num_llm_executors": 2},
+            "nominal_rate": 2.0,
             "num_shards": 2,
             "router": "stale_least_loaded",
             "router_kwargs": {"view_refresh_interval": 5.0},

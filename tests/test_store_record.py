@@ -87,7 +87,7 @@ class TestTimingSplit:
 
 class TestRecordIdentity:
     def test_merged_payload_bit_exact_vs_result_to_dict(self, tiny_result):
-        record = RunRecord.from_result(tiny_result)
+        record = RunRecord.result_record(tiny_result.to_dict())
         original = tiny_result.to_dict(include_spec=True)
         assert record.merged_payload() == original
         # ... byte-for-byte, through the same dumps the BENCH files use.
@@ -99,12 +99,13 @@ class TestRecordIdentity:
         import dataclasses
 
         slower = dataclasses.replace(tiny_result, wall_clock_sec=tiny_result.wall_clock_sec + 99.0)
-        a, b = RunRecord.from_result(tiny_result), RunRecord.from_result(slower)
+        a = RunRecord.result_record(tiny_result.to_dict())
+        b = RunRecord.result_record(slower.to_dict())
         assert a.record_id == b.record_id
         assert a.timing != b.timing
 
     def test_identity_covers_the_payload(self, tiny_result):
-        record = RunRecord.from_result(tiny_result)
+        record = RunRecord.result_record(tiny_result.to_dict())
         tampered = json.loads(json.dumps(record.payload))
         tampered["metrics"]["average_jct"] += 1.0
         other = RunRecord(kind="result", payload=tampered, spec_hash=record.spec_hash,
@@ -112,13 +113,13 @@ class TestRecordIdentity:
         assert other.record_id != record.record_id
 
     def test_provenance_and_timing_do_not_change_identity(self, tiny_result):
-        record = RunRecord.from_result(tiny_result)
+        record = RunRecord.result_record(tiny_result.to_dict())
         stamped = record.with_provenance(machine="somewhere-else", note="x")
         assert stamped.record_id == record.record_id
         assert stamped.provenance["machine"] == "somewhere-else"
 
     def test_record_fields(self, tiny_result):
-        record = RunRecord.from_result(tiny_result)
+        record = RunRecord.result_record(tiny_result.to_dict())
         assert record.kind == "result"
         assert record.scheduler == "fcfs"
         assert record.seed == 7
@@ -133,13 +134,13 @@ class TestRecordIdentity:
 
 class TestSerialization:
     def test_dict_roundtrip(self, tiny_result):
-        record = RunRecord.from_result(tiny_result, bench_file="BENCH_X.json",
-                                       section="s", label="fcfs@tiny")
+        record = RunRecord.result_record(tiny_result.to_dict(), bench_file="BENCH_X.json",
+                                         section="s", label="fcfs@tiny")
         again = RunRecord.from_dict(json.loads(record.to_json()), verify=True)
         assert again == record
 
     def test_verify_detects_tampering(self, tiny_result):
-        record = RunRecord.from_result(tiny_result)
+        record = RunRecord.result_record(tiny_result.to_dict())
         data = json.loads(record.to_json())
         data["payload"]["metrics"]["average_jct"] += 0.5
         with pytest.raises(RecordError, match="integrity"):

@@ -1,8 +1,7 @@
-"""RunStore durability: dedup, versioning, index rebuild, crash safety,
+"""RunStore durability: dedup, versioning, the journal, crash safety,
 and concurrent ingest from real ``run_grid`` worker processes."""
 
 import json
-import os
 import pickle
 
 import pytest
@@ -23,6 +22,15 @@ def store(tmp_path):
     return RunStore(tmp_path / "store")
 
 
+def new_version(record, bump):
+    """A record with ``record``'s dedup key and different content."""
+    changed = json.loads(json.dumps(record.payload))
+    changed["metrics"]["average_jct"] += bump
+    return RunRecord(kind="result", payload=changed, spec_hash=record.spec_hash,
+                     seed=record.seed, scheduler=record.scheduler,
+                     schema_version=record.schema_version)
+
+
 class TestAddAndDedup:
     def test_add_then_dedup(self, store, tiny_result):
         record, added = store.add_result(tiny_result)
@@ -40,7 +48,7 @@ class TestAddAndDedup:
         assert len(store) == 1
         api.run(ScenarioSpec.from_dict(TINY_SPEC), store=str(store.root))
         assert len(store) == 1
-        assert store.records()[0].record_id == RunRecord.from_result(result).record_id
+        assert store.records()[0].record_id == RunRecord.result_record(result.to_dict()).record_id
 
     def test_provenance_stamped(self, store, tiny_result):
         record, _ = store.add_result(tiny_result)
@@ -50,11 +58,7 @@ class TestAddAndDedup:
 
     def test_new_version_supersedes(self, store, tiny_result):
         old, _ = store.add_result(tiny_result)
-        changed = json.loads(json.dumps(old.payload))
-        changed["metrics"]["average_jct"] += 1.0
-        new = RunRecord(kind="result", payload=changed, spec_hash=old.spec_hash,
-                        seed=old.seed, scheduler=old.scheduler,
-                        schema_version=old.schema_version)
+        new = new_version(old, 1.0)
         assert new.dedup_key == old.dedup_key
         _, added = store.add(new)
         assert added and len(store) == 2
@@ -64,21 +68,25 @@ class TestAddAndDedup:
         assert [r.record_id for r in latest] == [new.record_id]
 
 
-class TestIndexAndJournal:
-    def test_rebuild_index_from_records_alone(self, store, tiny_result):
-        store.add_result(tiny_result)
-        before = json.loads(store.index_path.read_text())
-        os.remove(store.index_path)
-        rebuilt = store.rebuild_index()
-        assert json.loads(store.index_path.read_text()) == before
-        assert set(rebuilt) == set(store.record_ids())
-
-    def test_corrupt_index_is_ignored(self, store, tiny_result):
-        record, _ = store.add_result(tiny_result)
-        store.index_path.write_text("{ not json")
-        # Queries never trust the cache: reads still see the record.
-        assert store.get(record.record_id) is not None
-        assert [r.record_id for r in store.latest_records()] == [record.record_id]
+class TestJournal:
+    def test_records_and_journal_hold_every_version(self, store, tiny_result):
+        first, _ = store.add_result(tiny_result)
+        second, third = new_version(first, 1.0), new_version(first, 2.0)
+        for record in (second, third):
+            assert store.add(record)[1]
+        assert sorted(p.name for p in store.root.iterdir()) == [
+            "FORMAT.json", "journal.jsonl", "records"
+        ]
+        entries = store.journal_entries()
+        assert [e["record_id"] for e in entries] == [
+            first.record_id, second.record_id, third.record_id
+        ]
+        assert entries[2]["supersedes"] == sorted([first.record_id, second.record_id])
+        assert [r.record_id for r in store.latest_records()] == [third.record_id]
+        with open(store.journal_path, "a") as handle:
+            handle.write('{"event": "add", "record_id": "abc')  # crash mid-append
+        assert len(store.journal_entries()) == 3
+        assert [r.record_id for r in store.latest_records()] == [third.record_id]
 
     def test_torn_journal_line_skipped(self, store, tiny_result):
         store.add_result(tiny_result)
@@ -164,10 +172,11 @@ class TestBenchOutputMirror:
     def test_record_bench_section_mirrors_into_store(self, tmp_path, monkeypatch):
         from benchmarks.bench_output import record_bench_section
 
-        monkeypatch.setenv("BENCH_OUTPUT", str(tmp_path / "BENCH_T.json"))
+        monkeypatch.setenv("BENCH_OUTPUT", str(tmp_path / "bench-out"))
         monkeypatch.setenv("BENCH_SCALE", "smoke")
         root = tmp_path / "store"
-        record_bench_section("demo_section", {"average_jct": 4.0}, store=str(root))
+        path = record_bench_section("demo_section", {"average_jct": 4.0}, store=str(root))
+        assert path == str(tmp_path / "bench-out" / "BENCH_2.json")
         store = RunStore(root)
         (record,) = store.records(verify=True)
         assert record.kind == "section" and record.section == "demo_section"
@@ -176,7 +185,7 @@ class TestBenchOutputMirror:
     def test_bench_store_env_var(self, tmp_path, monkeypatch):
         from benchmarks.bench_output import record_bench_section
 
-        monkeypatch.setenv("BENCH_OUTPUT", str(tmp_path / "BENCH_T.json"))
+        monkeypatch.setenv("BENCH_OUTPUT", str(tmp_path / "bench-out"))
         monkeypatch.setenv("BENCH_STORE", str(tmp_path / "env-store"))
         record_bench_section("demo_section", {"average_jct": 4.0})
         assert len(RunStore(tmp_path / "env-store")) == 1
@@ -184,7 +193,7 @@ class TestBenchOutputMirror:
     def test_no_store_configured_is_a_noop(self, tmp_path, monkeypatch):
         from benchmarks.bench_output import record_bench_section
 
-        monkeypatch.setenv("BENCH_OUTPUT", str(tmp_path / "BENCH_T.json"))
+        monkeypatch.setenv("BENCH_OUTPUT", str(tmp_path / "bench-out"))
         monkeypatch.delenv("BENCH_STORE", raising=False)
         record_bench_section("demo_section", {"average_jct": 4.0})
         assert not (tmp_path / "store").exists()

@@ -119,9 +119,6 @@ ALLOWED: Dict[str, str] = {
     "repro.bayes.cpd.TabularCPD.from_marginal": (
         "builds root CPDs of the hand-made networks the inference and information tests check"
     ),
-    "repro.store.store.RunStore.rebuild_index": (
-        "rebuilds the index from the record files alone, the oracle for the kept index"
-    ),
     "repro.workloads.arrivals.superpose": (
         "the checked constructor of a merged stream, through which the arrival "
         "tests and the spec round-trip strategies build one"
