@@ -16,35 +16,21 @@ Benchmarks that run through :func:`repro.api.run` should persist
 hand-picking metric fields: ``Result.to_dict()`` is the one schema the
 CLI ``--output``, the BENCH files and the regression gate all consume.
 
-Every section additionally lands in the content-addressed run store
-(:mod:`repro.store`) when a store root is given — via the ``store=``
-argument or the ``BENCH_STORE`` environment variable — so BENCH artifacts
-and README tables can be regenerated from provenance-stamped records
-instead of hand-maintained copies.
+The files enter the content-addressed run store (:mod:`repro.store`), from
+which BENCH artifacts and README tables regenerate, through ``python -m
+repro store ingest <store> bench-out/BENCH_*.json``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 __all__ = ["record_bench_section", "record_results", "bench_output_path"]
 
 _DEFAULT_FILENAME = "BENCH_2.json"
 _DEFAULT_DIR = "bench-out"
-
-
-def _record_into_store(path: str, section: str, payload: Dict[str, object], store) -> None:
-    """Mirror one just-written section into a run store (if one is configured)."""
-    root = store or os.environ.get("BENCH_STORE")
-    if not root:
-        return
-    from repro.store import RunStore  # deferred: benchmarks import this module early
-
-    RunStore(root).ingest_bench_payload(
-        os.path.basename(path), {section: payload}, source=f"bench:{section}"
-    )
 
 
 def bench_output_path(filename: str = None) -> str:
@@ -61,7 +47,6 @@ def record_bench_section(
     section: str,
     payload: Dict[str, object],
     filename: str = None,
-    store: Optional[str] = None,
 ) -> str:
     """Merge ``payload`` under ``section`` in the benchmark results file.
 
@@ -69,8 +54,7 @@ def record_bench_section(
     scale tag records whether a section came from a smoke (CI) or full run.
     ``filename`` targets a different per-PR results file (e.g. the
     federation benchmark writes ``BENCH_3.json``) in the same output
-    directory.  The section also lands in the run store named by ``store``
-    or ``BENCH_STORE`` (see module docstring).
+    directory.
     """
     path = bench_output_path(filename)
     data: Dict[str, object] = {}
@@ -86,7 +70,6 @@ def record_bench_section(
     with open(path, "w") as handle:
         json.dump(data, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    _record_into_store(path, section, enriched, store)
     return path
 
 
@@ -96,7 +79,6 @@ def record_results(
     filename: str = None,
     extra: Dict[str, object] = None,
     include_spec: bool = False,
-    store: Optional[str] = None,
 ) -> str:
     """Persist a mapping of labelled :class:`repro.api.Result` objects.
 
@@ -114,4 +96,4 @@ def record_results(
     }
     if extra:
         payload.update(extra)
-    return record_bench_section(section, payload, filename=filename, store=store)
+    return record_bench_section(section, payload, filename=filename)

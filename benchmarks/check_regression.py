@@ -20,6 +20,10 @@ records in ``benchmarks/baselines/store/``:
   measured when the baseline was recorded, and the same loop is measured
   on the current machine, so a slow CI runner does not masquerade as a
   code regression (and a fast one does not hide it).
+* **Gated leaves without a baseline** fail too: a current section, or a
+  current golden, throughput or ratio leaf, that the baseline lacks names
+  itself and asks for the baselines to be regenerated, so no new result
+  goes ungated.
 * **Same-machine ratios** (``speedup_vs_seed``) compare two runs on the
   same host, so they are gated by the ratio alone, without machine
   normalization.  BENCH_3's ``scaling_vs_1_shard`` is recorded but not
@@ -142,6 +146,10 @@ def check_file(
     speed_factor: float,
 ) -> List[str]:
     failures: List[str] = []
+    regenerate = "not in the baseline; regenerate the baselines (see module docstring)"
+    for section in current:
+        if section not in baseline:
+            failures.append(f"{name}: section {section!r} {regenerate}")
     for section, base_payload in baseline.items():
         if section not in current:
             failures.append(f"{name}: section {section!r} missing from current results")
@@ -156,7 +164,11 @@ def check_file(
             )
             continue
         cur_leaves = dict(walk_leaves(cur_payload))
-        for path, base_value in walk_leaves(base_payload):
+        base_leaves = dict(walk_leaves(base_payload))
+        for path in cur_leaves:
+            if path not in base_leaves and classify(path) != "ignore":
+                failures.append(f"{name}/{section}/" + "/".join(path) + f": {regenerate}")
+        for path, base_value in base_leaves.items():
             kind = classify(path)
             if kind == "ignore":
                 continue

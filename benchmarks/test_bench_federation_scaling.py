@@ -28,6 +28,7 @@ from repro.api import (
     SchedulerSection,
     WorkloadSection,
     run,
+    split_cluster_config,
 )
 from repro.schedulers.fcfs import FcfsScheduler
 from repro.simulator.cluster import Cluster, ClusterConfig
@@ -130,9 +131,11 @@ def test_bench_federated_migration_overhead():
     """Migration keeps a skewed fleet healthy without measurable slowdown.
 
     A hash-skewed 2-shard fleet (all jobs on one shard) runs once without
-    and once with rebalancing; the custom skew router is injected through
-    :func:`repro.api.run`'s ``router`` override.  The benchmark records the
-    JCT win and the wall-clock cost of the migration machinery.
+    and once with rebalancing.  The skew router is no router a spec can
+    name, so the fleet runs through the federated engine directly, as the
+    1-shard scaling cell does, on the shard split a 2-shard spec gets.  The
+    benchmark records the JCT win and the wall-clock cost of the migration
+    machinery.
     """
     from repro.simulator.federation import HashRouter, MigrationConfig
 
@@ -141,19 +144,25 @@ def test_bench_federated_migration_overhead():
             return 0
 
     jobs = 120 if SMOKE else 400
+    workload = WorkloadSection.open_loop(
+        PoissonProcess(rate=4.0, seed=23), seed=23, max_jobs=jobs
+    )
 
     def run_skewed(migration):
-        spec = ScenarioSpec(
-            scheduler=SchedulerSection("fcfs"),
-            workload=WorkloadSection.open_loop(
-                PoissonProcess(rate=4.0, seed=23), seed=23, max_jobs=jobs
-            ),
-            cluster=ClusterSection(
-                config=TOTAL_CLUSTER, num_shards=2, migration=migration
-            ),
+        shards = split_cluster_config(TOTAL_CLUSTER, 2)
+        fleet = FederatedCluster(
+            [(f"shard-{i}", Cluster(config)) for i, config in enumerate(shards)],
+            router=AllToZero(),
         )
-        result = run(spec, router=AllToZero())
-        return result.metrics, result.wall_clock_sec
+        started = time.perf_counter()
+        engine = FederatedSimulationEngine(
+            workload.to_open_loop_spec().jobs(None),
+            FcfsScheduler,
+            fleet,
+            workload_name=workload.name,
+            migration=migration,
+        )
+        return engine.run(), time.perf_counter() - started
 
     skewed, skewed_elapsed = run_skewed(None)
     balanced, balanced_elapsed = run_skewed(

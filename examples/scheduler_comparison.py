@@ -13,7 +13,7 @@ from repro.api import (
     ExperimentSettings,
     ScenarioSpec,
     WorkloadSection,
-    compare,
+    run_grid,
 )
 from repro.experiments.report import format_table
 from repro.workloads.mixtures import WorkloadType
@@ -29,25 +29,25 @@ def main() -> None:
     settings = ExperimentSettings(profile_jobs=100, prior_samples=60)
     schedulers = PAPER_BASELINES + ["llmsched"]
 
-    rows = []
-    for workload_type in WorkloadType:
-        scenario = ScenarioSpec(
-            workload=WorkloadSection.closed_loop(
-                workload_type.value,
-                num_jobs=args.num_jobs,
-                arrival_rate=args.arrival_rate,
-                seed=args.seed,
-            ),
-            settings=settings,
-        )
-        comparison = compare(scenario, schedulers)
-        row = {"workload": workload_type.value}
-        row.update({name: comparison.metrics[name].average_jct for name in schedulers})
-        rows.append(row)
+    base = ScenarioSpec(
+        workload=WorkloadSection.closed_loop(
+            num_jobs=args.num_jobs, arrival_rate=args.arrival_rate, seed=args.seed
+        ),
+        settings=settings,
+    )
+    axes = {
+        "workload.workload_type": [w.value for w in WorkloadType],
+        "scheduler.name": schedulers,
+    }
+    rows = {}
+    for overrides, result in run_grid(base, axes, processes=1):
+        workload = overrides["workload.workload_type"]
+        row = rows.setdefault(workload, {"workload": workload})
+        row[overrides["scheduler.name"]] = result.average_jct
 
     print(
         format_table(
-            rows,
+            list(rows.values()),
             columns=["workload"] + schedulers,
             title=f"Average JCT (s) per scheduler — {args.num_jobs} jobs, lambda={args.arrival_rate}",
         )

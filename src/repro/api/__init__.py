@@ -1,9 +1,10 @@
-"""The declarative experiment API: one spec tree, one ``run()`` front door.
+"""The declarative experiment API: one spec tree, one ``run(spec)`` front door.
 
 The paper's evaluation is a grid of scenarios — schedulers × workloads ×
 cluster shapes × control-plane staleness.  This package expresses every
-cell as a serializable :class:`ScenarioSpec` and runs it through a single
-dispatcher::
+cell as a serializable :class:`ScenarioSpec`, runs one through
+:func:`run`, which takes nothing but the spec, and sweeps many through
+:func:`run_grid`, the only sweep::
 
     from repro import api
 
@@ -18,12 +19,14 @@ dispatcher::
 Specs round-trip through JSON (``to_json`` / ``from_json``) and drive the
 ``python -m repro`` CLI (``run`` / ``grid`` / ``pareto`` / ``validate`` /
 ``list-schedulers``); committed examples live under ``examples/specs/``.
-This package is the only experiment entry point; every figure driver in
-:mod:`repro.experiments` that simulates runs through it.
+This package is the only experiment entry point: every figure driver in
+:mod:`repro.experiments` that simulates runs its cells through
+:func:`run_grid` (with ``processes=1``), and
+:meth:`repro.store.RunStore.add_result` records a Result.
 """
 
-from repro.api.dispatch import compare, run
-from repro.api.grid import expand_axes, run_grid, run_specs
+from repro.api.dispatch import run
+from repro.api.grid import expand_axes, run_grid
 from repro.api.prep import (
     PAPER_BASELINES,
     ExperimentSettings,
@@ -32,7 +35,7 @@ from repro.api.prep import (
     size_cluster,
     split_cluster_config,
 )
-from repro.api.results import ComparisonResult, Result
+from repro.api.results import Result
 from repro.api.spec import (
     SCHEMA_VERSION,
     AsyncSection,
@@ -64,12 +67,9 @@ __all__ = [
     "SLOSection",
     "with_overrides",
     "run",
-    "compare",
     "run_grid",
-    "run_specs",
     "expand_axes",
     "Result",
-    "ComparisonResult",
     "ExperimentSettings",
     "PAPER_BASELINES",
     "build_priors",

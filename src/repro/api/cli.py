@@ -41,7 +41,7 @@ from repro.simulator.federation import available_job_routers
 from repro.simulator.placement import available_placement_policies
 from repro.store.cli import add_store_parser
 from repro.store.report import ReportError
-from repro.store.store import StoreError
+from repro.store.store import RunStore, StoreError
 
 __all__ = ["main", "pareto_rows"]
 
@@ -92,7 +92,9 @@ def _summarize(result: Result, label: str = "") -> str:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
-    result = run_spec(spec, store=args.store)
+    result = run_spec(spec)
+    if args.store is not None:
+        RunStore(args.store).add_result(result)
     print(_summarize(result))
     if args.output:
         with open(args.output, "w") as handle:

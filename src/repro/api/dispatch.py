@@ -3,19 +3,18 @@
 :func:`run` is the single front door for every engine the simulator
 offers: closed-loop and open-loop single clusters (synchronous or behind
 an asynchronous decision-latency backend, optionally autoscaled) and
-federated fleets.  The spec is declarative: a run takes the priors, the
-fitted profiler and the cluster sizing it needs from the offline-artifact
-memo in :mod:`repro.api.prep`, and the only live object a caller can
-inject is a router the JSON schema cannot express.  The golden-trace
-identity tests in ``tests/test_api_run.py`` pin spec runs to
-``tests/golden/``.
+federated fleets.  The spec is the whole input: a run takes the priors,
+the fitted profiler and the cluster sizing it needs from the
+offline-artifact memo in :mod:`repro.api.prep`, and sweeps go through
+:func:`repro.api.run_grid`.  The golden-trace identity tests in
+``tests/test_api_run.py`` pin spec runs to ``tests/golden/``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 from repro.api.prep import (
     prepared_cluster,
@@ -23,8 +22,8 @@ from repro.api.prep import (
     prepared_profiler,
     split_cluster_config,
 )
-from repro.api.results import ComparisonResult, Result
-from repro.api.spec import ScenarioSpec, SchedulerSection, SpecError
+from repro.api.results import Result
+from repro.api.spec import ScenarioSpec
 from repro.schedulers.base import Scheduler
 from repro.schedulers.registry import create_scheduler, scheduler_requirements
 from repro.simulator.async_sched import AsyncSchedulerBackend
@@ -34,14 +33,13 @@ from repro.simulator.engine import SimulationConfig, SimulationEngine
 from repro.simulator.federation import (
     FederatedCluster,
     FederatedSimulationEngine,
-    JobRouter,
     create_job_router,
 )
 from repro.simulator.placement import create_placement_policy
 from repro.workloads.mixtures import APPLICATION_NAMES, default_applications, generate_workload
 from repro.workloads.serving import DEFAULT_SLO_TARGETS, attach_token_model
 
-__all__ = ["run", "compare"]
+__all__ = ["run"]
 
 
 def _make_scheduler(spec: ScenarioSpec, priors, profiler) -> Scheduler:
@@ -62,7 +60,7 @@ def _serving_targets(spec: ScenarioSpec) -> Dict[str, Dict[str, float]]:
     return {tier: dict(targets) for tier, targets in DEFAULT_SLO_TARGETS.items()}
 
 
-def _resolve_total_config(spec: ScenarioSpec) -> Optional[ClusterConfig]:
+def _resolve_total_config(spec: ScenarioSpec, applications) -> Optional[ClusterConfig]:
     """The (explicit or workload-sized) total cluster config, None for pools.
 
     ``ScenarioSpec.validate`` guarantees an open-loop spec sized here has
@@ -79,65 +77,43 @@ def _resolve_total_config(spec: ScenarioSpec) -> Optional[ClusterConfig]:
     else:
         rate = section.nominal_rate if section.nominal_rate is not None else workload.process.rate
         names = workload.application_names or sorted(APPLICATION_NAMES)
-    return prepared_cluster(rate, names, spec.settings)
+    return prepared_cluster(rate, names, spec.settings, applications)
 
 
-def run(
-    spec: ScenarioSpec,
-    *,
-    router: Optional[JobRouter] = None,
-    store=None,
-) -> Result:
+def run(spec: ScenarioSpec) -> Result:
     """Run one scenario and return its uniform :class:`Result`.
 
     The priors and the fitted profiler, built only for a scheduler that
     needs them, and an auto-sized cluster come from the memo in
     :mod:`repro.api.prep`: equal inputs share one build per process, and
-    each run gets its own profiler query caches.  ``router`` replaces the
-    cluster section's named router on a federated run (``num_shards > 1``).
-
-    ``store`` — a :class:`repro.store.RunStore` (or a path to one) — makes
-    the run self-recording: the finished :class:`Result` persists as a
-    content-addressed record before this returns.  The record's identity
-    hash excludes wall-clock fields, so re-running the same spec + seed
-    deduplicates instead of accumulating near-duplicates.
+    each run gets its own profiler query caches.  The run builds the
+    application templates once, for its jobs and for any memo miss.
+    :meth:`repro.store.RunStore.add_result` records the returned Result.
     """
     spec.validate()
-    # A router the single-cluster engine would never consult is rejected
-    # rather than silently dropped.
-    if spec.cluster.num_shards == 1 and router is not None:
-        raise SpecError(
-            "a router override only applies to federated runs; set "
-            "cluster.num_shards > 1 to route jobs across shards"
-        )
+    applications = default_applications()
     requirements = scheduler_requirements(spec.scheduler.name)
-    priors = prepared_priors(spec.settings) if "priors" in requirements else None
-    profiler = prepared_profiler(spec.settings) if "profiler" in requirements else None
+    priors = prepared_priors(spec.settings, applications) if "priors" in requirements else None
+    profiler = (
+        prepared_profiler(spec.settings, applications) if "profiler" in requirements else None
+    )
 
-    total_config = _resolve_total_config(spec)
+    total_config = _resolve_total_config(spec, applications)
     resolved = spec
     if total_config is not None and spec.cluster.config is None:
         resolved = replace(
             spec, cluster=replace(spec.cluster, config=total_config, nominal_rate=None)
         )
 
-    applications = default_applications()
     started = time.perf_counter()  # repro: REP003-exempt -- meters the Result wall-clock field, outside the simulation
     if spec.cluster.num_shards > 1:
-        metrics = _run_federated(resolved, applications, priors, profiler, router)
+        metrics = _run_federated(resolved, applications, priors, profiler)
     else:
         metrics = _run_single(resolved, applications, priors, profiler)
     wall_clock = time.perf_counter() - started  # repro: REP003-exempt -- meters the Result wall-clock field, outside the simulation
-    result = Result(
+    return Result(
         spec=resolved, metrics=metrics, seed=spec.workload.seed, wall_clock_sec=wall_clock
     )
-    if store is not None:
-        from repro.store import RunStore  # lazy: repro.store imports api.spec
-
-        if not isinstance(store, RunStore):
-            store = RunStore(store)
-        store.add_result(result)
-    return result
 
 
 def _async_backend_factory(spec: ScenarioSpec) -> Optional[Callable[[], AsyncSchedulerBackend]]:
@@ -183,16 +159,12 @@ def _run_single(spec, applications, priors, profiler):
     return engine.run()
 
 
-def _run_federated(spec, applications, priors, profiler, router):
+def _run_federated(spec, applications, priors, profiler):
     section = spec.cluster
     shard_configs = split_cluster_config(section.config, section.num_shards)
     fleet = FederatedCluster(
         [(f"shard-{i}", Cluster(cfg)) for i, cfg in enumerate(shard_configs)],
-        router=(
-            router
-            if router is not None
-            else create_job_router(section.router, **section.router_kwargs)
-        ),
+        router=create_job_router(section.router, **section.router_kwargs),
     )
     return FederatedSimulationEngine(
         spec.workload.to_open_loop_spec().jobs(applications),
@@ -203,19 +175,3 @@ def _run_federated(spec, applications, priors, profiler, router):
         migration=section.migration,
         async_backend_factory=_async_backend_factory(spec),
     ).run()
-
-
-def compare(spec: ScenarioSpec, scheduler_names: Sequence[str]) -> ComparisonResult:
-    """Run several schedulers on the *identical* workload draw and cluster.
-
-    Every scheduler replays the same closed-loop draw on the same
-    (explicit or memo-sized) cluster, so the returned
-    :class:`ComparisonResult` is a fair comparison.
-    """
-    if not scheduler_names:
-        raise ValueError("scheduler_names must not be empty")
-    if spec.workload.mode != "closed":
-        raise SpecError("compare() needs a closed-loop workload (identical draws per scheduler)")
-    cells = {name: replace(spec, scheduler=SchedulerSection(name=name)) for name in scheduler_names}
-    metrics = {name: run(cell).metrics for name, cell in cells.items()}
-    return ComparisonResult(workload=spec.workload.to_workload_spec(), metrics=metrics)

@@ -1,13 +1,15 @@
 """Grid execution: fan a base spec out over override axes, in parallel.
 
-:func:`run_grid` expresses every sweep (arrival rates, decision latencies,
-placement policies, shard counts) with one mechanism: a base
-:class:`~repro.api.spec.ScenarioSpec` plus a mapping of dotted-path axes
-(``{"workload.arrival_rate": [0.5, 0.9], "scheduler.name": ["fcfs",
-"sjf"]}``) expands into the cartesian product of scenarios, which fan out
-over worker processes.  Each worker process builds the expensive offline
-artifacts (priors, profiler, sizings) once per input, in the memo of
-:mod:`repro.api.prep`.
+:func:`run_grid` is the only sweep: schedulers, workload types, job
+counts, scheduler options, arrival rates, decision latencies, placement
+policies and shard counts are all dotted-path axes of one base
+:class:`~repro.api.spec.ScenarioSpec` (``{"workload.arrival_rate": [0.5,
+0.9], "scheduler.name": ["fcfs", "sjf"]}``), which expand into the
+cartesian product of scenarios.  The cells fan out over worker processes,
+or run in order in this one with ``processes=1``, as the figure drivers in
+:mod:`repro.experiments` run them.  Each process builds the expensive
+offline artifacts (priors, profiler, sizings) once per input, in the memo
+of :mod:`repro.api.prep`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from repro.api.dispatch import run
 from repro.api.results import Result
 from repro.api.spec import ScenarioSpec, with_overrides
 
-__all__ = ["expand_axes", "run_grid", "run_specs"]
+__all__ = ["expand_axes", "run_grid"]
 
 GridRow = Tuple[Dict[str, object], Result]
 
@@ -51,15 +53,20 @@ def expand_axes(
 # --------------------------------------------------------------------------- #
 # Process fan-out
 # --------------------------------------------------------------------------- #
-def _run_spec_item(item: Tuple[ScenarioSpec, Optional[str]]) -> Result:
-    """Picklable worker: run one cell, optionally recording into a store.
+def _run_cell(item: Tuple[ScenarioSpec, Optional[str]]) -> Result:
+    """Picklable worker: run one cell, recording it when a store root is given.
 
     The store travels as its root *path* (each worker re-opens it), and the
     store's atomic record writes + ``O_APPEND`` journal make concurrent
     ingestion from many workers safe without any cross-process lock.
     """
     spec, store_root = item
-    return run(spec, store=store_root)
+    result = run(spec)
+    if store_root is not None:
+        from repro.store import RunStore  # lazy: repro.store imports api.spec
+
+        RunStore(store_root).add_result(result)
+    return result
 
 
 def _map_cells(worker: Callable, payload: Sequence, processes: Optional[int]) -> List:
@@ -88,24 +95,6 @@ def _store_root(store) -> Optional[str]:
     return str(root)
 
 
-def run_specs(
-    specs: Sequence[ScenarioSpec],
-    processes: Optional[int] = None,
-    *,
-    store=None,
-) -> List[Result]:
-    """Run scenarios in order, fanned out over worker processes.
-
-    ``store`` (a :class:`repro.store.RunStore` or path) records every cell's
-    :class:`Result` from inside the worker that ran it — concurrent workers
-    ingest safely via the store's atomic writes and append-only journal.
-    """
-    if not specs:
-        return []
-    root = _store_root(store)
-    return _map_cells(_run_spec_item, [(spec, root) for spec in specs], processes)
-
-
 def run_grid(
     base_spec: ScenarioSpec,
     axes: Mapping[str, Sequence[object]],
@@ -118,9 +107,14 @@ def run_grid(
     Returns one ``(overrides, result)`` row per cell, in expansion order.
     Every cell is an independent simulation; cells sharing a workload
     section see the identical job draw, so grouping rows by any axis
-    yields fair comparisons along the others.  ``store`` records each
-    cell's Result as it completes (see :func:`run_specs`).
+    yields fair comparisons along the others.
+
+    ``processes=1`` runs the cells in order in this process, so they share
+    its memo and each times nothing but itself (see :func:`_map_cells`).
+    ``store`` (a :class:`repro.store.RunStore` or its root path) records
+    each cell's :class:`Result` from the worker that ran it.
     """
     cells = expand_axes(base_spec, axes)
-    results = run_specs([spec for _, spec in cells], processes=processes, store=store)
+    root = _store_root(store)
+    results = _map_cells(_run_cell, [(spec, root) for _, spec in cells], processes)
     return [(overrides, result) for (overrides, _), result in zip(cells, results, strict=True)]

@@ -4,7 +4,8 @@ Settings, priors/profiler construction and cluster sizing: everything a
 run needs before the simulation starts.  ``build_priors``,
 ``build_profiler`` and ``size_cluster`` take any applications; the
 ``prepared_*`` functions serve the default applications' artifacts from
-one per-process memo, which is how :func:`repro.api.run` gets them.
+one per-process memo, which is how :func:`repro.api.run` gets them (it
+hands them the templates it built for its jobs, for use on a miss).
 The module sits below the spec tree (:mod:`repro.api.spec` embeds
 :class:`ExperimentSettings`) and the dispatcher, so both import it
 without a cycle.
@@ -12,9 +13,9 @@ without a cycle.
 
 from __future__ import annotations
 
-import functools
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Mapping, Optional, Sequence
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from repro.simulator.engine import SNAPSHOT_POLICY
 from repro.simulator.latency import DecodingLatencyProfile
 from repro.utils.rng import make_rng
 from repro.utils.validation import check_fields, integer, real, within
-from repro.workloads.mixtures import default_applications
 
 __all__ = [
     "PAPER_BASELINES",
@@ -144,16 +144,32 @@ def size_cluster(
 # --------------------------------------------------------------------------- #
 # Eight entries cover one paper figure (one profile, one priors, four
 # sizings); a fitted default profile holds about 1.1 MiB, the others bytes.
-@functools.lru_cache(maxsize=8)
-def _built(build: Callable, settings: ExperimentSettings, *args: object) -> Any:
-    """``build(*args, default_applications(), settings)``, once per process.
+_MEMO_SIZE = 8
+_memo: "OrderedDict[Tuple[object, ...], Any]" = OrderedDict()
 
-    ``settings`` holds only the fields ``build`` reads, the rest at their
-    defaults, so the key is exactly the artifact's inputs.  The templates
-    are rebuilt on a miss rather than kept: holding them for the process
-    costs more peak memory than the rebuild costs time.
+
+def _built(
+    build: Callable,
+    applications: Mapping[str, ApplicationTemplate],
+    settings: ExperimentSettings,
+    *args: object,
+) -> Any:
+    """``build(*args, applications, settings)``, once per process, least recently used out.
+
+    The key is ``(build, settings, *args)``: ``settings`` holds only the
+    fields ``build`` reads, the rest at their defaults, so the key is
+    exactly the artifact's inputs.  ``applications`` are the default
+    templates the caller already built for its jobs; only a miss reads
+    them, and the memo does not keep them.
     """
-    return build(*args, default_applications(), settings)
+    key = (build, settings, *args)
+    if key in _memo:
+        _memo.move_to_end(key)
+        return _memo[key]
+    artifact = _memo[key] = build(*args, applications, settings)
+    if len(_memo) > _MEMO_SIZE:
+        _memo.popitem(last=False)
+    return artifact
 
 
 def _only(settings: ExperimentSettings, *names: str) -> ExperimentSettings:
@@ -161,28 +177,39 @@ def _only(settings: ExperimentSettings, *names: str) -> ExperimentSettings:
     return ExperimentSettings(**{name: getattr(settings, name) for name in names})
 
 
-def prepared_priors(settings: ExperimentSettings) -> ApplicationPriors:
+def prepared_priors(
+    settings: ExperimentSettings, applications: Mapping[str, ApplicationTemplate]
+) -> ApplicationPriors:
     """The default applications' priors for ``settings``, from the memo."""
-    return _built(build_priors, _only(settings, "prior_samples", "profiler_seed"))
+    return _built(build_priors, applications, _only(settings, "prior_samples", "profiler_seed"))
 
 
-def prepared_profiler(settings: ExperimentSettings) -> BayesianProfiler:
+def prepared_profiler(
+    settings: ExperimentSettings, applications: Mapping[str, ApplicationTemplate]
+) -> BayesianProfiler:
     """A profiler over the memo's default-application profiles fitted for ``settings``.
 
     Each caller gets its own query caches: kept across the runs of a
     process, they only grow.
     """
-    fitted = _built(build_profiler, _only(settings, "profile_jobs", "profiler_seed"))
+    fitted = _built(build_profiler, applications, _only(settings, "profile_jobs", "profiler_seed"))
     return fitted.with_empty_caches()
 
 
 def prepared_cluster(
-    arrival_rate: float, application_names: Sequence[str], settings: ExperimentSettings
+    arrival_rate: float,
+    application_names: Sequence[str],
+    settings: ExperimentSettings,
+    applications: Mapping[str, ApplicationTemplate],
 ) -> ClusterConfig:
     """:func:`size_cluster` over the default applications, from the memo."""
     read = ("target_load", "max_batch_size", "latency_slope", "profiler_seed")
     return _built(
-        size_cluster, _only(settings, *read), float(arrival_rate), tuple(application_names)
+        size_cluster,
+        applications,
+        _only(settings, *read),
+        float(arrival_rate),
+        tuple(application_names),
     )
 
 

@@ -15,12 +15,11 @@ from typing import TYPE_CHECKING, Dict, Optional, Union
 
 from repro.simulator.federation import FederationMetrics
 from repro.simulator.metrics import SimulationMetrics
-from repro.workloads.mixtures import WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.spec import ScenarioSpec
 
-__all__ = ["Result", "ComparisonResult"]
+__all__ = ["Result"]
 
 AnyMetrics = Union[SimulationMetrics, FederationMetrics]
 
@@ -94,17 +93,3 @@ class Result:
             json.dumps(self.to_dict(include_spec=include_spec), indent=indent, sort_keys=True)
             + "\n"
         )
-
-
-@dataclass
-class ComparisonResult:
-    """Average JCT (and full metrics) of several schedulers on one workload."""
-
-    workload: WorkloadSpec
-    metrics: Dict[str, SimulationMetrics]
-
-    def normalized_to(self, reference: str) -> Dict[str, float]:
-        base = self.metrics[reference].average_jct
-        if base <= 0:
-            raise ValueError(f"reference scheduler {reference!r} has non-positive JCT")
-        return {name: m.average_jct / base for name, m in self.metrics.items()}

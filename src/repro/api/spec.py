@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import MISSING, dataclass, field, replace
+from dataclasses import MISSING, dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.api.prep import ExperimentSettings
@@ -890,10 +890,6 @@ class ScenarioSpec:
         except json.JSONDecodeError as exc:
             raise SpecError(f"spec is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
-
-    # Convenience --------------------------------------------------------- #
-    def with_scheduler(self, name: str, **kwargs) -> "ScenarioSpec":
-        return replace(self, scheduler=SchedulerSection(name=name, kwargs=kwargs))
 
 
 def with_overrides(spec: ScenarioSpec, overrides: Mapping[str, object]) -> ScenarioSpec:

@@ -9,8 +9,11 @@ parameters are available through each module's command line, e.g.::
 
     python -m repro.experiments.fig7_simulation --num-jobs 100 200 300 400
 
-The figure drivers run through the declarative API (:mod:`repro.api`),
-which also owns the shared settings (:class:`~repro.api.ExperimentSettings`)
-and the offline preparation: each run takes its priors, fitted profiler and
-cluster sizing from the per-process memo in :mod:`repro.api.prep`.
+Each driver that simulates (Figs. 7–10, Table I through Fig. 8) runs its
+cells as :func:`repro.api.run_grid` over one base spec, with ``processes=1``
+so the cells run in order in this process: the scheduler timings Table I
+reports measure nothing else, and one memo in :mod:`repro.api.prep` serves
+every cell its priors, fitted profiler and cluster sizing.  Fig. 9c's
+cluster is sized per workload type, so it runs one grid per type.  The API
+also owns the shared settings (:class:`~repro.api.ExperimentSettings`).
 """

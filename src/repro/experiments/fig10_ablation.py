@@ -16,7 +16,7 @@ from repro.api import (
     ExperimentSettings,
     ScenarioSpec,
     WorkloadSection,
-    compare,
+    run_grid,
 )
 from repro.experiments.report import format_table
 from repro.workloads.mixtures import WorkloadType
@@ -40,29 +40,34 @@ def run(
     batching-aware duration calibration (Eq. 2) — an extension ablation not
     present in the paper but listed in DESIGN.md.
     """
-    settings = settings or ExperimentSettings()
     scheduler_names = list(ABLATION_SCHEDULERS)
     if include_calibration_ablation:
         scheduler_names.append("llmsched_wo_calibration")
+    base = ScenarioSpec(
+        workload=WorkloadSection.closed_loop(
+            num_jobs=num_jobs, arrival_rate=arrival_rate, seed=seed
+        ),
+        settings=settings or ExperimentSettings(),
+    )
+    axes = {
+        "workload.workload_type": [w.value for w in workload_types],
+        "scheduler.name": scheduler_names,
+    }
+    jcts: Dict[str, Dict[str, float]] = {}
+    for overrides, result in run_grid(base, axes, processes=1):
+        workload = overrides["workload.workload_type"]
+        jcts.setdefault(workload, {})[overrides["scheduler.name"]] = result.average_jct
 
     rows: List[Dict[str, object]] = []
-    for workload_type in workload_types:
-        scenario = ScenarioSpec(
-            workload=WorkloadSection.closed_loop(
-                workload_type.value, num_jobs=num_jobs, arrival_rate=arrival_rate, seed=seed
-            ),
-            settings=settings,
-        )
-        comparison = compare(scenario, scheduler_names)
-        normalized = comparison.normalized_to("llmsched")
+    for workload, jct in jcts.items():
         row: Dict[str, object] = {
-            "workload": workload_type.value,
-            "llmsched_avg_jct": comparison.metrics["llmsched"].average_jct,
-            "wo_bn_norm": normalized["llmsched_wo_bn"],
-            "wo_uncertainty_norm": normalized["llmsched_wo_uncertainty"],
+            "workload": workload,
+            "llmsched_avg_jct": jct["llmsched"],
+            "wo_bn_norm": jct["llmsched_wo_bn"] / jct["llmsched"],
+            "wo_uncertainty_norm": jct["llmsched_wo_uncertainty"] / jct["llmsched"],
         }
         if include_calibration_ablation:
-            row["wo_calibration_norm"] = normalized["llmsched_wo_calibration"]
+            row["wo_calibration_norm"] = jct["llmsched_wo_calibration"] / jct["llmsched"]
         rows.append(row)
     return rows
 

@@ -15,7 +15,7 @@ from repro.api import (
     ExperimentSettings,
     ScenarioSpec,
     WorkloadSection,
-    compare,
+    run_grid,
 )
 from repro.experiments.report import format_table
 from repro.workloads.mixtures import WorkloadType
@@ -34,33 +34,26 @@ def run(
     settings: Optional[ExperimentSettings] = None,
 ) -> List[Dict[str, object]]:
     """One row per (workload, num_jobs, scheduler) with the average JCT."""
-    settings = settings or ExperimentSettings()
-    rows: List[Dict[str, object]] = []
-    for workload_type in workload_types:
-        for num_jobs in num_jobs_values:
-            scenario = ScenarioSpec(
-                workload=WorkloadSection.closed_loop(
-                    workload_type.value,
-                    num_jobs=int(num_jobs),
-                    arrival_rate=arrival_rate,
-                    seed=seed,
-                ),
-                settings=settings,
-            )
-            comparison = compare(scenario, scheduler_names)
-            for name in scheduler_names:
-                metrics = comparison.metrics[name]
-                rows.append(
-                    {
-                        "workload": workload_type.value,
-                        "num_jobs": int(num_jobs),
-                        "scheduler": name,
-                        "average_jct": metrics.average_jct,
-                        "p95_jct": metrics.jct_summary()["p95"],
-                        "llm_utilization": metrics.utilization.get("llm", 0.0),
-                    }
-                )
-    return rows
+    base = ScenarioSpec(
+        workload=WorkloadSection.closed_loop(arrival_rate=arrival_rate, seed=seed),
+        settings=settings or ExperimentSettings(),
+    )
+    axes = {
+        "workload.workload_type": [w.value for w in workload_types],
+        "workload.num_jobs": [int(n) for n in num_jobs_values],
+        "scheduler.name": list(scheduler_names),
+    }
+    return [
+        {
+            "workload": overrides["workload.workload_type"],
+            "num_jobs": overrides["workload.num_jobs"],
+            "scheduler": overrides["scheduler.name"],
+            "average_jct": result.metrics.average_jct,
+            "p95_jct": result.metrics.jct_summary()["p95"],
+            "llm_utilization": result.metrics.utilization.get("llm", 0.0),
+        }
+        for overrides, result in run_grid(base, axes, processes=1)
+    ]
 
 
 def main(argv=None) -> None:

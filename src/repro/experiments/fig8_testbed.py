@@ -19,7 +19,7 @@ from repro.api import (
     ExperimentSettings,
     ScenarioSpec,
     WorkloadSection,
-    compare,
+    run_grid,
 )
 from repro.experiments.report import format_table
 from repro.workloads.mixtures import WorkloadType
@@ -39,28 +39,27 @@ def run(
     settings: Optional[ExperimentSettings] = None,
 ) -> List[Dict[str, object]]:
     """One row per (workload, scheduler) with average JCT and overhead."""
-    settings = settings or ExperimentSettings()
-    rows: List[Dict[str, object]] = []
-    for workload_type in workload_types:
-        scenario = ScenarioSpec(
-            workload=WorkloadSection.closed_loop(
-                workload_type.value, num_jobs=num_jobs, arrival_rate=arrival_rate, seed=seed
-            ),
-            settings=settings,
-        )
-        comparison = compare(scenario, scheduler_names)
-        for name in scheduler_names:
-            metrics = comparison.metrics[name]
-            rows.append(
-                {
-                    "workload": workload_type.value,
-                    "scheduler": name,
-                    "average_jct": metrics.average_jct,
-                    "avg_overhead_ms": metrics.average_scheduling_overhead_ms,
-                    "scheduler_invocations": metrics.num_scheduler_invocations,
-                }
-            )
-    return rows
+    base = ScenarioSpec(
+        workload=WorkloadSection.closed_loop(
+            num_jobs=num_jobs, arrival_rate=arrival_rate, seed=seed
+        ),
+        settings=settings or ExperimentSettings(),
+    )
+    axes = {
+        "workload.workload_type": [w.value for w in workload_types],
+        "scheduler.name": list(scheduler_names),
+    }
+    # In-process cells: each scheduler call is timed with nothing else running.
+    return [
+        {
+            "workload": overrides["workload.workload_type"],
+            "scheduler": overrides["scheduler.name"],
+            "average_jct": result.metrics.average_jct,
+            "avg_overhead_ms": result.metrics.average_scheduling_overhead_ms,
+            "scheduler_invocations": result.metrics.num_scheduler_invocations,
+        }
+        for overrides, result in run_grid(base, axes, processes=1)
+    ]
 
 
 def main(argv=None) -> None:

@@ -19,13 +19,38 @@ from repro.api import (
     ScenarioSpec,
     SchedulerSection,
     WorkloadSection,
-    run as run_scenario,
+    run_grid,
 )
 from repro.api.prep import prepared_cluster
-from repro.workloads.mixtures import WorkloadSpec, WorkloadType
+from repro.workloads.mixtures import WorkloadSpec, WorkloadType, default_applications
 from repro.experiments.report import format_series
 
 __all__ = ["run_epsilon_sweep", "run_sampling_sweep", "run_arrival_sweep", "run", "main"]
+
+
+def _option_sweep(
+    option: str,
+    values: Sequence[float],
+    workload_type: WorkloadType,
+    num_jobs: int,
+    arrival_rate: float,
+    seed: int,
+    settings: ExperimentSettings,
+) -> Dict[float, float]:
+    """LLMSched's average JCT for each value of one scheduler option,
+    normalised to the run at the option's configured default."""
+    base = ScenarioSpec(
+        scheduler=SchedulerSection("llmsched"),
+        workload=WorkloadSection.closed_loop(workload_type.value, num_jobs, arrival_rate, seed),
+        settings=settings,
+    )
+    axes = {f"scheduler.kwargs.{option}": [float(v) for v in values]}
+    jcts = {
+        overrides[f"scheduler.kwargs.{option}"]: result.average_jct
+        for overrides, result in run_grid(base, axes, processes=1)
+    }
+    reference = jcts.get(getattr(settings.llmsched, option)) or min(jcts.values())
+    return {value: jct / reference for value, jct in jcts.items()}
 
 
 def run_epsilon_sweep(
@@ -37,15 +62,10 @@ def run_epsilon_sweep(
     settings: Optional[ExperimentSettings] = None,
 ) -> Dict[float, float]:
     """Normalised average JCT for each exploration probability (Fig. 9a)."""
-    settings = settings or ExperimentSettings()
-    workload = WorkloadSection.closed_loop(workload_type.value, num_jobs, arrival_rate, seed)
-    scenario = ScenarioSpec(workload=workload, settings=settings)
-    jcts: Dict[float, float] = {}
-    for epsilon in epsilons:
-        result = run_scenario(scenario.with_scheduler("llmsched", epsilon=float(epsilon)))
-        jcts[float(epsilon)] = result.average_jct
-    reference = jcts.get(settings.llmsched.epsilon) or min(jcts.values())
-    return {eps: jct / reference for eps, jct in jcts.items()}
+    return _option_sweep(
+        "epsilon", epsilons, workload_type, num_jobs, arrival_rate, seed,
+        settings or ExperimentSettings(),
+    )
 
 
 def run_sampling_sweep(
@@ -57,15 +77,10 @@ def run_sampling_sweep(
     settings: Optional[ExperimentSettings] = None,
 ) -> Dict[float, float]:
     """Normalised average JCT for each task sampling ratio (Fig. 9b)."""
-    settings = settings or ExperimentSettings()
-    workload = WorkloadSection.closed_loop(workload_type.value, num_jobs, arrival_rate, seed)
-    scenario = ScenarioSpec(workload=workload, settings=settings)
-    jcts: Dict[float, float] = {}
-    for ratio in ratios:
-        result = run_scenario(scenario.with_scheduler("llmsched", sampling_ratio=float(ratio)))
-        jcts[float(ratio)] = result.average_jct
-    reference = jcts.get(settings.llmsched.sampling_ratio) or min(jcts.values())
-    return {ratio: jct / reference for ratio, jct in jcts.items()}
+    return _option_sweep(
+        "sampling_ratio", ratios, workload_type, num_jobs, arrival_rate, seed,
+        settings or ExperimentSettings(),
+    )
 
 
 def run_arrival_sweep(
@@ -79,24 +94,24 @@ def run_arrival_sweep(
 
     The cluster is sized once for the paper's default λ = 0.9 and kept fixed,
     so lower / higher rates correspond to lightly / heavily loaded clusters.
+    That sizing differs per workload type, so each type is its own grid.
     """
     settings = settings or ExperimentSettings()
+    applications = default_applications()
     result: Dict[str, Dict[float, float]] = {}
     for workload_type in workload_types:
         names = WorkloadSpec(workload_type=workload_type).application_names
-        cluster = prepared_cluster(0.9, names, settings)
-        jcts: Dict[float, float] = {}
-        for rate in arrival_rates:
-            scenario = ScenarioSpec(
-                scheduler=SchedulerSection("llmsched"),
-                workload=WorkloadSection.closed_loop(
-                    workload_type.value, num_jobs=num_jobs, arrival_rate=float(rate), seed=seed
-                ),
-                cluster=ClusterSection(config=cluster),
-                settings=settings,
-            )
-            cell = run_scenario(scenario)
-            jcts[float(rate)] = cell.average_jct
+        base = ScenarioSpec(
+            scheduler=SchedulerSection("llmsched"),
+            workload=WorkloadSection.closed_loop(workload_type.value, num_jobs=num_jobs, seed=seed),
+            cluster=ClusterSection(config=prepared_cluster(0.9, names, settings, applications)),
+            settings=settings,
+        )
+        axes = {"workload.arrival_rate": [float(rate) for rate in arrival_rates]}
+        jcts = {
+            overrides["workload.arrival_rate"]: cell.average_jct
+            for overrides, cell in run_grid(base, axes, processes=1)
+        }
         reference = jcts.get(0.9) or min(jcts.values())
         result[workload_type.value] = {rate: jct / reference for rate, jct in jcts.items()}
     return result

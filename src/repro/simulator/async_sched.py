@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Union
 
 from repro.schedulers.base import SchedulingContext, SchedulingDecision
-from repro.simulator.events import EventQueue, EventType
+from repro.simulator.events import EventQueue
 from repro.utils.rng import make_rng
 from repro.utils.validation import boolean, check_fields, integer
 
@@ -195,9 +195,9 @@ class AsyncSchedulerBackend:
 
     The backend owns no scheduler and no metrics — both belong to the
     engine; it owns the *policy* (latency model, pipelining depth) and the
-    queue of in-flight decisions, ordered by apply time through the shared
-    :class:`~repro.simulator.events.EventQueue` machinery
-    (:attr:`~repro.simulator.events.EventType.DECISION_READY` events).
+    queue of in-flight decisions, ordered by apply time in a
+    :class:`~repro.simulator.events.EventQueue` (each event's payload is
+    the in-flight decision).
 
     One backend instance drives one engine; construct one per shard for
     federated runs (see ``FederatedSimulationEngine``'s
@@ -269,7 +269,7 @@ class AsyncSchedulerBackend:
             snapshot_free_regular=context.free_regular_slots,
             snapshot_free_llm=context.free_llm_slots,
         )
-        self._events.push(inflight.apply_at, EventType.DECISION_READY, inflight)
+        self._events.push(inflight.apply_at, inflight)
         self._num_in_flight += 1
         return None
 

@@ -80,7 +80,7 @@ from repro.schedulers.snapshot import CowSnapshotTracker
 from repro.simulator.async_sched import AsyncSchedulerBackend
 from repro.simulator.autoscaler import ThresholdAutoscaler
 from repro.simulator.cluster import Cluster
-from repro.simulator.events import EventQueue, EventType
+from repro.simulator.events import EventQueue
 from repro.simulator.metrics import SimulationMetrics
 from repro.simulator.placement import GreedyFirstFitPlacement, PlacementPolicy
 from repro.utils.validation import check_fields, integer, one_of, positive
@@ -459,7 +459,7 @@ class SimulationEngine:
                 self._timed_schedule, context, self._time, self.config.eps
             )
             if decision is None:
-                return  # in flight; applied once its DECISION_READY event fires
+                return  # in flight; applied once its apply time comes
         self._apply_decision(decision)
 
     def _timed_schedule(self, context: SchedulingContext) -> SchedulingDecision:
@@ -655,7 +655,7 @@ class SimulationEngine:
         if expected_type is TaskType.REGULAR:
             index = self.cluster.regular_index(placed)
             finish = self.cluster.regular_executors[index].completion_time()
-            self._regular_events.push(finish, EventType.TASK_FINISH, index)
+            self._regular_events.push(finish, index)
         else:
             self._dirty_llm.add(self.cluster.llm_index(placed))
         stage.mark_running()
@@ -718,8 +718,8 @@ class SimulationEngine:
             candidates.append(llm)
         if self._next_arrival is not None:
             candidates.append(self._next_arrival.arrival_time)
-        # Decisions in flight are pending progress: their DECISION_READY
-        # times drive the clock even when nothing else is happening.
+        # Decisions in flight are pending progress: their apply times
+        # drive the clock even when nothing else is happening.
         if self.async_backend is not None:
             apply_time = self.async_backend.next_apply_time()
             if apply_time is not None:

@@ -1,28 +1,21 @@
-"""Deterministic event queue used by the simulation engine.
+"""Deterministic time-ordered queue of simulation events.
 
-The engine only stores *externally scheduled* events here (job arrivals);
-task completions are recomputed from executor state every iteration because
-batch-composition changes invalidate previously computed completion times.
+The engine keeps the completions of its regular tasks here (the payload is
+the executor index; an entry that a preemption made stale is dropped when
+it surfaces), and the asynchronous scheduling backend keeps its in-flight
+decisions until their latency window ends.  LLM completions are not queued:
+batch-composition changes move them, so the engine re-derives them from
+executor state.  Equal times pop in push order.
 """
 
 from __future__ import annotations
 
-import enum
 import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
-__all__ = ["EventType", "SimulationEvent", "EventQueue"]
-
-
-class EventType(enum.Enum):
-    JOB_ARRIVAL = "job_arrival"
-    TASK_FINISH = "task_finish"
-    #: An asynchronous scheduling decision finishing its latency window and
-    #: becoming ready to apply against the live cluster (payload: the
-    #: in-flight decision record).
-    DECISION_READY = "decision_ready"
+__all__ = ["SimulationEvent", "EventQueue"]
 
 
 @dataclass(frozen=True, order=True)
@@ -31,8 +24,7 @@ class SimulationEvent:
 
     time: float
     sequence: int
-    event_type: EventType = field(compare=False)
-    payload: Any = field(compare=False, default=None)
+    payload: Any = field(compare=False)
 
 
 class EventQueue:
@@ -42,15 +34,10 @@ class EventQueue:
         self._heap: List[SimulationEvent] = []
         self._counter = itertools.count()
 
-    def push(self, time: float, event_type: EventType, payload: Any = None) -> SimulationEvent:
+    def push(self, time: float, payload: Any) -> SimulationEvent:
         if time < 0:
             raise ValueError("event time must be >= 0")
-        event = SimulationEvent(
-            time=float(time),
-            sequence=next(self._counter),
-            event_type=event_type,
-            payload=payload,
-        )
+        event = SimulationEvent(time=float(time), sequence=next(self._counter), payload=payload)
         heapq.heappush(self._heap, event)
         return event
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 import repro
 from repro.store.record import RecordError, RunRecord, looks_like_result_payload
@@ -117,6 +117,22 @@ class RunStore:
         ``dedup_key`` with different content is stored as a new version and
         journaled with the ids of the journaled versions it supersedes.
         """
+        return self._add(record, source, self._versions())
+
+    def _versions(self) -> Dict[str, Set[str]]:
+        """The journaled record ids per dedup key (as canonical JSON)."""
+        versions: Dict[str, Set[str]] = {}
+        for entry in self.journal_entries():
+            record_id = entry.get("record_id")
+            if isinstance(record_id, str):
+                key = canonical_json(entry.get("dedup_key"))
+                versions.setdefault(key, set()).add(record_id)
+        return versions
+
+    def _add(
+        self, record: RunRecord, source: Optional[str], versions: Dict[str, Set[str]]
+    ) -> Tuple[RunRecord, bool]:
+        """:meth:`add` against ``versions``, which it extends by the new record."""
         self._ensure_layout()
         self.check_format()
         record = record.with_provenance(
@@ -127,14 +143,8 @@ class RunStore:
         if path.exists():
             return record, False
         dedup_key = [_jsonable(part) for part in record.dedup_key]
-        supersedes = sorted(
-            {
-                entry["record_id"]
-                for entry in self.journal_entries()
-                if entry.get("dedup_key") == dedup_key
-                and entry.get("record_id") != record.record_id
-            }
-        )
+        known = versions.setdefault(canonical_json(dedup_key), set())
+        supersedes = sorted(known - {record.record_id})
         path.parent.mkdir(parents=True, exist_ok=True)
         _atomic_write_text(path, record.to_json())
         journal_entry: Dict[str, object] = {
@@ -148,6 +158,7 @@ class RunStore:
             journal_entry["supersedes"] = supersedes
         with open(self.journal_path, "a", encoding="utf-8") as handle:
             handle.write(canonical_json(journal_entry) + "\n")
+        known.add(record.record_id)
         return record, True
 
     def add_result(self, result) -> Tuple[RunRecord, bool]:
@@ -169,8 +180,10 @@ class RunStore:
         payloads hoisted into individual ``result`` records (keyed by label),
         so every persisted ``Result`` is individually addressable while the
         artifact stays byte-for-byte regenerable (the section record keeps an
-        empty ``results`` slot marking where they re-attach).
+        empty ``results`` slot marking where they re-attach).  The journal is
+        read once per call, not once per record.
         """
+        versions = self._versions()
         out: List[Tuple[RunRecord, bool]] = []
         for section in sorted(data):
             payload = data[section]
@@ -184,26 +197,13 @@ class RunStore:
                 looks_like_result_payload(v) for v in results.values()
             ):
                 for label in sorted(results):
-                    out.append(
-                        self.add(
-                            RunRecord.result_record(
-                                results[label],
-                                bench_file=bench_file,
-                                section=section,
-                                label=label,
-                            ),
-                            source=source,
-                        )
+                    record = RunRecord.result_record(
+                        results[label], bench_file=bench_file, section=section, label=label
                     )
+                    out.append(self._add(record, source, versions))
                 payload["results"] = {}
-            out.append(
-                self.add(
-                    RunRecord.section_record(
-                        payload, bench_file=bench_file, section=section
-                    ),
-                    source=source,
-                )
-            )
+            record = RunRecord.section_record(payload, bench_file=bench_file, section=section)
+            out.append(self._add(record, source, versions))
         return out
 
     def ingest_bench_file(

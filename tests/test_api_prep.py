@@ -1,5 +1,6 @@
 """Offline preparation: settings validation, priors/profiler, cluster sizing, the memo."""
 
+import sys
 from dataclasses import replace
 
 import pytest
@@ -124,7 +125,7 @@ class TestMemo:
     @pytest.fixture
     def builds(self, monkeypatch):
         """Counts profile fits, priors builds and sizings, starting from an empty memo."""
-        prep._built.cache_clear()
+        prep._memo.clear()
         counts = {"fit": 0, "priors": 0, "sizing": 0}
 
         def counting(kind, original):
@@ -173,7 +174,8 @@ class TestMemo:
 
     def test_a_sized_cluster_is_sized_once_per_rate(self, builds):
         sized = ClusterSection()
-        api.compare(self.spec("fcfs", cluster=sized), ["fcfs", "fair", "argus"])
+        grid = {"scheduler.name": ["fcfs", "fair", "argus"]}
+        api.run_grid(self.spec("fcfs", cluster=sized), grid, processes=1)
         assert builds["sizing"] == 1
         api.run(self.spec("fcfs", cluster=sized, arrival_rate=1.5))
         assert builds["sizing"] == 2
@@ -181,8 +183,8 @@ class TestMemo:
     def test_each_run_gets_fresh_query_caches_over_the_shared_fit(self, builds, monkeypatch):
         handed_out = []
 
-        def recording(settings):
-            profiler = prep.prepared_profiler(settings)
+        def recording(settings, applications):
+            profiler = prep.prepared_profiler(settings, applications)
             caches = (profiler._marginal_cache, profiler._moment_cache, profiler._reduction_cache)
             handed_out.append((profiler, caches, [len(cache) for cache in caches]))
             return profiler
@@ -197,3 +199,27 @@ class TestMemo:
         assert builds["fit"] == 1
         for name in APPLICATION_NAMES:
             assert first.profile_for(name) is second.profile_for(name)
+
+    def test_a_cold_run_builds_the_templates_once(self, builds, monkeypatch):
+        build, calls = default_applications, []
+
+        def counted():
+            calls.append(1)
+            return build()
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "default_applications", None) is build:
+                monkeypatch.setattr(module, "default_applications", counted)
+        api.run(self.spec("llmsched", cluster=ClusterSection()))
+        assert builds == {"fit": 1, "priors": 0, "sizing": 1}
+        assert len(calls) == 1
+
+    def test_the_memo_keeps_the_eight_latest_artifacts(self, builds):
+        rates = [1.0 + step / 10 for step in range(9)]
+        for rate in rates:
+            api.run(self.spec("fcfs", cluster=ClusterSection(), arrival_rate=rate))
+        assert builds["sizing"] == 9 and len(prep._memo) == 8
+        api.run(self.spec("fcfs", cluster=ClusterSection(), arrival_rate=rates[-1]))
+        assert builds["sizing"] == 9  # the latest entry is still held
+        api.run(self.spec("fcfs", cluster=ClusterSection(), arrival_rate=rates[0]))
+        assert builds["sizing"] == 10  # the oldest was evicted

@@ -4,11 +4,12 @@ The headline test replays every golden trace (all 8 registered schedulers)
 through the declarative front door and compares the per-job JCTs and the
 makespan **exactly** against ``tests/golden/``.  The remaining tests pin
 each optional layer a spec section switches on (LLMSched variants,
-placement, async, autoscaler, federation), grids, comparisons, the
-uniform :class:`~repro.api.Result` schema, and the cluster conflict
-check: ``config`` + ``pools`` raise instead of silently preferring pools.
+placement, async, autoscaler, federation), grids, the uniform
+:class:`~repro.api.Result` schema, and the cluster conflict check:
+``config`` + ``pools`` raise instead of silently preferring pools.
 """
 
+import inspect
 import json
 from pathlib import Path
 
@@ -165,38 +166,20 @@ class TestGridAndResult:
         lean = result.to_dict(include_spec=False)
         assert "spec" not in lean
 
-    def test_compare_shares_draw_and_cluster(self):
+    def test_run_takes_only_the_spec_and_run_grid_is_the_only_sweep(self):
+        assert list(inspect.signature(api.run).parameters) == ["spec"]
+        assert not {"compare", "ComparisonResult", "run_specs"} & set(api.__all__)
+
+    def test_scheduler_grid_shares_draw_and_cluster(self):
         scenario = ScenarioSpec(
             workload=WorkloadSection.closed_loop("mixed", num_jobs=10, arrival_rate=1.2, seed=4),
             settings=TINY,
         )
-        comparison = api.compare(scenario, ["fcfs", "sjf"])
-        assert set(comparison.metrics) == {"fcfs", "sjf"}
-        assert set(comparison.metrics["fcfs"].job_completion_times) == set(
-            comparison.metrics["sjf"].job_completion_times
-        )
-
-    def test_comparison_normalized_to(self):
-        scenario = ScenarioSpec(
-            workload=WorkloadSection.closed_loop("mixed", num_jobs=18, arrival_rate=1.2, seed=4),
-            settings=TINY,
-        )
-        comparison = api.compare(scenario, ["fcfs", "sjf"])
-        normalized = comparison.normalized_to("fcfs")
-        assert set(normalized) == {"fcfs", "sjf"}
-        assert normalized["fcfs"] == pytest.approx(1.0)
-        assert normalized["sjf"] == pytest.approx(
-            comparison.metrics["sjf"].average_jct / comparison.metrics["fcfs"].average_jct
-        )
-
-    def test_inapplicable_overrides_rejected(self):
-        from repro.simulator.federation import HashRouter
-
-        single = ScenarioSpec(
-            workload=WorkloadSection.closed_loop(num_jobs=5), settings=TINY
-        )
-        with pytest.raises(ValueError, match="router override only applies"):
-            api.run(single, router=HashRouter())
+        rows = api.run_grid(scenario, {"scheduler.name": ["fcfs", "sjf"]}, processes=1)
+        (_, fcfs), (_, sjf) = rows
+        assert [r.spec.scheduler.name for _, r in rows] == ["fcfs", "sjf"]
+        assert set(fcfs.job_completion_times) == set(sjf.job_completion_times)
+        assert fcfs.spec.cluster == sjf.spec.cluster  # one memo-sized cluster
 
     def test_open_loop_run_sizes_cluster_from_process_rate(self):
         result = api.run(

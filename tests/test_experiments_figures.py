@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.api import ExperimentSettings
+from repro import api
+from repro.api import ExperimentSettings, ScenarioSpec, SchedulerSection, WorkloadSection
 from repro.core.llmsched import LLMSchedConfig
 from repro.experiments import (
     fig1_characterization,
@@ -96,3 +97,12 @@ class TestFig10:
         assert row["llmsched_avg_jct"] > 0
         for key in ("wo_bn_norm", "wo_uncertainty_norm", "wo_calibration_norm"):
             assert row[key] > 0
+        # Each ablation is normalised to full LLMSched on the same draw.
+        wo_bn = api.run(
+            ScenarioSpec(
+                scheduler=SchedulerSection("llmsched_wo_bn"),
+                workload=WorkloadSection.closed_loop("chain", num_jobs=12),
+                settings=TINY,
+            )
+        )
+        assert row["wo_bn_norm"] == wo_bn.average_jct / row["llmsched_avg_jct"]

@@ -22,7 +22,9 @@ Four oracles:
 After every step of the same runs, a recount over each pool's active
 executors is also what its free-slot count must equal, and its idle heap
 must hold every idle active regular executor; the engine's admission
-numbers must rise in the order of its active jobs.
+numbers must rise in the order of its active jobs.  A fresh scan of each
+clean LLM executor is what its cached completion must equal, and every
+busy regular executor must have its completion in the lazy event heap.
 """
 
 import pytest
@@ -155,10 +157,44 @@ def assert_capacity_matches(engine):
     assert all(a < b for a, b in zip(numbers, numbers[1:]))
 
 
+def assert_completions_match(engine):
+    """The event core's completion structures agree with the executors.
+
+    Each LLM executor not marked dirty caches the task a fresh scan names
+    as its earliest finisher: its completion time equals the scan's exactly,
+    and both are None when the executor is idle.  Each busy active regular
+    executor has an entry in the lazy completion heap (which may also hold
+    stale entries) at its completion time, within ``eps``.
+    """
+    for index, cached in enumerate(engine._llm_best):
+        if index in engine._dirty_llm:
+            continue
+        executor = engine.cluster.llm_executors[index]
+        fresh = executor.next_completion()
+        if cached is None or fresh is None:
+            assert cached is None and fresh is None, executor.executor_id
+        else:
+            assert executor.completion_time_of(cached) == fresh[0], executor.executor_id
+    queued = {}
+    for event in engine._regular_events._heap:
+        queued.setdefault(event.payload, []).append(event.time)
+    eps = engine.config.eps
+    for pool in engine.cluster.pools:
+        if pool.task_type is not TaskType.REGULAR:
+            continue
+        for executor in pool.executors:
+            if executor.is_idle or not pool.is_active(executor.executor_id):
+                continue
+            due = executor.completion_time()
+            times = queued.get(engine.cluster.regular_index(executor.executor_id), [])
+            assert any(abs(time - due) <= eps for time in times), executor.executor_id
+
+
 def assert_engine_matches(engine):
     assert_index_matches(engine)
     assert_dag_state_matches(engine)
     assert_capacity_matches(engine)
+    assert_completions_match(engine)
     if engine.scheduler.preemptive:
         assert_running_matches(engine)
 
@@ -166,11 +202,11 @@ def assert_engine_matches(engine):
 def step_checked(engine, every=1):
     """Step ``engine`` to the end, checking it after every ``every`` steps.
 
-    The ready index, the jobs' kept DAG state, the pools' capacity state and
-    the admission numbers are always checked, and a preemptive scheduler's
-    running set too.  Reading the index re-files the jobs touched since the
-    last read, so a larger ``every`` checks changes that piled up over
-    several steps.
+    The ready index, the jobs' kept DAG state, the pools' capacity state,
+    the admission numbers and the completion caches are always checked, and
+    a preemptive scheduler's running set too.  Reading the index re-files
+    the jobs touched since the last read, so a larger ``every`` checks
+    changes that piled up over several steps.
     """
     assert_engine_matches(engine)
     context = engine._build_context()

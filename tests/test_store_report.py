@@ -116,7 +116,9 @@ class TestRegressionGateStoreView:
         shutil.copytree(BASELINE_DIR / "store", tampered_root)
         store = RunStore(tampered_root)
         victim = next(
-            r for r in store.records() if r.section == "async_latency_degradation"
+            r
+            for r in store.latest_records()
+            if r.kind == "section" and r.section == "async_latency_degradation"
         )
         data = json.loads(store._record_path(victim.record_id).read_text())
         data["payload"]["average_jct_by_scheduler"]["fcfs"]["0.0"] += 1.0
@@ -144,6 +146,24 @@ class TestRegressionGateStoreView:
         }
         assert sorted(rendered) == [f"BENCH_{n}.json" for n in (2, 3, 4, 5, 6)]
         assert payloads == rendered
+
+    def test_gate_fails_on_a_gated_leaf_the_baseline_lacks(self):
+        gate = _load_check_regression()
+        baseline = {"s": {"scale": "smoke", "average_jct": 1.0}}
+        run = {"metrics": {"makespan": 2.0, "events_per_sec": 9.0, "wall_clock_sec": 0.1}}
+        current = {
+            "s": {"scale": "smoke", "average_jct": 1.0, "results": {"a": run}, "note": "x"},
+            "t": {"scale": "smoke"},
+        }
+        failures = gate.check_file("BENCH_9.json", baseline, current, 0.75, 1.0)
+        assert [f.split(": ")[0] for f in failures] == [
+            "BENCH_9.json",
+            "BENCH_9.json/s/results/a/metrics/events_per_sec",
+            "BENCH_9.json/s/results/a/metrics/makespan",
+        ]
+        assert "section 't'" in failures[0]
+        assert all("regenerate the baselines" in f for f in failures)
+        assert gate.check_file("BENCH_9.json", baseline, baseline, 0.75, 1.0) == []
 
     def test_gate_fails_without_a_baseline_store(self, rendered_baselines, tmp_path, capsys):
         gate = _load_check_regression()

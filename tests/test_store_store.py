@@ -42,11 +42,12 @@ class TestAddAndDedup:
         assert len(store.journal_entries()) == 1
 
     def test_run_store_integration_dedups(self, store, tiny_result):
-        # api.run(store=...) records; rerunning the same spec adds nothing
-        # because the identity hash excludes wall clock.
-        result = api.run(ScenarioSpec.from_dict(TINY_SPEC), store=store)
+        # Recording a rerun of the same spec adds nothing because the
+        # identity hash excludes wall clock.
+        result = api.run(ScenarioSpec.from_dict(TINY_SPEC))
+        store.add_result(result)
         assert len(store) == 1
-        api.run(ScenarioSpec.from_dict(TINY_SPEC), store=str(store.root))
+        RunStore(str(store.root)).add_result(api.run(ScenarioSpec.from_dict(TINY_SPEC)))
         assert len(store) == 1
         assert store.records()[0].record_id == RunRecord.result_record(result.to_dict()).record_id
 
@@ -168,32 +169,40 @@ class TestConcurrentIngest:
         assert len(store.journal_entries()) == 2
 
 
-class TestBenchOutputMirror:
-    def test_record_bench_section_mirrors_into_store(self, tmp_path, monkeypatch):
+class TestIngestion:
+    def test_one_ingest_call_reads_the_journal_once(self, store, monkeypatch):
+        sections = {f"s{i}": {"average_jct": float(i)} for i in range(5)}
+        store.ingest_bench_payload("BENCH_2.json", sections)
+        reads = []
+        journal_entries = RunStore.journal_entries
+
+        def counted(self):
+            reads.append(1)
+            return journal_entries(self)
+
+        monkeypatch.setattr(RunStore, "journal_entries", counted)
+        bumped = {name: {"average_jct": p["average_jct"] + 1} for name, p in sections.items()}
+        outcomes = store.ingest_bench_payload("BENCH_2.json", bumped)
+        assert len(reads) == 1
+        assert all(added for _, added in outcomes) and len(store) == 10
+        # Each new version lists the one it supersedes, as a per-record add would.
+        first = {e["dedup_key"][2]: e["record_id"] for e in journal_entries(store)[:5]}
+        for entry in journal_entries(store)[5:]:
+            assert entry["supersedes"] == [first[entry["dedup_key"][2]]]
+
+
+class TestBenchOutput:
+    def test_a_section_lands_in_the_output_directory_and_ingests(self, tmp_path, monkeypatch):
         from benchmarks.bench_output import record_bench_section
+        from repro.api.cli import main
 
         monkeypatch.setenv("BENCH_OUTPUT", str(tmp_path / "bench-out"))
         monkeypatch.setenv("BENCH_SCALE", "smoke")
-        root = tmp_path / "store"
-        path = record_bench_section("demo_section", {"average_jct": 4.0}, store=str(root))
+        path = record_bench_section("demo_section", {"average_jct": 4.0})
         assert path == str(tmp_path / "bench-out" / "BENCH_2.json")
-        store = RunStore(root)
-        (record,) = store.records(verify=True)
+        root = tmp_path / "store"
+        assert not root.exists()  # a benchmark run records into no store
+        assert main(["store", "ingest", str(root), path]) == 0
+        (record,) = RunStore(root).records(verify=True)
         assert record.kind == "section" and record.section == "demo_section"
         assert record.merged_payload() == {"average_jct": 4.0, "scale": "smoke"}
-
-    def test_bench_store_env_var(self, tmp_path, monkeypatch):
-        from benchmarks.bench_output import record_bench_section
-
-        monkeypatch.setenv("BENCH_OUTPUT", str(tmp_path / "bench-out"))
-        monkeypatch.setenv("BENCH_STORE", str(tmp_path / "env-store"))
-        record_bench_section("demo_section", {"average_jct": 4.0})
-        assert len(RunStore(tmp_path / "env-store")) == 1
-
-    def test_no_store_configured_is_a_noop(self, tmp_path, monkeypatch):
-        from benchmarks.bench_output import record_bench_section
-
-        monkeypatch.setenv("BENCH_OUTPUT", str(tmp_path / "bench-out"))
-        monkeypatch.delenv("BENCH_STORE", raising=False)
-        record_bench_section("demo_section", {"average_jct": 4.0})
-        assert not (tmp_path / "store").exists()
